@@ -66,8 +66,9 @@ EXIT_IO = 3
 DEFAULT_N_GRID = tuple(2**k for k in range(7, 15))
 DEFAULT_REPLICATES = 200_000
 
-# replicate cap for the per-increment moment table of verify-ce; the paths
-# are sampled one by one, so this stays deliberately modest
+# replicate cap for the per-increment moment table of verify-ce; the table
+# is built from the full R x n increment matrix (8 R n bytes, plus its
+# |.|^p copy), so the cap bounds memory at the largest n
 VERIFY_MOMENT_REPLICATES = 20_000
 
 # CLI shorthand tags on top of the raw family names

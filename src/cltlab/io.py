@@ -123,6 +123,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"tolerance must be positive, got {self.tolerance!r}")
         if not isinstance(self.fit_seeds, int) or self.fit_seeds < 1:
             raise ConfigurationError(f"fit_seeds must be a positive integer, got {self.fit_seeds!r}")
+        if self.master_seed + self.fit_seeds - 1 >= 2**64:
+            raise ConfigurationError(
+                f"master seeds {self.master_seed}..{self.master_seed + self.fit_seeds - 1} "
+                "pass 2^64 - 1"
+            )
 
     def spec_for(self, n: int) -> ModelSpec:
         """The model spec at one grid point."""

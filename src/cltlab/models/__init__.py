@@ -1,14 +1,11 @@
 """Path-model zoo: martingale arrays and weakly dependent sums.
 
-`make_model` turns a declarative ModelSpec into a family object; the
-module-level helpers below are thin verb-shaped wrappers so callers can stay
-functional where that reads better.
+`make_model` turns a declarative ModelSpec into a family object.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..numerics import SeedLineage
 from .base import (
     DEFAULT_CHUNK,
     KNOWN_FAMILIES,
@@ -41,45 +38,6 @@ def make_model(spec: ModelSpec) -> Model:
     return cls(spec)
 
 
-def sample_path(spec: ModelSpec, lineage: SeedLineage) -> PathSample:
-    """One path of the model described by ``spec`` for the given stream."""
-    return make_model(spec).sample_path(lineage)
-
-
-def exact_moments(spec: ModelSpec) -> PathMoments:
-    """The model's per-increment variance ladder and exact totals."""
-    return make_model(spec).moments()
-
-
-def ce_generate(n: int, p: float, lineage: SeedLineage) -> PathSample:
-    """One lower-bound-family path; aux carries (s_m, branch_taken, branch_count)."""
-    return sample_path(ModelSpec(family="ce_lowerbound", n=n, p=p), lineage)
-
-
-def linear_statistic_path(spec: ModelSpec, lineage: SeedLineage) -> tuple[PathSample, float]:
-    """(path, exact Var of the weighted sum) for a linear-statistic spec."""
-    model = make_model(spec)
-    if not isinstance(model, LinearStatistic):
-        raise ConfigurationError("linear_statistic_path needs a linear_statistic spec")
-    return model.sample_path(lineage), model.exact_vn()
-
-
-def rho_mixing_path(spec: ModelSpec, lineage: SeedLineage) -> tuple[PathSample, float]:
-    """(path, exact Var of the path sum) for a chain-functional spec."""
-    model = make_model(spec)
-    if not isinstance(model, RhoMixingChain):
-        raise ConfigurationError("rho_mixing_path needs a rho_mixing_chain spec")
-    return model.sample_path(lineage), model.var_sn()
-
-
-def sequential_maps_path(spec: ModelSpec, lineage: SeedLineage) -> tuple[PathSample, float]:
-    """(path, exact Var of the path sum) for a sequential-maps spec."""
-    model = make_model(spec)
-    if not isinstance(model, SequentialMaps):
-        raise ConfigurationError("sequential_maps_path needs a sequential_maps spec")
-    return model.sample_path(lineage), model.exact_vn()
-
-
 __all__ = [
     "CELowerBound",
     "CEParams",
@@ -97,14 +55,8 @@ __all__ = [
     "SequentialMaps",
     "atom_fraction",
     "branch_abs_moment",
-    "ce_generate",
     "coefficient_schedule",
-    "exact_moments",
     "gaussian_min_profile",
-    "linear_statistic_path",
     "make_model",
-    "rho_mixing_path",
-    "sample_path",
-    "sequential_maps_path",
     "sigma_schedule",
 ]

@@ -6,31 +6,53 @@ Replicate r of grid block b draws from stream_id = b * 2^40 + r, so replicate
 sets can be generated in any order or split across workers and merged by
 index without changing a single output byte.
 
-Each family implements
+Each family implements one draw kernel and the maps over it:
 
-* ``sample_path(lineage)``      one path with its increments (test surface),
-* ``_statistic_chunk(gens)``    the raw path sum for a batch of generators
-                                 (vectorized hot path),
-* ``moments()``                 the exact per-increment variance ladder.
+* ``_draw_row(g)``      spends one replicate's generator in the family's
+                         documented draw order and returns the row of draws
+                         (width ``_draw_width()``),
+* ``_increments(D)``    (chunk, n) martingale increments from the stacked
+                         (chunk, width) draw matrix D,
+* ``_sums(D)``          (chunk,) raw path sums from D, with the family's own
+                         reduction order (and exact bookkeeping where float
+                         addition of the increments would lose it),
+* ``moments()``         the exact per-increment variance ladder.
 
-``statistic_values`` turns those into the normalized statistic samples the
-distance pipeline consumes.
+``Model`` owns the only generator loop: ``statistic_range`` and
+``increment_matrix`` apply the maps chunk by chunk, and ``sample_path`` is a
+chunk of one.  ``statistic_values`` turns the sums into the normalized
+statistic samples the distance pipeline consumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..errors import CapabilityError, ConfigurationError, DomainError
 from ..numerics import SeedLineage
 
-# Replicates are generated in chunks so families can vectorize across the
-# chunk; the chunk size never affects output values, only memory/speed.
+# Replicates are drawn in chunks so the family maps can vectorize across a
+# chunk.  Where a family's sums are one BLAS product per chunk
+# (linear_statistic), the chunk boundaries decide which rows share a kernel
+# and so reach the last bits of the output; worker ranges are therefore split
+# on chunk multiples, which keeps every worker's chunks the serial ones.
 DEFAULT_CHUNK = 4096
+
+# Families whose maps work row by row cap one chunk's (chunk, width) draw
+# matrix at this many doubles (2 MB) instead, so the draws and the maps'
+# temporaries stay small beside a caller's output.  At 16 MB the freed
+# buffers of a partial last chunk stayed resident and raised verify-ce's
+# peak memory by about 11 %.
+DRAW_BUDGET = 1 << 18
+
+# Families whose maps loop over the n time steps in Python (the chain and
+# sequential_maps) pay that loop once per chunk; eight draw budgets (16 MB)
+# keep it small next to the work.
+STEP_LOOP_DRAW_BUDGET = 8 * DRAW_BUDGET
 
 KNOWN_FAMILIES = (
     "gaussian_iid",
@@ -130,26 +152,22 @@ class PathMoments:
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated path: increments plus any exact bookkeeping.
+    """One simulated path: its increments and its raw path sum.
 
-    exact_sum carries a symbolically tracked path sum when floating addition
-    of the increments would destroy an exact algebraic cancellation (the
-    lower-bound family's atom at zero); it is None otherwise.
+    path_sum is the family's own sum of the draws (``_sums``), not a float
+    sum of the increments: the lower-bound family's atom at zero is an exact
+    0.0 only in the former.
     """
 
     increments: np.ndarray
-    exact_sum: Optional[float] = None
-    aux: Mapping[str, Any] = field(default_factory=dict)
-
-    @property
-    def path_sum(self) -> float:
-        if self.exact_sum is not None:
-            return float(self.exact_sum)
-        return float(np.sum(self.increments))
+    path_sum: float
 
 
 class Model:
     """Base class: deterministic path generation and batch statistics."""
+
+    # doubles one chunk's draw matrix may hold (see DRAW_BUDGET)
+    draw_budget = DRAW_BUDGET
 
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
@@ -165,19 +183,23 @@ class Model:
     def moments(self) -> PathMoments:
         raise NotImplementedError
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
+    def _draw_width(self) -> int:
+        """Number of draws one replicate's row holds."""
+        return self.spec.n
+
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        """One replicate's draws, in the family's documented order."""
         raise NotImplementedError
 
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        """Raw (unnormalized) path sums for one batch of generators."""
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
+        """(chunk, n) martingale increments of a stacked draw matrix."""
+        raise NotImplementedError
+
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        """(chunk,) raw (unnormalized) path sums of a stacked draw matrix."""
         raise NotImplementedError
 
     # -- capabilities ------------------------------------------------------
-
-    @property
-    def has_conditional_oracle(self) -> bool:
-        """True when E(xi_k^2 | path prefix) is computable exactly."""
-        return self.moments().conditional_variance_constant
 
     def conditional_variance_gap(
         self, prefix_states: np.ndarray, ell: int
@@ -212,7 +234,38 @@ class Model:
         return math.sqrt(self.moments().v_n)
 
     def chunk_size(self) -> int:
-        return DEFAULT_CHUNK
+        return max(64, min(DEFAULT_CHUNK, self.draw_budget // self._draw_width()))
+
+    def _draws(self, lineages: Sequence[SeedLineage]) -> np.ndarray:
+        """The stacked (len(lineages), width) draw matrix, one generator a row."""
+        draws = np.empty((len(lineages), self._draw_width()))
+        for i, lineage in enumerate(lineages):
+            draws[i] = self._draw_row(lineage.generator())
+        return draws
+
+    def _map_chunks(
+        self,
+        fn: Callable[[np.ndarray], np.ndarray],
+        out: np.ndarray,
+        master_seed: int,
+        start: int,
+        block: int,
+    ) -> np.ndarray:
+        """Fill out[i] from replicate start + i, one chunk of draws at a time."""
+        chunk = self.chunk_size()
+        for done in range(0, out.shape[0], chunk):
+            c = min(chunk, out.shape[0] - done)
+            lineages = [
+                SeedLineage(master_seed, SeedLineage.stream_for(block, start + done + j))
+                for j in range(c)
+            ]
+            out[done : done + c] = fn(self._draws(lineages))
+        return out
+
+    def sample_path(self, lineage: SeedLineage) -> PathSample:
+        """One path: the maps applied to a chunk of one."""
+        draws = self._draws([lineage])
+        return PathSample(self._increments(draws)[0], float(self._sums(draws)[0]))
 
     def statistic_range(
         self, master_seed: int, start: int, count: int, block: int = 0
@@ -220,20 +273,8 @@ class Model:
         """Normalized statistic for replicates [start, start+count)."""
         if count < 0 or start < 0:
             raise DomainError("start and count must be nonnegative")
-        out = np.empty(count, dtype=float)
         norm = self.statistic_normalizer()
-        chunk = self.chunk_size()
-        done = 0
-        while done < count:
-            c = min(chunk, count - done)
-            gens = [
-                SeedLineage(
-                    master_seed, SeedLineage.stream_for(block, start + done + j)
-                ).generator()
-                for j in range(c)
-            ]
-            out[done : done + c] = self._statistic_chunk(gens)
-            done += c
+        out = self._map_chunks(self._sums, np.empty(count), master_seed, start, block)
         out /= norm
         return out
 
@@ -242,16 +283,17 @@ class Model:
     ) -> np.ndarray:
         """All replicates, optionally computed by a worker pool.
 
-        The split is by replicate range and results are merged by index, so
-        the output is identical for every thread count.
+        The split is by replicate range on chunk multiples and results are
+        merged by index, so the output is identical for every thread count.
         """
         if replicates < 1:
             raise DomainError("replicates must be positive")
-        if threads <= 1 or replicates < 4 * self.chunk_size():
+        chunk = self.chunk_size()
+        if threads <= 1 or replicates < 4 * chunk:
             return self.statistic_range(master_seed, 0, replicates, block)
         from concurrent.futures import ProcessPoolExecutor
 
-        ranges = _even_ranges(replicates, threads)
+        ranges = _chunk_ranges(replicates, threads, chunk)
         out = np.empty(replicates, dtype=float)
         spec_dict = self.spec.to_dict()
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -266,29 +308,17 @@ class Model:
     def increment_matrix(
         self, master_seed: int, replicates: int, block: int = 0
     ) -> np.ndarray:
-        """(replicates, n) matrix of raw increments, one path per row.
-
-        Monte Carlo helper for bound estimation; not tuned for huge R.
-        """
-        n = self.spec.n
-        out = np.empty((replicates, n), dtype=float)
-        for r in range(replicates):
-            lin = SeedLineage(master_seed, SeedLineage.stream_for(block, r))
-            out[r] = self.sample_path(lin).increments
-        return out
+        """(replicates, n) matrix of raw increments, one path per row."""
+        out = np.empty((replicates, self.spec.n))
+        return self._map_chunks(self._increments, out, master_seed, 0, block)
 
 
-def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base = total // parts
-    rem = total % parts
-    ranges = []
-    start = 0
-    for i in range(parts):
-        c = base + (1 if i < rem else 0)
-        ranges.append((start, c))
-        start += c
-    return ranges
+def _chunk_ranges(total: int, parts: int, chunk: int) -> list[tuple[int, int]]:
+    """At most `parts` (start, count) ranges covering [0, total), each
+    starting on a multiple of `chunk`, with whole chunks spread evenly."""
+    nc = -(-total // chunk)
+    cuts = [min(total, chunk * (nc * i // parts)) for i in range(parts + 1)]
+    return [(a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _statistic_range_worker(

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri as _ndtri
 
 from ..errors import ConfigurationError, DomainError
-from ..numerics import SeedLineage, normal_abs_moment, normal_cdf, quadrature
-from .base import Model, ModelSpec, PathMoments, PathSample
+from ..numerics import normal_abs_moment, normal_cdf, quadrature
+from .base import Model, ModelSpec, PathMoments
 from .iid import gaussian_min_profile
 
 # Uniforms from numpy live in [0, 1); the inverse transform needs (0, 1).
@@ -138,53 +138,37 @@ class CELowerBound(Model):
 
     # -- path generation ---------------------------------------------------
 
-    def _draw(self, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
         """Fixed draw order: m Gaussians, then k uniforms."""
-        z = g.standard_normal(self.params.m)
-        u = g.random(self.params.k)
-        return z, u
+        return np.concatenate((g.standard_normal(self.params.m), g.random(self.params.k)))
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
+    def _split(self, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(S_m, uniforms, in-window mask, first-branch mask) per row."""
         cp = self.params
-        z, u = self._draw(lineage.generator())
-        s_m = float(np.sum(z))
-        increments = np.empty(self.spec.n)
-        increments[: cp.m] = z
-        in_window = cp.a <= abs(s_m) <= 2.0 * cp.a
-        if in_window:
-            thr = cp.k**2 / (s_m * s_m + cp.k**2)
-            first = u <= thr
-            b = int(np.count_nonzero(first))
-            increments[cp.m :] = np.where(first, -s_m / cp.k, cp.k / s_m)
-            if b == cp.k:
-                exact = 0.0
-            else:
-                exact = s_m * (1.0 - b / cp.k) + (cp.k - b) * (cp.k / s_m)
-            aux = {"s_m": s_m, "branch_taken": True, "branch_count": b}
-        else:
-            tail = _ndtri(np.maximum(u, _U_FLOOR))
-            increments[cp.m :] = tail
-            exact = s_m + float(np.sum(tail))
-            aux = {"s_m": s_m, "branch_taken": False, "branch_count": 0}
-        return PathSample(increments=increments, exact_sum=exact, aux=aux)
+        s_m = draws[:, : cp.m].sum(axis=1)
+        u = draws[:, cp.m :]
+        in_window = (cp.a <= np.abs(s_m)) & (np.abs(s_m) <= 2.0 * cp.a)
+        first = u <= (cp.k * cp.k / (s_m * s_m + cp.k * cp.k))[:, None]
+        return s_m, u, in_window, first
 
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
         cp = self.params
-        k = cp.k
-        a = cp.a
-        out = np.empty(len(gens))
-        for i, g in enumerate(gens):
-            z, u = self._draw(g)
-            s_m = float(np.sum(z))
-            if a <= abs(s_m) <= 2.0 * a:
-                thr = k * k / (s_m * s_m + k * k)
-                b = int(np.count_nonzero(u <= thr))
-                if b == k:
-                    out[i] = 0.0
-                else:
-                    out[i] = s_m * (1.0 - b / k) + (k - b) * (k / s_m)
-            else:
-                out[i] = s_m + float(np.sum(_ndtri(np.maximum(u, _U_FLOOR))))
+        s_m, u, win, first = self._split(draws)
+        xi = draws.copy()
+        s = s_m[win, None]
+        xi[win, cp.m :] = np.where(first[win], -s / cp.k, cp.k / s)
+        xi[~win, cp.m :] = _ndtri(np.maximum(u[~win], _U_FLOOR))
+        return xi
+
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        """Exact branch bookkeeping: b == k gives an exact 0.0."""
+        k = self.params.k
+        s_m, u, win, first = self._split(draws)
+        out = np.empty(s_m.size)
+        off = ~win
+        out[off] = s_m[off] + _ndtri(np.maximum(u[off], _U_FLOOR)).sum(axis=1)
+        s, b = s_m[win], first[win].sum(axis=1)
+        out[win] = np.where(b == k, 0.0, s * (1.0 - b / k) + (k - b) * (k / s))
         return out
 
     # -- closed-form / quadrature moment helpers ---------------------------

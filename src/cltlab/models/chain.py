@@ -25,13 +25,12 @@ transition matrix directly.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError
-from ..numerics import SeedLineage
-from .base import Model, ModelSpec, PathMoments, PathSample
+from .base import STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
 
 
 def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -58,6 +57,8 @@ def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 class RhoMixingChain(Model):
     """Centered functional of a stationary finite Markov chain."""
+
+    draw_budget = STEP_LOOP_DRAW_BUDGET
 
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
@@ -155,11 +156,6 @@ class RhoMixingChain(Model):
                 best = ratio
         return best
 
-    def theta_mixing_bound(self) -> float:
-        """sum_k k rho^k with rho the spectral gap — finite for every ergodic chain."""
-        rho = self.spectral_gap_rho()
-        return rho / (1.0 - rho) ** 2
-
     # -- projection martingale ladder -----------------------------------------
 
     def _h_stack(self) -> np.ndarray:
@@ -214,10 +210,6 @@ class RhoMixingChain(Model):
             conditional_variance_constant=False,
             exact=True,
         )
-
-    @property
-    def has_conditional_oracle(self) -> bool:
-        return True
 
     def conditional_variance_gap(self, prefix_states: np.ndarray, ell: int) -> np.ndarray:
         """sum_{k=ell}^n (E(xi_k^2 | Y_{ell-1}) - sigma_k^2), exact per state.
@@ -344,32 +336,37 @@ class RhoMixingChain(Model):
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample_states(self, lineage: SeedLineage) -> np.ndarray:
-        """One state path Y_1..Y_n (uniform draws in time order)."""
-        g = lineage.generator()
-        u = g.random(self.spec.n)
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        """n uniforms in time order."""
+        return g.random(self.spec.n)
+
+    def _states(self, draws: np.ndarray) -> np.ndarray:
+        """(chunk, n) state paths Y_1..Y_n, vectorized across the chunk."""
+        n = self.spec.n
         last = self.n_states - 1
-        states = np.empty(self.spec.n, dtype=np.intp)
-        states[0] = min(int(np.searchsorted(self._cum_pi, u[0], side="right")), last)
-        for t in range(1, self.spec.n):
-            states[t] = min(
-                int(np.searchsorted(self._cum_p[states[t - 1]], u[t], side="right")),
-                last,
-            )
+        states = np.empty(draws.shape, dtype=np.intp)
+        # initial state from the stationary law
+        states[:, 0] = np.minimum(np.searchsorted(self._cum_pi, draws[:, 0], side="right"), last)
+        for t in range(1, n):
+            rows = self._cum_p[states[:, t - 1]]  # (c, S)
+            states[:, t] = np.minimum((draws[:, t, None] >= rows[:, :-1]).sum(axis=1), last)
         return states
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
-        """Projection increments xi_1..xi_n along one state path.
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
+        """Projection increments xi_1..xi_n along each state path.
 
         xi_k = h_{n-k}(Y_k) - (P h_{n-k})(Y_{k-1}); the sum telescopes to
         S_n = sum f(Y_i) (exactly in algebra, to rounding in floats).
         """
-        states = self.sample_states(lineage)
+        states = self._states(draws)
         n = self.spec.n
         rev_h, rev_ph = self._rev_stacks()
         xi = rev_h[np.arange(n), states]
-        xi[1:] -= rev_ph[np.arange(1, n), states[:-1]]
-        return PathSample(increments=xi, aux={"states": states})
+        xi[:, 1:] -= rev_ph[np.arange(1, n), states[:, :-1]]
+        return xi
+
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        return self.f[self._states(draws)].sum(axis=1)
 
     def _rev_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """(h_{n-k}, (P h_{n-k})) stacked with row index k-1."""
@@ -378,35 +375,9 @@ class RhoMixingChain(Model):
             self._rev = (np.ascontiguousarray(h), h @ self.P.T)
         return self._rev
 
-    def _states_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        """(chunk, n) state paths, vectorized across the chunk."""
-        n = self.spec.n
-        c = len(gens)
-        u = np.empty((c, n))
-        for i, g in enumerate(gens):
-            u[i] = g.random(n)
-        states = np.empty((c, n), dtype=np.intp)
-        # initial state from the stationary law
-        states[:, 0] = np.minimum(
-            np.searchsorted(self._cum_pi, u[:, 0], side="right"), self.n_states - 1
-        )
-        for t in range(1, n):
-            rows = self._cum_p[states[:, t - 1]]  # (c, S)
-            states[:, t] = np.minimum(
-                (u[:, t, None] >= rows[:, :-1]).sum(axis=1), self.n_states - 1
-            )
-        return states
-
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        states = self._states_chunk(gens)
-        return self.f[states].sum(axis=1)
-
     def prefix_states_chunk(
         self, master_seed: int, replicates: int, block: int = 0
     ) -> np.ndarray:
         """(replicates, n) state paths for the fluctuation-statistic MC."""
-        gens = [
-            SeedLineage(master_seed, SeedLineage.stream_for(block, r)).generator()
-            for r in range(replicates)
-        ]
-        return self._states_chunk(gens)
+        out = np.empty((replicates, self.spec.n), dtype=np.intp)
+        return self._map_chunks(self._states, out, master_seed, 0, block)

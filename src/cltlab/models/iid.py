@@ -14,13 +14,13 @@ their distance decay is the classical independent-case rate.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..numerics import SeedLineage, normal_abs_moment, normal_cdf, normal_pdf
-from .base import Model, ModelSpec, PathMoments, PathSample
+from ..numerics import normal_abs_moment, normal_cdf, normal_pdf
+from .base import Model, ModelSpec, PathMoments
 
 
 def sigma_schedule(spec: ModelSpec) -> np.ndarray:
@@ -76,6 +76,15 @@ class _IIDBase(Model):
             exact=True,
         )
 
+    # Draw rows hold the unit variables Z_k or eps_k.
+
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
+        return self.sigma * draws
+
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        sig = self.sigma
+        return np.array([float(sig @ row) for row in draws])
+
 
 class GaussianIID(_IIDBase):
     """xi_k = sigma_k Z_k; the normalized sum is exactly standard Gaussian."""
@@ -84,14 +93,8 @@ class GaussianIID(_IIDBase):
     def model_id(self) -> str:
         return f"gaussian_iid(n={self.spec.n})"
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
-        g = lineage.generator()
-        return PathSample(increments=self.sigma * g.standard_normal(self.spec.n))
-
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        n = self.spec.n
-        sig = self.sigma
-        return np.array([float(sig @ g.standard_normal(n)) for g in gens])
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        return g.standard_normal(self.spec.n)
 
     def psi_closed_form(self, t: float) -> Optional[float]:
         # sup_k sigma_k * E min((t delta / sigma_k) Z^2, |Z|^3); the map
@@ -114,19 +117,8 @@ class RademacherIID(_IIDBase):
     def model_id(self) -> str:
         return f"rademacher_iid(n={self.spec.n})"
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
-        g = lineage.generator()
-        signs = 2.0 * g.integers(0, 2, self.spec.n).astype(float) - 1.0
-        return PathSample(increments=self.sigma * signs)
-
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        n = self.spec.n
-        sig = self.sigma
-        out = np.empty(len(gens))
-        for i, g in enumerate(gens):
-            signs = 2.0 * g.integers(0, 2, n).astype(float) - 1.0
-            out[i] = float(sig @ signs)
-        return out
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        return 2.0 * g.integers(0, 2, self.spec.n).astype(float) - 1.0
 
     def psi_closed_form(self, t: float) -> Optional[float]:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),

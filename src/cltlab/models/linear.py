@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError
-from ..numerics import SeedLineage, normal_abs_moment, quadrature
-from .base import Model, ModelSpec, PathMoments, PathSample
+from ..numerics import normal_abs_moment, quadrature
+from .base import DEFAULT_CHUNK, Model, ModelSpec, PathMoments
 
 
 def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
@@ -236,35 +236,35 @@ class LinearStatistic(Model):
 
     # -- sampling ------------------------------------------------------------
 
-    def _draw_count(self) -> int:
-        return self.spec.n if self.kind == "ar1" else self.spec.n + self.theta.size - 1
+    def _draw_width(self) -> int:
+        return self._weights.size
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
+    def chunk_size(self) -> int:
+        # the chunk gemv's bits depend on where chunks start (see DEFAULT_CHUNK)
+        return DEFAULT_CHUNK
+
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        return g.standard_normal(self._weights.size)
+
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
         """Martingale increments of the innovation ladder.
 
         AR(1): xi_t = w_t eps_t one-to-one.  MA(q): the q+1 innovations
         already visible at time 1 merge into xi_1; afterwards one new
-        innovation arrives per step.  Sums match the batched dot product.
+        innovation arrives per step.
         """
-        g = lineage.generator()
-        n = self.spec.n
-        z = g.standard_normal(self._draw_count())
         w = self._weights
         if self.kind == "ar1":
-            return PathSample(increments=w * z)
+            return w * draws
         q = self.theta.size - 1
-        xi = np.empty(n)
-        xi[0] = float(w[: q + 1] @ z[: q + 1])
-        xi[1:] = w[q + 1 :] * z[q + 1 :]
-        return PathSample(increments=xi)
+        xi = np.empty((draws.shape[0], self.spec.n))
+        # per-row dots: a row's xi_1 must not depend on the chunk it is in
+        xi[:, 0] = [float(w[: q + 1] @ row[: q + 1]) for row in draws]
+        xi[:, 1:] = w[q + 1 :] * draws[:, q + 1 :]
+        return xi
 
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        w = self._weights
-        m = w.size
-        draws = np.empty((len(gens), m))
-        for i, g in enumerate(gens):
-            draws[i] = g.standard_normal(m)
-        return draws @ w
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        return draws @ self._weights
 
     # -- moment capabilities ---------------------------------------------------
 

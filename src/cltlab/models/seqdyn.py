@@ -25,13 +25,12 @@ seeds x_n, the remaining n-1 drive the preimage choices for k = n..2.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..numerics import SeedLineage
-from .base import Model, ModelSpec, PathMoments, PathSample
+from .base import STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
 
 OBSERVABLES = {
     # harmonic -> coefficient; no constant term, so means are exactly zero
@@ -63,6 +62,8 @@ def _slopes(spec: ModelSpec) -> np.ndarray:
 
 class SequentialMaps(Model):
     """Non-stationary dynamical sums for expanding maps on the circle."""
+
+    draw_budget = STEP_LOOP_DRAW_BUDGET
 
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
@@ -147,36 +148,34 @@ class SequentialMaps(Model):
             out += c * np.cos((2.0 * math.pi * h) * x)
         return out
 
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
-        g = lineage.generator()
-        u = g.random(self.spec.n)
+    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+        return g.random(self.spec.n)
+
+    def _orbit(self, draws: np.ndarray) -> Iterator[np.ndarray]:
+        """x_n, x_{n-1}, ..., x_1 per row, one array updated in place."""
         n = self.spec.n
-        xs = np.empty(n)
-        x = u[0]
-        xs[n - 1] = x
+        x = draws[:, 0].copy()
+        yield x
         for k in range(n - 1, 0, -1):
             m = float(self.m[k])
-            j = np.floor(u[n - k] * m)  # preimage branch for step k
-            x = (x + j) / m
-            xs[k - 1] = x
-        return PathSample(increments=self._observe(xs), aux={"points": xs})
-
-    def chunk_size(self) -> int:
-        # keep the (chunk, n) uniform matrix near 16 MB
-        return max(64, min(4096, (1 << 21) // max(1, self.spec.n)))
-
-    def _statistic_chunk(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        n = self.spec.n
-        c = len(gens)
-        u = np.empty((c, n))
-        for i, g in enumerate(gens):
-            u[i] = g.random(n)
-        x = u[:, 0].copy()
-        total = self._observe(x)
-        for k in range(n - 1, 0, -1):
-            m = float(self.m[k])
-            j = np.floor(u[:, n - k] * m)
-            x += j
+            x += np.floor(draws[:, n - k] * m)  # preimage branch for step k
             x /= m
+            yield x
+
+    def _points(self, draws: np.ndarray) -> np.ndarray:
+        """(chunk, n) trajectory points; column k-1 holds tau_k x."""
+        xs = np.empty_like(draws)
+        for col, x in zip(range(self.spec.n - 1, -1, -1), self._orbit(draws)):
+            xs[:, col] = x
+        return xs
+
+    def _increments(self, draws: np.ndarray) -> np.ndarray:
+        return self._observe(self._points(draws))
+
+    def _sums(self, draws: np.ndarray) -> np.ndarray:
+        # accumulated from x_n back to x_1, as the orbit is sampled
+        orbit = self._orbit(draws)
+        total = self._observe(next(orbit))
+        for x in orbit:
             total += self._observe(x)
         return total

@@ -228,6 +228,3 @@ class SeedLineage:
         if block < 0 or replicate < 0 or replicate >= BLOCK_STRIDE:
             raise DomainError("block and replicate must be nonnegative, replicate < 2^40")
         return block * BLOCK_STRIDE + replicate
-
-    def describe(self) -> str:
-        return f"philox(master={int(self.master_seed)}, stream={int(self.stream_id)})"

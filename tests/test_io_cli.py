@@ -50,6 +50,7 @@ from cltlab.io import (
     write_text,
 )
 from cltlab.models import ModelSpec
+from cltlab.numerics import SeedLineage
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +152,11 @@ class TestParseConfig:
     def test_rejected_documents(self, name, doc):
         with pytest.raises(ConfigurationError):
             parse_config(doc)
+
+    def test_seed_range_must_stay_below_2_64(self):
+        assert parse_config(config_doc(master_seed=2**64 - 2, fit_seeds=2)).fit_seeds == 2
+        with pytest.raises(ConfigurationError):
+            parse_config(config_doc(master_seed=2**64 - 2, fit_seeds=3))
 
     def test_spec_for_replaces_n_only(self):
         cfg = parse_config(config_doc())
@@ -578,6 +584,16 @@ class TestCliCommands:
         rc = run_cli("distance", "--model", "rademacher_iid", "--n-grid", "8",
                      "--reps", "100", "--out", str(tmp_path / "t"))
         assert rc == EXIT_CONFIG
+
+    def test_overflowing_seed_range_exits_2_before_any_draw(self, tmp_path, monkeypatch):
+        def no_draw(lineage):
+            raise AssertionError("a replicate was drawn before the seed range was checked")
+
+        monkeypatch.setattr(SeedLineage, "generator", no_draw)
+        path = tmp_path / "cfg.json"
+        doc = config_doc(master_seed=2**64 - 2, fit_seeds=3, outputs=str(tmp_path / "fit"))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("ratefit", "--config", str(path)) == EXIT_CONFIG
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
         # 16384 replicates crosses the worker-pool threshold at 2 threads

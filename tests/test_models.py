@@ -22,6 +22,17 @@ def spec(family, n, p=3.0, **params):
     return ModelSpec(family=family, n=n, p=p, params=params)
 
 
+ALL_FAMILIES = (
+    spec("gaussian_iid", 6, sigma=[1.0, 2.0, 0.5, 1.5, 1.0, 3.0]),
+    spec("rademacher_iid", 6),
+    spec("ce_lowerbound", 32),
+    spec("linear_statistic", 6, base={"kind": "ar1", "phi": 0.5}),
+    spec("linear_statistic", 6, base={"kind": "ma", "theta": [1.0, -0.4, 0.2]}),
+    spec("rho_mixing_chain", 6),
+    spec("sequential_maps", 6, observable="cos12"),
+)
+
+
 class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -183,23 +194,25 @@ class TestCELowerBound:
         cp = m.params
         seen_zero = seen_partial = seen_off = False
         for r in range(400):
-            path = m.sample_path(SeedLineage(7, r))
+            lin = SeedLineage(7, r)
+            path = m.sample_path(lin)
             assert path.increments.shape == (100,)
-            s_m = path.aux["s_m"]
-            assert abs(float(np.sum(path.increments[: cp.m])) - s_m) <= 1e-9
-            if path.aux["branch_taken"]:
-                assert cp.a <= abs(s_m) <= 2.0 * cp.a
-                b = path.aux["branch_count"]
+            draws = m._draws([lin])[0]
+            s_m = float(np.sum(draws[: cp.m]))
+            np.testing.assert_array_equal(path.increments[: cp.m], draws[: cp.m])
+            if cp.a <= abs(s_m) <= 2.0 * cp.a:
+                b = int(np.count_nonzero(draws[cp.m :] <= cp.k**2 / (s_m * s_m + cp.k**2)))
                 if b == cp.k:
-                    assert path.exact_sum == 0.0
+                    assert path.path_sum == 0.0
                     seen_zero = True
                 else:
                     want = s_m * (1.0 - b / cp.k) + (cp.k - b) * (cp.k / s_m)
-                    assert path.exact_sum == want
+                    assert path.path_sum == want
                     assert abs(path.path_sum - float(np.sum(path.increments))) <= 1e-9
                     seen_partial = True
             else:
-                assert path.aux["branch_count"] == 0
+                tail = path.increments[cp.m :]
+                assert path.path_sum == s_m + float(np.sum(tail))
                 seen_off = True
         assert seen_zero and seen_partial and seen_off
 
@@ -306,14 +319,15 @@ class TestLinearStatistic:
             assert abs(float(np.var(vals)) - 1.0) <= 4.0 * math.sqrt(2.0 / 20_000)
 
     def test_sample_path_matches_chunk_route(self):
-        # The per-path sampler (explicit AR recursion) and the batched
-        # innovation-weight dot product must produce the same statistic.
+        # sample_path is a chunk of one, and a one-row gemv may round
+        # differently from the chunk gemv.
         m = LinearStatistic(spec("linear_statistic", 12, base={"kind": "ar1", "phi": 0.5}))
         vals = m.statistic_values(master_seed=31, replicates=50)
         norm = m.statistic_normalizer()
         for r in (0, 7, 49):
             path = m.sample_path(SeedLineage(31, SeedLineage.stream_for(0, r)))
             assert abs(path.path_sum / norm - vals[r]) <= 1e-10
+            assert abs(float(np.sum(path.increments)) / norm - vals[r]) <= 1e-10
 
     def test_limit_normalization(self):
         m = LinearStatistic(
@@ -451,8 +465,9 @@ class TestRhoMixingChain:
         model = self.asymmetric(6)
         oracle = ChainEnumeration(model.P, model.f, model.pi, 6)
         for r in range(5):
-            path = model.sample_path(SeedLineage(107, r))
-            states = tuple(int(s) for s in path.aux["states"])
+            lin = SeedLineage(107, r)
+            path = model.sample_path(lin)
+            states = tuple(int(s) for s in model._states(model._draws([lin]))[0])
             want = [oracle.xi(states, k) for k in range(1, 7)]
             np.testing.assert_allclose(path.increments, want, atol=1e-12)
             assert abs(path.path_sum - oracle.path_sum(states)) <= 1e-12
@@ -538,8 +553,9 @@ class TestSequentialMaps:
         # Applying the forward map to each sampled point recovers the next.
         m = SequentialMaps(spec("sequential_maps", 12, observable="cos1",
                                 multipliers={"rule": "cycle", "values": [2, 3, 5]}))
-        path = m.sample_path(SeedLineage(71, 0))
-        xs = path.aux["points"]
+        lin = SeedLineage(71, 0)
+        xs = m._points(m._draws([lin]))[0]
+        np.testing.assert_array_equal(m.sample_path(lin).increments, m._observe(xs))
         for k in range(11):
             fwd = math.fmod(xs[k] * m.m[k + 1], 1.0)
             assert abs(fwd - xs[k + 1]) <= 1e-9
@@ -575,31 +591,43 @@ class TestBatchPlumbing:
         assert not np.array_equal(a, b)
 
     def test_increment_matrix_matches_sample_path(self):
-        m = GaussianIID(spec("gaussian_iid", 5))
-        mat = m.increment_matrix(master_seed=89, replicates=6, block=2)
-        for r in (0, 3, 5):
-            lin = SeedLineage(89, SeedLineage.stream_for(2, r))
-            np.testing.assert_array_equal(mat[r], m.sample_path(lin).increments)
+        for s in ALL_FAMILIES:
+            m = make_model(s)
+            reps = m.chunk_size() + 3  # the last rows come from a second chunk
+            mat = m.increment_matrix(master_seed=89, replicates=reps, block=2)
+            assert mat.shape == (reps, s.n)
+            for r in (0, reps - 4, reps - 3, reps - 1):
+                lin = SeedLineage(89, SeedLineage.stream_for(2, r))
+                np.testing.assert_array_equal(mat[r], m.sample_path(lin).increments)
 
     def test_worker_pool_matches_serial(self):
         m = GaussianIID(spec("gaussian_iid", 2))
         serial = m.statistic_values(master_seed=97, replicates=16_384, threads=1)
         pooled = m.statistic_values(master_seed=97, replicates=16_384, threads=2)
         np.testing.assert_array_equal(serial, pooled)
+        # The chunk gemv rounds a chunk's trailing rows with another kernel,
+        # so the worker ranges must start on chunk multiples.
+        m = LinearStatistic(spec("linear_statistic", 64, base={"kind": "ar1", "phi": 0.5}))
+        serial = m.statistic_values(master_seed=3, replicates=16_387, threads=1)
+        pooled = m.statistic_values(master_seed=3, replicates=16_387, threads=2)
+        np.testing.assert_array_equal(serial, pooled)
 
     def test_statistic_is_normalized_path_sum(self):
-        for s in (
-            spec("rademacher_iid", 6),
-            spec("linear_statistic", 6, base={"kind": "ar1", "phi": 0.5}),
-            spec("rho_mixing_chain", 6),
-            spec("sequential_maps", 6, observable="cos1"),
-        ):
+        for s in ALL_FAMILIES:
             m = make_model(s)
             vals = m.statistic_values(master_seed=101, replicates=8)
             norm = m.statistic_normalizer()
             for r in range(8):
                 lin = SeedLineage(101, SeedLineage.stream_for(0, r))
-                assert abs(m.sample_path(lin).path_sum / norm - vals[r]) <= 1e-10
+                path = m.sample_path(lin)
+                # the increments map must add up to the sums map
+                assert abs(float(np.sum(path.increments)) / norm - vals[r]) <= 1e-10
+                got = path.path_sum / norm
+                if s.family == "linear_statistic":
+                    # a one-row gemv may round differently from the chunk gemv
+                    assert abs(got - vals[r]) <= 1e-10
+                else:
+                    assert got == vals[r]
 
     def test_capability_errors_are_loud(self):
         m = SequentialMaps(spec("sequential_maps", 4))
