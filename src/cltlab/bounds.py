@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .models.base import Model, PathMoments
+from .numerics import csv_cell
 
 # Explicit constants available at r = 1.
 KAPPA_R1 = 6.0
@@ -124,51 +125,22 @@ class BoundBreakdown:
         raise KeyError(name)
 
 
-def _fmt(x: object) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def breakdown_csv_rows(bd: BoundBreakdown) -> list[str]:
     """One CSV row per term plus a closing total row."""
-    rows = []
-    for t in bd.terms:
-        rows.append(
-            ",".join(
-                (
-                    bd.bound_id,
-                    t.name,
-                    _fmt(float(t.value)),
-                    _fmt(float(t.se)),
-                    _fmt(t.exact),
-                    bd.constants_mode,
-                    '"' + t.formula + '"',
-                )
-            )
-        )
     if bd.combination == "sum":
         total_formula = "sum(terms)"
     elif bd.combination == "powered_sum":
         total_formula = f"(sum(terms))^{bd.power:g}"
     else:
         total_formula = f"terms[0]*(sum(terms[1:]))^{bd.power:g}"
-    rows.append(
-        ",".join(
-            (
-                bd.bound_id,
-                "total",
-                _fmt(float(bd.total)),
-                _fmt(float(bd.total_se())),
-                _fmt(all(t.exact for t in bd.terms)),
-                bd.constants_mode,
-                '"' + total_formula + '"',
-            )
-        )
-    )
-    return rows
+    items = [(t.name, t.value, t.se, t.exact, t.formula) for t in bd.terms]
+    exact = all(t.exact for t in bd.terms)
+    items.append(("total", bd.total, bd.total_se(), exact, total_formula))
+    return [
+        ",".join((bd.bound_id, name, csv_cell(float(value)), csv_cell(float(se)),
+                  csv_cell(is_exact), bd.constants_mode, '"' + formula + '"'))
+        for name, value, se, is_exact, formula in items
+    ]
 
 
 def breakdowns_to_csv(breakdowns: Sequence[BoundBreakdown]) -> str:
@@ -217,21 +189,23 @@ def psi_n(
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a real >= 0, got {t!r}")
-    if mode == "closed_form":
-        if t == 0.0:
-            return 0.0, 0.0, True
-        v = model.psi_closed_form(t)
-        if v is None:
-            raise CapabilityError(
-                f"{model.model_id} has no closed-form psi profile; use monte_carlo"
-            )
-        return float(v), 0.0, True
-    if mode != "monte_carlo":
-        raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
-    if t == 0.0:
+    if t == 0.0 and mode in ("closed_form", "monte_carlo"):
         return 0.0, 0.0, True
-    value_fn, se_fn = _psi_mc_profile(model, replicates, master_seed, block)
-    return value_fn(t), se_fn(t), False
+    value, se = _psi_profile(model, mode, replicates, master_seed, block)
+    if se is None:
+        return float(value(t)), 0.0, True
+    return value(t), se(t), False
+
+
+def _psi_profile(
+    model: Model, mode: str, replicates: int, master_seed: int, block: int
+) -> tuple[Callable[[float], float], Optional[Callable[[float], float]]]:
+    """psi as a function of t, with its standard error (None when exact)."""
+    if mode == "closed_form":
+        return model.psi_closed_form, None
+    if mode == "monte_carlo":
+        return _psi_mc_profile(model, replicates, master_seed, block)
+    raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
 
 
 def _psi_mc_profile(
@@ -273,29 +247,19 @@ def u_ln(
     replicates: int = U_REPLICATES,
     master_seed: int = 0,
     block: int = U_BLOCK,
-    prefer_exact: bool = True,
+    mode: str = "auto",
 ) -> tuple[float, float, bool]:
     """E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1} xi_k^2 - sigma_k^2)|].
 
     Exactly 0 (no sampling) for models with constant conditional variances;
-    exact enumeration when the family provides it; otherwise Monte Carlo
-    over path prefixes.
+    otherwise by ``l_n``'s modes: auto (exact when the family declares
+    u_exact, else Monte Carlo over path prefixes), exact, monte_carlo.
     """
     n = model.spec.n
     if not (2 <= ell <= n):
         raise DomainError(f"ell must be in [2, {n}], got {ell!r}")
-    mo = model.moments()
-    if mo.conditional_variance_constant:
-        return 0.0, 0.0, True
-    if prefer_exact and hasattr(model, "u_exact"):
-        return float(model.u_exact(ell, p)), 0.0, True
-    if hasattr(model, "u_samples") and hasattr(model, "prefix_states_chunk"):
-        states = model.prefix_states_chunk(master_seed, replicates, block)
-        s = model.u_samples(states, ell, p)
-        return float(s.mean()), float(s.std(ddof=1) / math.sqrt(s.size)), False
-    raise CapabilityError(
-        f"{model.model_id} has no conditional-variance oracle; "
-        "only shape-only bounds without the fluctuation term are available"
+    return _fluctuation_sum(
+        model, p, (ell,), lambda mo: (1.0,), mode, replicates, master_seed, block
     )
 
 
@@ -311,41 +275,55 @@ def l_n(
 ) -> tuple[float, float, bool]:
     """sum_{ell=2}^n U_ell(p) / (V_n - V_{ell-1} + a^2 delta^2)^((p-r)/2).
 
-    mode: auto (exact when the family can, else Monte Carlo), exact,
-    monte_carlo.  The Monte Carlo path draws one prefix set and reuses it
-    across every ell, so the reported SE accounts for the cross-ell
-    correlation exactly.
+    mode: auto (exact when the family declares u_exact, else Monte Carlo),
+    exact, monte_carlo.  The Monte Carlo path draws one prefix set and
+    reuses it across every ell, so the reported SE accounts for the
+    cross-ell correlation exactly.
     """
     _validate_rp(r, p)
     if not (math.isfinite(a) and a >= 1.0):
         raise DomainError(f"a must be a real >= 1, got {a!r}")
-    if mode not in ("auto", "exact", "monte_carlo"):
-        raise ConfigurationError(f"unknown l_n mode {mode!r}")
-    mo = model.moments()
     n = model.spec.n
+    q = (p - r) / 2.0
+
+    def denominators(mo: PathMoments) -> np.ndarray:
+        a2d2 = a * a * mo.delta_n**2
+        return np.array(
+            [(mo.v_n - mo.partial_v(ell - 1) + a2d2) ** q for ell in range(2, n + 1)]
+        )
+
+    return _fluctuation_sum(
+        model, p, range(2, n + 1), denominators, mode, replicates, master_seed, block
+    )
+
+
+def _fluctuation_sum(
+    model: Model, p: float, ells: Sequence[int],
+    denominators: Callable[[PathMoments], Sequence[float]],
+    mode: str, replicates: int, master_seed: int, block: int,
+) -> tuple[float, float, bool]:
+    """sum over ells of U_ell(p) / denominator as (value, se, exact).
+
+    The denominators are only built when the conditional variances are not
+    constant (otherwise every U_ell is exactly 0).
+    """
+    if mode not in ("auto", "exact", "monte_carlo"):
+        raise ConfigurationError(f"unknown fluctuation mode {mode!r}")
+    mo = model.moments()
     if mo.conditional_variance_constant:
         return 0.0, 0.0, True
-    a2d2 = a * a * mo.delta_n**2
-    q = (p - r) / 2.0
-    denoms = np.array(
-        [(mo.v_n - mo.partial_v(ell - 1) + a2d2) ** q for ell in range(2, n + 1)]
-    )
-    use_exact = hasattr(model, "u_exact") and mode in ("auto", "exact")
-    if mode == "exact" and not hasattr(model, "u_exact"):
-        raise CapabilityError(f"{model.model_id} has no exact fluctuation statistics")
-    if use_exact:
-        total = sum(
-            model.u_exact(ell, p) / denoms[ell - 2] for ell in range(2, n + 1)
-        )
-        return float(total), 0.0, True
-    if not (hasattr(model, "u_samples") and hasattr(model, "prefix_states_chunk")):
-        raise CapabilityError(
-            f"{model.model_id} has no conditional-variance oracle for Monte Carlo"
-        )
+    denoms = denominators(mo)
+    if mode != "monte_carlo":
+        try:
+            total = sum(model.u_exact(ell, p) / d for ell, d in zip(ells, denoms))
+            return float(total), 0.0, True
+        except CapabilityError:
+            if mode == "exact":
+                raise
     states = model.prefix_states_chunk(master_seed, replicates, block)
     acc = np.zeros(states.shape[0])
-    for ell in range(2, n + 1):
-        acc += model.u_samples(states, ell, p) / denoms[ell - 2]
+    for ell, d in zip(ells, denoms):
+        acc += model.u_samples(states, ell, p) / d
     return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(acc.size)), False
 
 
@@ -490,20 +468,7 @@ def _psi_term(
     the trapezoid on the uniform u-grid is paired with its half-resolution
     restriction for a Richardson error estimate.
     """
-    if psi_mode == "closed_form":
-        probe = model.psi_closed_form(1.0)
-        if probe is None:
-            raise CapabilityError(
-                f"{model.model_id} has no closed-form psi profile; "
-                "pass psi_mode='monte_carlo'"
-            )
-        value_fn: Callable[[float], float] = lambda t: float(model.psi_closed_form(t))
-        se_fn: Callable[[float], float] = lambda t: 0.0
-    elif psi_mode == "monte_carlo":
-        value_fn, se_fn = _psi_mc_profile(model, replicates, master_seed, PSI_BLOCK)
-    else:
-        raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {psi_mode!r}")
-
+    value_fn, se_fn = _psi_profile(model, psi_mode, replicates, master_seed, PSI_BLOCK)
     u = np.linspace(math.log(a), math.log(x_hi), grid_points)
     x = np.exp(u)
     g = np.array([value_fn(kappa * xi) for xi in x]) * np.exp(u * (r - 1.0))
@@ -511,7 +476,7 @@ def _psi_term(
     coarse = float(_trapezoid(g[::2], u[::2]))
     richardson = abs(fine - coarse) / 3.0
     mc_se = 0.0
-    if psi_mode == "monte_carlo":
+    if se_fn is not None:
         ses = np.array([se_fn(kappa * xi) for xi in x]) * np.exp(u * (r - 1.0))
         mc_se = float(_trapezoid(ses, u))
     delta = mo.delta_n
@@ -715,16 +680,12 @@ def heyde_brown_bound(
     mo = model.moments()
     if mo.conditional_variance_constant:
         first, first_se, first_exact = 0.0, 0.0, True
-    elif hasattr(model, "bracket_samples") and hasattr(model, "prefix_states_chunk"):
+    else:
         states = model.prefix_states_chunk(master_seed, replicates, block)
         dev = np.abs(model.bracket_samples(states) / mo.v_n - 1.0) ** (p / 2.0)
         first = float(dev.mean())
         first_se = float(dev.std(ddof=1) / math.sqrt(dev.size))
         first_exact = False
-    else:
-        raise CapabilityError(
-            f"{model.model_id} cannot evaluate the quadratic-variation deviation"
-        )
     ssum, ssum_se, ssum_exact = model.sum_abs_moments(p)
     vpow = mo.v_n ** (-p / 2.0)
     terms = (
@@ -773,7 +734,6 @@ def bnp(
     alphas: Sequence[float],
     lambda_seq: Sequence[float],
     eta_seq: Sequence[float],
-    spectral_floor: bool = True,
 ) -> float:
     """Weighted-sum bound block from the projection norms of the base sequence.
 
@@ -781,9 +741,7 @@ def bnp(
     p = 3:  m * eta * (Lambda + eta^2) * log(sum alpha^2 / m)
 
     with m = max |alpha|, Lambda = sum_i i*lambda_i over i = 1..n, and
-    eta = sum of eta_seq over i = 0..n.  When spectral_floor is False the
-    coefficient-increment term (sum (alpha_k - alpha_{k-1})^2)^(1/2) is
-    added (zero-padded at both ends).
+    eta = sum of eta_seq over i = 0..n.
     """
     if not 2.0 < p <= 3.0:
         raise DomainError(f"p must lie in (2, 3], got {p!r}")
@@ -813,9 +771,6 @@ def bnp(
         )
     else:
         value = m_n * eta_n * (big_lambda + eta_n**2) * math.log(s2 / m_n)
-    if not spectral_floor:
-        padded = np.concatenate(([0.0], a, [0.0]))
-        value += float(math.sqrt(float(np.sum(np.diff(padded) ** 2))))
     return float(value)
 
 
@@ -827,16 +782,14 @@ def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> Boun
     term 3  (optional) coefficient-increment term when no spectral floor
             is assumed.
     """
-    if not hasattr(model, "projection_norms"):
-        raise CapabilityError(f"{model.model_id} has no projection-norm closed forms")
-    n = model.spec.n
     p = model.spec.p
-    alphas = model.alpha
     lam, eta_p = model.projection_norms(p)
     _, eta_2 = model.projection_norms(2.0)
+    n = model.spec.n
+    alphas = model.alpha
     m_n = float(np.max(np.abs(alphas)))
     t1 = m_n * float(np.sum(eta_2))
-    t2 = bnp(n, p, alphas, lam, eta_p, spectral_floor=True)
+    t2 = bnp(n, p, alphas, lam, eta_p)
     terms = [
         BoundTerm(
             name="projection_l2",
@@ -895,3 +848,66 @@ def seqdyn_bound(n: int, v_n: float) -> float:
     if not (math.isfinite(v_n) and v_n >= 0.0):
         raise DomainError(f"v_n must be a finite nonnegative real, got {v_n!r}")
     return math.log(n + 1.0) * math.log(2.0 + v_n)
+
+
+def _shape_breakdown(
+    bound_id: str, value: float, formula: str, meta: Mapping[str, object]
+) -> BoundBreakdown:
+    """A one-term shape display: the total is the shape value itself."""
+    term = BoundTerm("shape", value, 0.0, True, formula)
+    return BoundBreakdown(bound_id, (term,), value, "shape_only", meta=meta)
+
+
+def _rho_mixing(model: Model) -> BoundBreakdown:
+    k_n, c_n, v_n = model.k_n(), model.c_n(), model.moments().v_n
+    meta = {"model_id": model.model_id, "k_n": k_n, "c_n": c_n, "v_n": v_n}
+    value = rho_mixing_bound(k_n, c_n, v_n)
+    return _shape_breakdown("rho_mixing", value, "K_n*(1+C_n*log(1+C_n*V_n))", meta)
+
+
+def _seqdyn(model: Model) -> BoundBreakdown:
+    v_n = model.moments().v_n
+    meta = {"model_id": model.model_id, "v_n": v_n}
+    return _shape_breakdown("seqdyn", seqdyn_bound(model.spec.n, v_n), "log(n+1)*log(2+V_n)", meta)
+
+
+# ---------------------------------------------------------------------------
+# the bound table
+
+
+def _at_a(
+    evaluate: Callable[[float], BoundBreakdown], model: Model, a: Optional[float]
+) -> BoundBreakdown:
+    """evaluate at the fixed a, or at minimize_over_a's choice when a is None."""
+    if a is None:
+        return minimize_over_a(evaluate, model.moments())[1]
+    return evaluate(a)
+
+
+# tag -> evaluator(model, p, master_seed, a), in the order a config's bound
+# requests are checked against; a = None picks a by minimize_over_a.  A tag
+# the family has no oracle for raises CapabilityError.
+BOUNDS: dict[str, Callable[[Model, float, int, Optional[float]], BoundBreakdown]] = {
+    "theorem1_rhs": lambda model, p, seed, a: _at_a(
+        lambda x: theorem1_rhs(1.0, p, x, model, constants_mode="explicit_r1", master_seed=seed),
+        model, a,
+    ),
+    "w1_upper": lambda model, p, seed, a: _at_a(
+        lambda x: corollary_w1_bound(p, x, model, master_seed=seed), model, a
+    ),
+    "berry_esseen": lambda model, p, seed, a: berry_esseen_bound(p, model, master_seed=seed),
+    "heyde_brown": lambda model, p, seed, a: heyde_brown_bound(p, model, master_seed=seed),
+    "linear_w1": lambda model, p, seed, a: linear_statistic_w1_bound(model),
+    "rho_mixing": lambda model, p, seed, a: _rho_mixing(model),
+    "seqdyn": lambda model, p, seed, a: _seqdyn(model),
+}
+
+# The tags `cltlab bounds` evaluates for a family when a config requests none.
+DEFAULT_BOUNDS: dict[str, tuple[str, ...]] = {
+    "gaussian_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
+    "rademacher_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
+    "ce_lowerbound": ("w1_upper", "berry_esseen", "heyde_brown"),
+    "linear_statistic": ("linear_w1",),
+    "rho_mixing_chain": ("theorem1_rhs", "w1_upper", "berry_esseen", "rho_mixing"),
+    "sequential_maps": ("seqdyn",),
+}

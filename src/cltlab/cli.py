@@ -35,8 +35,6 @@ from .distances import (
     kolmogorov_se,
     kolmogorov_vs_normal,
     reports_to_csv,
-    w1_se_batch_means,
-    w1_vs_normal,
 )
 from .errors import (
     CapabilityError,
@@ -54,8 +52,8 @@ from .io import (
     write_manifest,
     write_text,
 )
-from .models import KNOWN_FAMILIES, Model, ModelSpec, atom_fraction, make_model
-from .numerics import normal_abs_moment
+from .models import KNOWN_FAMILIES, ModelSpec, atom_fraction, make_model
+from .numerics import csv_cell, normal_abs_moment
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -82,16 +80,6 @@ MODEL_TAGS: dict[str, tuple[str, dict]] = {
         {"base": {"kind": "ma", "theta": [1.0, 0.5]}, "coefficients": {"rule": "constant", "kappa": 1.0}},
     ),
 }
-
-DEFAULT_BOUNDS_BY_FAMILY: dict[str, tuple[str, ...]] = {
-    "gaussian_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
-    "rademacher_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
-    "ce_lowerbound": ("w1_upper", "berry_esseen", "heyde_brown"),
-    "linear_statistic": ("linear_w1",),
-    "rho_mixing_chain": ("theorem1_rhs", "w1_upper", "berry_esseen", "rho_mixing"),
-    "sequential_maps": ("seqdyn",),
-}
-
 
 def worker_threads() -> int:
     """Worker count for replicate batches; CLTLAB_THREADS overrides."""
@@ -289,70 +277,6 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
-def _evaluate_bound(
-    tag: str, cfg: ExperimentConfig, n: int, model: Model
-) -> _bounds.BoundBreakdown:
-    p = cfg.model.p
-    seed = cfg.master_seed
-    if tag == "theorem1_rhs":
-        psi_mode = "closed_form" if model.psi_closed_form(1.0) is not None else "monte_carlo"
-
-        def eval_t1(a: float) -> _bounds.BoundBreakdown:
-            return _bounds.theorem1_rhs(
-                1.0, p, a, model, constants_mode="explicit_r1",
-                psi_mode=psi_mode, master_seed=seed,
-            )
-
-        if cfg.a_mode == "auto":
-            _, bd = _bounds.minimize_over_a(eval_t1, model.moments())
-            return bd
-        return eval_t1(cfg.a_value)
-    if tag == "w1_upper":
-
-        def eval_w1(a: float) -> _bounds.BoundBreakdown:
-            return _bounds.corollary_w1_bound(p, a, model, master_seed=seed)
-
-        if cfg.a_mode == "auto":
-            _, bd = _bounds.minimize_over_a(eval_w1, model.moments())
-            return bd
-        return eval_w1(cfg.a_value)
-    if tag == "berry_esseen":
-        return _bounds.berry_esseen_bound(p, model, master_seed=seed)
-    if tag == "heyde_brown":
-        return _bounds.heyde_brown_bound(p, model, master_seed=seed)
-    if tag == "linear_w1":
-        return _bounds.linear_statistic_w1_bound(model)
-    if tag == "rho_mixing":
-        if not hasattr(model, "k_n"):
-            raise CapabilityError(f"{model.model_id} has no mixing-coefficient oracle")
-        k_n = model.k_n()
-        c_n = model.c_n()
-        v_n = model.var_sn()
-        value = _bounds.rho_mixing_bound(k_n, c_n, v_n)
-        term = _bounds.BoundTerm(
-            "shape", value, 0.0, True, "K_n*(1+C_n*log(1+C_n*V_n))"
-        )
-        return _bounds.BoundBreakdown(
-            bound_id="rho_mixing",
-            terms=(term,),
-            total=value,
-            constants_mode="shape_only",
-            meta={"model_id": model.model_id, "k_n": k_n, "c_n": c_n, "v_n": v_n},
-        )
-    if tag == "seqdyn":
-        v_n = model.moments().v_n
-        value = _bounds.seqdyn_bound(n, v_n)
-        term = _bounds.BoundTerm("shape", value, 0.0, True, "log(n+1)*log(2+V_n)")
-        return _bounds.BoundBreakdown(
-            bound_id="seqdyn",
-            terms=(term,),
-            total=value,
-            constants_mode="shape_only",
-            meta={"model_id": model.model_id, "v_n": v_n},
-        )
-    raise ConfigurationError(f"unknown bound tag {tag!r}")
-
-
 def _print_breakdown(n: int, bd: _bounds.BoundBreakdown) -> None:
     a = bd.meta.get("a")
     suffix = f"  a={a:g}" if isinstance(a, (int, float)) else ""
@@ -365,12 +289,13 @@ def _print_breakdown(n: int, bd: _bounds.BoundBreakdown) -> None:
 
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     out = _ensure_out(cfg)
-    tags = cfg.bound_requests or DEFAULT_BOUNDS_BY_FAMILY[cfg.model.family]
+    tags = cfg.bound_requests or _bounds.DEFAULT_BOUNDS[cfg.model.family]
+    a = None if cfg.a_mode == "auto" else cfg.a_value
     breakdowns = []
     metas = []
     for i, n, model in _grid_models(cfg):
         for tag in tags:
-            bd = _evaluate_bound(tag, cfg, n, model)
+            bd = _bounds.BOUNDS[tag](model, cfg.model.p, cfg.master_seed, a)
             breakdowns.append(bd)
             metas.append({"n": n, "bound_id": bd.bound_id, "meta": _json_safe(bd.meta)})
             _print_breakdown(n, bd)
@@ -538,16 +463,13 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
             f"{moment:.5f}<={cap:.5f} {'pass' if moment_ok else 'FAIL'}"
         )
         print(row)
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    repr(atom), repr(atom_se), repr(atom_thr), "true" if atom_ok else "false",
-                    repr(dist), repr(dist_se), repr(dist_thr), "true" if dist_ok else "false",
-                    repr(moment), repr(moment_se), repr(cap), "true" if moment_ok else "false",
-                )
-            )
+        cells = (
+            n,
+            atom, atom_se, atom_thr, atom_ok,
+            dist, dist_se, dist_thr, dist_ok,
+            moment, moment_se, cap, moment_ok,
         )
+        lines.append(",".join(csv_cell(x) for x in cells))
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

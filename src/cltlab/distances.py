@@ -23,13 +23,13 @@ over the ten round-robin subsequences of the sorted sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integral_of_phi, normal_cdf, normal_quantile
+from .numerics import csv_cell, integral_of_phi, normal_cdf, normal_quantile
 
 # Prefactor of the Kolmogorov <= c * W_{p-2}^{1/(p-1)} transfer inequality:
 # 1 + (2*pi)^{-1/2}.
@@ -265,20 +265,21 @@ DISTANCE_CSV_COLUMNS = (
 
 def report_csv_row(report: DistanceReport) -> list[str]:
     """One CSV row per report; floats in shortest round-trip decimal form."""
-    return [
+    cells = (
         report.model_id,
-        str(report.n),
-        repr(float(report.p)),
-        str(report.replicates),
-        repr(report.kolmogorov),
-        repr(report.kolmogorov_se),
-        repr(report.w1),
-        repr(report.w1_se),
-        repr(report.wr_r),
-        repr(report.wr_value),
-        "true" if report.wr_is_upper_bound else "false",
-        repr(report.transfer_bound()),
-    ]
+        report.n,
+        float(report.p),
+        report.replicates,
+        report.kolmogorov,
+        report.kolmogorov_se,
+        report.w1,
+        report.w1_se,
+        report.wr_r,
+        report.wr_value,
+        report.wr_is_upper_bound,
+        report.transfer_bound(),
+    )
+    return [csv_cell(x) for x in cells]
 
 
 def reports_to_csv(reports: Iterable[DistanceReport]) -> str:

@@ -22,22 +22,15 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .bounds import BOUNDS
 from .errors import ConfigurationError, DataFormatError
 from .models import KNOWN_FAMILIES, ModelSpec
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
-# Bound identifiers a config may request, in the order they are evaluated.
-KNOWN_BOUND_TAGS = (
-    "theorem1_rhs",
-    "w1_upper",
-    "berry_esseen",
-    "heyde_brown",
-    "linear_w1",
-    "rho_mixing",
-    "seqdyn",
-)
+# Bound identifiers a config may request: the keys of the bound table.
+KNOWN_BOUND_TAGS = tuple(BOUNDS)
 
 # A grid index doubles as the stream block for that grid point, so grids are
 # kept clear of the reserved Monte Carlo blocks (psi/fluctuation/bracket).

@@ -22,6 +22,11 @@ Each family implements one draw kernel and the maps over it:
 ``increment_matrix`` apply the maps chunk by chunk, and ``sample_path`` is a
 chunk of one.  ``statistic_values`` turns the sums into the normalized
 statistic samples the distance pipeline consumes.
+
+Each oracle the bound evaluators use (``psi_closed_form``, the moment sums,
+``u_exact``, ``u_samples`` over ``prefix_states_chunk``, ``bracket_samples``,
+``projection_norms``, ``k_n``, ``c_n``) is defined once on ``Model`` and
+raises CapabilityError there; a family declares a capability by overriding it.
 """
 
 from __future__ import annotations
@@ -215,9 +220,9 @@ class Model:
             f"{self.model_id} has no conditional variance oracle"
         )
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
-        """Closed-form psi_n(t) when the family admits one, else None."""
-        return None
+    def psi_closed_form(self, t: float) -> float:
+        """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2, exact."""
+        raise CapabilityError(f"{self.model_id} has no closed-form psi profile; use monte_carlo")
 
     def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
         """sup_k E|xi_k|^p / sigma_k^2 as (value, se, exact)."""
@@ -226,6 +231,34 @@ class Model:
     def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
         """sum_k E|xi_k|^p as (value, se, exact)."""
         raise CapabilityError(f"{self.model_id} cannot evaluate absolute moment sums")
+
+    def u_exact(self, ell: int, p: float) -> float:
+        """The fluctuation statistic U_ell(p), exact."""
+        raise CapabilityError(f"{self.model_id} has no exact fluctuation statistics")
+
+    def prefix_states_chunk(self, master_seed: int, replicates: int, block: int = 0) -> np.ndarray:
+        """Per-replicate path states that u_samples and bracket_samples read."""
+        raise CapabilityError(f"{self.model_id} has no conditional-variance oracle for Monte Carlo")
+
+    def u_samples(self, states: np.ndarray, ell: int, p: float) -> np.ndarray:
+        """Per-path integrand of U_ell(p) over prefix_states_chunk's states."""
+        raise CapabilityError(f"{self.model_id} has no conditional-variance oracle for Monte Carlo")
+
+    def bracket_samples(self, states: np.ndarray) -> np.ndarray:
+        """Predictable quadratic variation <M>_n per path."""
+        raise CapabilityError(f"{self.model_id} cannot evaluate the quadratic-variation deviation")
+
+    def projection_norms(self, p: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_seq[1..n], eta_seq[0..n]) for the dependent-sum bound."""
+        raise CapabilityError(f"{self.model_id} has no projection-norm closed forms")
+
+    def k_n(self) -> float:
+        """Sup norm of the observable (the mixing display's K_n)."""
+        raise CapabilityError(f"{self.model_id} has no mixing-coefficient oracle")
+
+    def c_n(self, n: Optional[int] = None) -> float:
+        """The window variance ratio C_n of the mixing display."""
+        raise CapabilityError(f"{self.model_id} has no mixing-coefficient oracle")
 
     # -- batch simulation ---------------------------------------------------
 

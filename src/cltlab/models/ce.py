@@ -201,7 +201,7 @@ class CELowerBound(Model):
         cp = self.params
         return cp.m * normal_abs_moment(p) + cp.k * self.tail_abs_moment(p), 0.0, True
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
+    def psi_closed_form(self, t: float) -> float:
         # Prefix increments are standard Gaussian; post-split increments are
         # bounded by |X_j| <= max(2a/k, k/a) on the branch and Gaussian off
         # it.  The sup over k is dominated by the Gaussian profile whenever

@@ -75,6 +75,7 @@ class RhoMixingChain(Model):
         self._h: Optional[np.ndarray] = None  # h_r stacked, filled lazily
         self._rev: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._sigma2: Optional[np.ndarray] = None
+        self._gap: Optional[np.ndarray] = None
 
     @property
     def model_id(self) -> str:
@@ -225,7 +226,7 @@ class RhoMixingChain(Model):
 
     def _gap_tables(self) -> np.ndarray:
         """Row ell-2 gives the state-indexed table of the conditional gap at ell."""
-        if not hasattr(self, "_gap_cache"):
+        if self._gap is None:
             n = self.spec.n
             h = self._h_stack()
             sigma2 = self.sigma2_ladder()
@@ -240,8 +241,8 @@ class RhoMixingChain(Model):
                 g_next = w + self.P @ g_next
                 tail_sigma += sigma2[ell - 1]
                 tables[ell - 2] = g_next - tail_sigma
-            self._gap_cache = tables
-        return self._gap_cache
+            self._gap = tables
+        return self._gap
 
     def increment_abs_moment(self, k: int, p: float) -> float:
         """E|xi_k|^p, exact."""
@@ -261,7 +262,7 @@ class RhoMixingChain(Model):
         total = sum(self.increment_abs_moment(k, p) for k in range(1, self.spec.n + 1))
         return float(total), 0.0, True
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
+    def psi_closed_form(self, t: float) -> float:
         delta = math.sqrt(float(np.max(self.sigma2_ladder())))
         sigma2 = self.sigma2_ladder()
         best = 0.0

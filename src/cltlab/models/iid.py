@@ -13,9 +13,6 @@ their distance decay is the classical independent-case rate.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -96,7 +93,7 @@ class GaussianIID(_IIDBase):
     def _draw_row(self, g: np.random.Generator) -> np.ndarray:
         return g.standard_normal(self.spec.n)
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
+    def psi_closed_form(self, t: float) -> float:
         # sup_k sigma_k * E min((t delta / sigma_k) Z^2, |Z|^3); the map
         # sigma -> sigma * profile(c / sigma) is increasing, so the sup sits
         # at sigma_k = delta_n.
@@ -120,7 +117,7 @@ class RademacherIID(_IIDBase):
     def _draw_row(self, g: np.random.Generator) -> np.ndarray:
         return 2.0 * g.integers(0, 2, self.spec.n).astype(float) - 1.0
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
+    def psi_closed_form(self, t: float) -> float:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),
         # increasing in sigma_k, so the sup is min(t, 1) * delta.
         return float(self._delta * min(t, 1.0))

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, DomainError
+from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, quadrature
 from .base import DEFAULT_CHUNK, Model, ModelSpec, PathMoments
 
@@ -276,7 +276,7 @@ class LinearStatistic(Model):
         sig = np.sqrt(self.moments().sigma2)
         return float(np.sum(sig**p)) * normal_abs_moment(p), 0.0, True
 
-    def psi_closed_form(self, t: float) -> Optional[float]:
+    def psi_closed_form(self, t: float) -> float:
         from .iid import gaussian_min_profile
 
         sig = np.sqrt(self.moments().sigma2)

@@ -1,5 +1,6 @@
 """Shared numerical kernel: Gaussian special functions, an adaptive
-quadrature oracle, and deterministic stream seeding.
+quadrature oracle, deterministic stream seeding, and the number format of
+every CSV artifact.
 
 The Gaussian helpers are thin wrappers over the Cephes routines shipped with
 scipy (`ndtr`, `ndtri`), which are accurate to a few ulp — comfortably inside
@@ -228,3 +229,12 @@ class SeedLineage:
         if block < 0 or replicate < 0 or replicate >= BLOCK_STRIDE:
             raise DomainError("block and replicate must be nonnegative, replicate < 2^40")
         return block * BLOCK_STRIDE + replicate
+
+
+def csv_cell(x: object) -> str:
+    """One CSV cell: true/false, floats in shortest round-trip form, else str."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)

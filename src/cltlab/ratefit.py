@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError, DomainError
+from .numerics import csv_cell
 
 DISTANCE_KINDS = ("kolmogorov", "w1", "w1_normalized")
 
@@ -283,14 +284,6 @@ def fit_replicated(
     )
 
 
-def _fmt(x: object) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def result_csv_row(r: RateFitResult) -> str:
     vals = (
         r.model_id,
@@ -298,13 +291,13 @@ def result_csv_row(r: RateFitResult) -> str:
         str(r.points_used),
         str(r.n_min),
         str(r.n_max),
-        _fmt(float(r.decades)),
-        _fmt(float(r.exponent)),
-        _fmt(float(r.intercept)),
-        _fmt(float(r.ci_halfwidth)),
-        _fmt(float(r.log_corrected_exponent)),
-        _fmt(float(r.target_exponent)),
-        _fmt(float(r.tolerance)),
+        csv_cell(float(r.decades)),
+        csv_cell(float(r.exponent)),
+        csv_cell(float(r.intercept)),
+        csv_cell(float(r.ci_halfwidth)),
+        csv_cell(float(r.log_corrected_exponent)),
+        csv_cell(float(r.target_exponent)),
+        csv_cell(float(r.tolerance)),
         r.verdict,
         '"' + r.note + '"',
     )

@@ -377,7 +377,7 @@ def test_criterion_09_oracle_equivalences():
     worst_u = 0.0
     for ell in (2, 4, 6):
         mc, se, exact = _bounds.u_ln(
-            ell, 3.0, model, replicates=20_000, master_seed=17, prefer_exact=False
+            ell, 3.0, model, replicates=20_000, master_seed=17, mode="monte_carlo"
         )
         assert not exact and se > 0.0
         gap = abs(mc - oracle.u_ell(ell, 3.0))

@@ -8,6 +8,8 @@ import pytest
 from cltlab.bounds import (
     ADDITIVE_CONST,
     BOUND_CSV_COLUMNS,
+    BOUNDS,
+    DEFAULT_BOUNDS,
     KAPPA_R1,
     BoundBreakdown,
     BoundTerm,
@@ -29,6 +31,7 @@ from cltlab.bounds import (
     _power_integral,
 )
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
+from cltlab.models import KNOWN_FAMILIES, make_model
 from cltlab.models.base import ModelSpec, PathMoments
 from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
@@ -149,7 +152,7 @@ class TestFluctuationStatistics:
         m = asymmetric_chain(6)
         for ell in (2, 4):
             exact_val = u_ln(ell, 3.0, m)[0]
-            val, se, exact = u_ln(ell, 3.0, m, prefer_exact=False, replicates=4000, master_seed=3)
+            val, se, exact = u_ln(ell, 3.0, m, mode="monte_carlo", replicates=4000, master_seed=3)
             assert not exact and se > 0.0
             assert abs(val - exact_val) <= 3.0 * se
 
@@ -185,6 +188,8 @@ class TestFluctuationStatistics:
             l_n(3.5, 1.0, 1.0, m)
         with pytest.raises(CapabilityError):
             l_n(3.0, 1.0, 1.0, SequentialMaps(spec("sequential_maps", 4)), mode="exact")
+        with pytest.raises(ConfigurationError):
+            u_ln(2, 3.0, rademacher(4), mode="quadrature")
 
 
 class TestMasterBound:
@@ -350,9 +355,19 @@ class TestDependentSumBound:
         assert abs(val - want) <= 1e-12
 
     def test_bnp_coefficient_increment_term(self):
-        base = bnp(2, 3.0, [1.0, 1.0], [0.5, 0.25], [1.0, 0.5, 0.25])
-        with_inc = bnp(2, 3.0, [1.0, 1.0], [0.5, 0.25], [1.0, 0.5, 0.25], spectral_floor=False)
-        assert abs(with_inc - base - math.sqrt(2.0)) <= 1e-12
+        # Without a spectral floor the linear display adds the coefficient
+        # increments: alphas (1, 3, 2) zero-padded at both ends step by
+        # (1, 2, -1, -2), so the term is sqrt(1 + 4 + 1 + 4) = sqrt(10).
+        m = LinearStatistic(
+            spec("linear_statistic", 3, base={"kind": "ar1", "phi": 0.5},
+                 coefficients=[1.0, 3.0, 2.0])
+        )
+        relaxed = linear_statistic_w1_bound(m, spectral_floor=False)
+        term = relaxed.term("coefficient_increments")
+        assert abs(term.value - math.sqrt(10.0)) <= 1e-12 and term.exact
+        base = linear_statistic_w1_bound(m)
+        assert abs(relaxed.total - base.total - math.sqrt(10.0)) <= 1e-12
+        assert relaxed.meta["spectral_floor"] is False
 
     def test_bnp_validation(self):
         with pytest.raises(DomainError):
@@ -423,3 +438,54 @@ class TestBreakdownPlumbing:
         assert total_row[1] == "total"
         assert float(total_row[2]) == bds[0].total  # repr round-trip
         assert all(line.split(",")[6].startswith('"') for line in lines[1:])
+
+
+# tag -> the families that declare every oracle the display needs; each other
+# (tag, family) pair raises CapabilityError.  README's bound table matches.
+MARTINGALE_FAMILIES = {
+    "gaussian_iid", "rademacher_iid", "ce_lowerbound", "linear_statistic", "rho_mixing_chain",
+}
+SUPPORTED = {
+    "theorem1_rhs": MARTINGALE_FAMILIES,
+    "w1_upper": MARTINGALE_FAMILIES,
+    "berry_esseen": MARTINGALE_FAMILIES,
+    "heyde_brown": MARTINGALE_FAMILIES,
+    "linear_w1": {"linear_statistic"},
+    "rho_mixing": {"rho_mixing_chain"},
+    "seqdyn": set(KNOWN_FAMILIES),
+}
+
+
+class TestBoundTable:
+    def test_matrix_covers_the_table(self):
+        assert tuple(SUPPORTED) == tuple(BOUNDS)
+        pairs = [(t, f) for t in BOUNDS for f in KNOWN_FAMILIES]
+        assert len(pairs) == 42
+        assert sum(f in SUPPORTED[t] for t, f in pairs) == 28
+
+    @pytest.mark.parametrize("family", KNOWN_FAMILIES)
+    @pytest.mark.parametrize("tag", tuple(BOUNDS))
+    def test_capability_matrix(self, tag, family):
+        model = make_model(spec(family, 32))
+        if family in SUPPORTED[tag]:
+            bd = BOUNDS[tag](model, 3.0, 0, 1.0)
+            assert bd.bound_id == tag
+            assert bd.total == bd.recompute_total()
+        else:
+            with pytest.raises(CapabilityError):
+                BOUNDS[tag](model, 3.0, 0, 1.0)
+
+    def test_default_sets_are_supported_and_in_table_order(self):
+        assert tuple(DEFAULT_BOUNDS) == KNOWN_FAMILIES
+        for family, tags in DEFAULT_BOUNDS.items():
+            assert tags and all(family in SUPPORTED[t] for t in tags)
+            assert list(tags) == [t for t in BOUNDS if t in tags]
+
+    def test_auto_a_is_the_minimizing_candidate(self):
+        m = asymmetric_chain(32)
+        auto = BOUNDS["w1_upper"](m, 3.0, 0, None)
+        _, best = minimize_over_a(lambda a: corollary_w1_bound(3.0, a, m), m.moments())
+        assert auto.meta["a"] == best.meta["a"] and auto.total == best.total
+        fixed = BOUNDS["w1_upper"](m, 3.0, 0, 2.0)
+        assert fixed.meta["a"] == 2.0
+

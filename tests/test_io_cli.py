@@ -428,6 +428,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# The bound set `cltlab bounds` evaluates for each family by default.
+DEFAULT_BOUND_SETS = {
+    "gaussian_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
+    "rademacher_iid": ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"),
+    "ce_lowerbound": ("w1_upper", "berry_esseen", "heyde_brown"),
+    "linear_statistic": ("linear_w1",),
+    "rho_mixing_chain": ("theorem1_rhs", "w1_upper", "berry_esseen", "rho_mixing"),
+    "sequential_maps": ("seqdyn",),
+}
+
+
 class TestCliCommands:
     def test_distance_rerun_is_byte_identical(self, tmp_path):
         base = ["distance", "--model", "rademacher_iid", "--n-grid", "8,16",
@@ -474,19 +485,29 @@ class TestCliCommands:
             assert digest == sha256_file(out / name)
         assert manifest["stream_blocks"] == {"increments_n8.bin": 0, "statistics_n8.bin": 0}
 
-    def test_bounds_writes_csv_and_meta(self, tmp_path):
+    @pytest.mark.parametrize("family", tuple(DEFAULT_BOUND_SETS))
+    def test_bounds_writes_csv_and_meta(self, tmp_path, family):
         out = tmp_path / "bounds"
-        rc = run_cli("bounds", "--model", "rademacher_iid", "--n-grid", "4",
+        rc = run_cli("bounds", "--model", family, "--n-grid", "32",
                      "--reps", "100", "--out", str(out))
         assert rc == EXIT_OK
-        text = (out / "bounds.csv").read_text()
-        for tag in ("theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"):
-            assert tag in text
+        tags = list(DEFAULT_BOUND_SETS[family])
+        rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows if r[1] == "total"] == tags
         meta = json.loads((out / "bounds_meta.json").read_text())
-        assert {e["bound_id"] for e in meta["entries"]} == {
-            "theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown"
-        }
-        assert all(e["n"] == 4 for e in meta["entries"])
+        assert [e["bound_id"] for e in meta["entries"]] == tags
+        assert all(e["n"] == 32 for e in meta["entries"])
+
+    def test_bounds_tag_without_oracle_exits_2(self, tmp_path):
+        doc = config_doc(
+            model={"family": "gaussian_iid", "n": 8, "p": 3.0, "params": {}},
+            outputs=str(tmp_path / "out"),
+            bound_requests=["rho_mixing"],
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("bounds", "--config", str(cfg_path)) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "bounds.csv").exists()
 
     def prepared_ratefit_dir(self, tmp_path, distances):
         out = tmp_path / "fit"
