@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .models.base import Model, PathMoments
-from .numerics import csv_cell
+from .numerics import csv_text
 
 # Explicit constants available at r = 1.
 KAPPA_R1 = 6.0
@@ -125,29 +125,24 @@ class BoundBreakdown:
         raise KeyError(name)
 
 
-def breakdown_csv_rows(bd: BoundBreakdown) -> list[str]:
-    """One CSV row per term plus a closing total row."""
-    if bd.combination == "sum":
-        total_formula = "sum(terms)"
-    elif bd.combination == "powered_sum":
-        total_formula = f"(sum(terms))^{bd.power:g}"
-    else:
-        total_formula = f"terms[0]*(sum(terms[1:]))^{bd.power:g}"
-    items = [(t.name, t.value, t.se, t.exact, t.formula) for t in bd.terms]
-    exact = all(t.exact for t in bd.terms)
-    items.append(("total", bd.total, bd.total_se(), exact, total_formula))
-    return [
-        ",".join((bd.bound_id, name, csv_cell(float(value)), csv_cell(float(se)),
-                  csv_cell(is_exact), bd.constants_mode, '"' + formula + '"'))
-        for name, value, se, is_exact, formula in items
-    ]
-
-
 def breakdowns_to_csv(breakdowns: Sequence[BoundBreakdown]) -> str:
-    lines = [",".join(BOUND_CSV_COLUMNS)]
+    """The bound table: one row per term plus a closing total row per breakdown."""
+    rows = []
     for bd in breakdowns:
-        lines.extend(breakdown_csv_rows(bd))
-    return "\n".join(lines) + "\n"
+        if bd.combination == "sum":
+            total_formula = "sum(terms)"
+        elif bd.combination == "powered_sum":
+            total_formula = f"(sum(terms))^{bd.power:g}"
+        else:
+            total_formula = f"terms[0]*(sum(terms[1:]))^{bd.power:g}"
+        items = [(t.name, t.value, t.se, t.exact, t.formula) for t in bd.terms]
+        exact = all(t.exact for t in bd.terms)
+        items.append(("total", bd.total, bd.total_se(), exact, total_formula))
+        rows.extend(
+            (bd.bound_id, name, float(value), float(se), is_exact, bd.constants_mode, formula)
+            for name, value, se, is_exact, formula in items
+        )
+    return csv_text(BOUND_CSV_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +377,15 @@ def theorem1_rhs(
 
     t1 = delta**r * _power_integral(a, x_hi, r)
 
-    t2, t2_se, t2_exact = _psi_term(
-        model, mo, r, a, x_hi, kappa, psi_mode, replicates, master_seed, grid_points
-    )
-
+    # the fluctuation sum goes first: it raises CapabilityError for a family
+    # without a conditional-variance oracle before any psi path is drawn
+    # (the two terms draw from disjoint stream blocks)
     lv, lse, lexact = l_n(
         p, r, a, model, mode=u_mode, replicates=replicates, master_seed=master_seed
+    )
+
+    t2, t2_se, t2_exact = _psi_term(
+        model, mo, r, a, x_hi, kappa, psi_mode, replicates, master_seed, grid_points
     )
 
     t4 = ADDITIVE_CONST * a**r * delta**r

@@ -23,13 +23,14 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import bounds as _bounds
 from . import ratefit as _ratefit
 from .distances import (
+    DistanceReport,
     EmpiricalSample,
     compute_report,
     kolmogorov_se,
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .io import (
     ExperimentConfig,
+    _plain,
     build_manifest,
     canonical_json,
     load_config,
@@ -53,7 +55,7 @@ from .io import (
     write_text,
 )
 from .models import KNOWN_FAMILIES, ModelSpec, atom_fraction, make_model
-from .numerics import csv_cell, normal_abs_moment
+from .numerics import csv_text
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -238,23 +240,23 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # distance
 
 
-def _lineage(cfg: ExperimentConfig, block: int) -> str:
-    return f"master_seed={cfg.master_seed};block={block};stream=block*2^40+replicate"
-
-
-def cmd_distance(cfg: ExperimentConfig) -> int:
-    out = _ensure_out(cfg)
-    threads = worker_threads()
+def _measure(cfg: ExperimentConfig, master_seed: int, threads: int) -> list[DistanceReport]:
+    """Draw, sort and measure every grid point; one report (and line) per n."""
     reports = []
     for i, n, model in _grid_models(cfg):
-        values = model.statistic_values(cfg.master_seed, cfg.replicates, block=i, threads=threads)
-        sample = EmpiricalSample.from_values(values, lineage=_lineage(cfg, i))
-        rep = compute_report(sample, model.model_id, n, cfg.model.p)
+        values = model.statistic_values(master_seed, cfg.replicates, block=i, threads=threads)
+        rep = compute_report(EmpiricalSample.from_values(values), model.model_id, n, cfg.model.p)
         reports.append(rep)
         print(
             f"n={n:>6}  kolmogorov={rep.kolmogorov:.6f} (se {rep.kolmogorov_se:.6f})  "
             f"w1={rep.w1:.6f} (se {rep.w1_se:.6f})  transfer={rep.transfer_bound():.6f}"
         )
+    return reports
+
+
+def cmd_distance(cfg: ExperimentConfig) -> int:
+    out = _ensure_out(cfg)
+    reports = _measure(cfg, cfg.master_seed, worker_threads())
     write_text(out / "distances.csv", reports_to_csv(reports))
     blocks = {f"distances.csv:n={n}": i for i, n in enumerate(cfg.n_grid)}
     write_manifest(out, build_manifest(cfg, out, ["distances.csv"], blocks))
@@ -263,18 +265,6 @@ def cmd_distance(cfg: ExperimentConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # bounds
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, Mapping):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
 
 
 def _print_breakdown(n: int, bd: _bounds.BoundBreakdown) -> None:
@@ -297,7 +287,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
         for tag in tags:
             bd = _bounds.BOUNDS[tag](model, cfg.model.p, cfg.master_seed, a)
             breakdowns.append(bd)
-            metas.append({"n": n, "bound_id": bd.bound_id, "meta": _json_safe(bd.meta)})
+            metas.append({"n": n, "bound_id": bd.bound_id, "meta": _plain(bd.meta)})
             _print_breakdown(n, bd)
     write_text(out / "bounds.csv", _bounds.breakdowns_to_csv(breakdowns))
     write_text(out / "bounds_meta.json", canonical_json({"entries": metas}) + "\n")
@@ -316,49 +306,32 @@ def _default_target(cfg: ExperimentConfig) -> float:
     return -0.5
 
 
-def _series_from_rows(
-    cfg: ExperimentConfig, rows: Sequence[Mapping[str, Any]]
-) -> _ratefit.RateSeries:
-    rows = sorted(rows, key=lambda r: r["n"])
+def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefit.RateSeries:
+    """The (n, V_n, distance, se) series of cfg.distance_kind.
+
+    A report whose model id or p differs from the config's model at its n was
+    measured for another experiment: DataFormatError.
+    """
     pts = []
-    for row in rows:
-        n = int(row["n"])
-        v_n = make_model(cfg.spec_for(n)).moments().v_n
+    for rep in sorted(reports, key=lambda r: r.n):
+        model = make_model(cfg.spec_for(rep.n))
+        if rep.model_id != model.model_id or rep.p != model.spec.p:
+            raise DataFormatError(
+                f"distance row for {rep.model_id} at p={rep.p:g} does not match the "
+                f"configured {model.model_id} at p={model.spec.p:g}"
+            )
+        v_n = model.moments().v_n
         if cfg.distance_kind == "kolmogorov":
-            d, se = row["kolmogorov"], row["kolmogorov_se"]
+            d, se = rep.kolmogorov, rep.kolmogorov_se
         elif cfg.distance_kind == "w1":
-            d, se = row["w1"], row["w1_se"]
+            d, se = rep.w1, rep.w1_se
         else:  # w1_normalized: undo the /sqrt(V_n) statistic scaling
             root = math.sqrt(v_n)
-            d, se = row["w1"] * root, row["w1_se"] * root
-        pts.append((n, v_n, float(d), float(se)))
+            d, se = rep.w1 * root, rep.w1_se * root
+        pts.append((rep.n, v_n, float(d), float(se)))
     return _ratefit.RateSeries(
         points=tuple(pts), model_id=cfg.model.family, distance_kind=cfg.distance_kind
     )
-
-
-def _measure_series(cfg: ExperimentConfig, master_seed: int, threads: int) -> tuple[
-    _ratefit.RateSeries, list
-]:
-    reports = []
-    rows = []
-    for i, n, model in _grid_models(cfg):
-        values = model.statistic_values(master_seed, cfg.replicates, block=i, threads=threads)
-        sample = EmpiricalSample.from_values(
-            values, lineage=f"master_seed={master_seed};block={i};stream=block*2^40+replicate"
-        )
-        rep = compute_report(sample, model.model_id, n, cfg.model.p)
-        reports.append(rep)
-        rows.append(
-            {
-                "n": n,
-                "kolmogorov": rep.kolmogorov,
-                "kolmogorov_se": rep.kolmogorov_se,
-                "w1": rep.w1,
-                "w1_se": rep.w1_se,
-            }
-        )
-    return _series_from_rows(cfg, rows), reports
 
 
 def cmd_ratefit(cfg: ExperimentConfig) -> int:
@@ -369,27 +342,24 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
 
     csv_path = out / "distances.csv"
     if csv_path.exists():
-        rows = read_distance_csv(csv_path)
-        if not rows:
+        reports = read_distance_csv(csv_path)
+        if not reports:
             raise DataFormatError(f"{csv_path}: no distance rows to fit")
-        series = _series_from_rows(cfg, rows)
-        result = _ratefit.fit(series, target, tolerance=cfg.tolerance)
-        print(f"fitting {len(rows)} rows from {csv_path}")
-    elif cfg.fit_seeds > 1:
-        series_by_seed = []
-        for j in range(cfg.fit_seeds):
-            series, reports = _measure_series(cfg, cfg.master_seed + j, threads)
-            series_by_seed.append(series)
-            if j == 0:
-                write_text(out / "distances.csv", reports_to_csv(reports))
-                files.append("distances.csv")
-            print(f"seed {cfg.master_seed + j}: measured {len(series.points)} grid points")
-        result = _ratefit.fit_replicated(series_by_seed, target, tolerance=cfg.tolerance)
+        series = [_series(cfg, reports)]
+        print(f"fitting {len(reports)} rows from {csv_path}")
     else:
-        series, reports = _measure_series(cfg, cfg.master_seed, threads)
-        write_text(out / "distances.csv", reports_to_csv(reports))
-        files.append("distances.csv")
-        result = _ratefit.fit(series, target, tolerance=cfg.tolerance)
+        series = []
+        for j in range(cfg.fit_seeds):
+            reports = _measure(cfg, cfg.master_seed + j, threads)
+            if j == 0:
+                write_text(csv_path, reports_to_csv(reports))
+                files.append("distances.csv")
+            series.append(_series(cfg, reports))
+            print(f"seed {cfg.master_seed + j}: measured {len(series[-1].points)} grid points")
+    if len(series) == 1:
+        result = _ratefit.fit(series[0], target, tolerance=cfg.tolerance)
+    else:
+        result = _ratefit.fit_replicated(series, target, tolerance=cfg.tolerance)
 
     write_text(out / "ratefit.csv", _ratefit.results_to_csv([result]))
     blocks = {f"n={n}": i for i, n in enumerate(cfg.n_grid)}
@@ -413,6 +383,23 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
 # verify-ce
 
 
+VERIFY_CE_CSV_COLUMNS = (
+    "n",
+    "atom",
+    "atom_se",
+    "atom_threshold",
+    "atom_pass",
+    "kolmogorov",
+    "kolmogorov_se",
+    "kolmogorov_threshold",
+    "kolmogorov_pass",
+    "max_moment",
+    "max_moment_se",
+    "moment_cap",
+    "moment_pass",
+)
+
+
 def cmd_verify_ce(args: argparse.Namespace) -> int:
     p = args.p if args.p is not None else 3.0
     if not (2.0 < p <= 3.0):
@@ -421,8 +408,6 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
     reps = args.reps if args.reps is not None else DEFAULT_REPLICATES
     seed = args.seed if args.seed is not None else 0
     threads = worker_threads()
-    exponent = -(p - 2.0) / (2.0 * p - 2.0)
-    cap = normal_abs_moment(p) + 5.0 ** (p - 2.0)
 
     # the whole grid must satisfy the construction's hypotheses before any work
     models = [
@@ -432,7 +417,7 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
 
     header = f"{'n':>6}  {'atom':>22}  {'uniform dist':>22}  {'max moment':>22}"
     print(header)
-    lines = []
+    rows = []
     all_pass = True
     for i, model in enumerate(models):
         n = model.spec.n
@@ -440,12 +425,12 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
         sample = EmpiricalSample.from_values(values)
 
         atom, atom_se = atom_fraction(values)
-        atom_thr = 0.12 * n**exponent
+        atom_thr = model.params.atom_lower_bound()
         atom_ok = atom >= atom_thr - 3.0 * atom_se
 
         dist = kolmogorov_vs_normal(sample)
         dist_se = kolmogorov_se(reps)
-        dist_thr = 0.06 * n**exponent
+        dist_thr = model.params.kolmogorov_lower_bound()
         dist_ok = dist >= dist_thr - 3.0 * dist_se
 
         m_reps = min(reps, VERIFY_MOMENT_REPLICATES)
@@ -454,31 +439,25 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
         k_star = int(np.argmax(means))
         moment = float(means[k_star])
         moment_se = float(np.std(abs_p[:, k_star], ddof=1) / math.sqrt(m_reps))
+        cap = model.moment_cap(p)
         moment_ok = moment <= cap + 3.0 * moment_se
 
         all_pass = all_pass and atom_ok and dist_ok and moment_ok
-        row = (
+        print(
             f"{n:>6}  {atom:.5f}>={atom_thr:.5f} {'pass' if atom_ok else 'FAIL'}  "
             f"{dist:.5f}>={dist_thr:.5f} {'pass' if dist_ok else 'FAIL'}  "
             f"{moment:.5f}<={cap:.5f} {'pass' if moment_ok else 'FAIL'}"
         )
-        print(row)
-        cells = (
+        rows.append((
             n,
             atom, atom_se, atom_thr, atom_ok,
             dist, dist_se, dist_thr, dist_ok,
             moment, moment_se, cap, moment_ok,
-        )
-        lines.append(",".join(csv_cell(x) for x in cells))
+        ))
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        cols = (
-            "n,atom,atom_se,atom_threshold,atom_pass,"
-            "kolmogorov,kolmogorov_se,kolmogorov_threshold,kolmogorov_pass,"
-            "max_moment,max_moment_se,moment_cap,moment_pass"
-        )
-        write_text(out / "verify_ce.csv", cols + "\n" + "\n".join(lines) + "\n")
+        write_text(out / "verify_ce.csv", csv_text(VERIFY_CE_CSV_COLUMNS, rows))
     print("all checks passed" if all_pass else "CHECK FAILURE")
     return EXIT_OK if all_pass else EXIT_CHECK
 

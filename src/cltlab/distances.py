@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .numerics import csv_cell, integral_of_phi, normal_cdf, normal_quantile
+from .numerics import csv_text, integral_of_phi, normal_cdf, normal_quantile
 
 # Prefactor of the Kolmogorov <= c * W_{p-2}^{1/(p-1)} transfer inequality:
 # 1 + (2*pi)^{-1/2}.
@@ -44,14 +44,10 @@ W1_SE_BATCHES = 10
 class EmpiricalSample:
     """Sorted replicate values of one normalized statistic.
 
-    values must be finite and ascending; replicates == len(values).  lineage
-    is a human-readable trace of how the sample was drawn (master seed,
-    stream scheme) and rides along into reports.
+    values must be finite and ascending; replicates == len(values).
     """
 
     values: np.ndarray
-    lineage: str = ""
-    statistic: str = ""
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -64,12 +60,9 @@ class EmpiricalSample:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(
-        cls, values: np.ndarray, lineage: str = "", statistic: str = ""
-    ) -> "EmpiricalSample":
+    def from_values(cls, values: np.ndarray) -> "EmpiricalSample":
         """Sort raw replicate values into a sample."""
-        arr = np.sort(np.asarray(values, dtype=float))
-        return cls(arr, lineage=lineage, statistic=statistic)
+        return cls(np.sort(np.asarray(values, dtype=float)))
 
     @property
     def replicates(self) -> int:
@@ -152,15 +145,6 @@ def be_transfer(wr_value: float, p: float) -> float:
     return TRANSFER_CONSTANT * wr_value ** (1.0 / (p - 1.0))
 
 
-def two_sample_w1(a: EmpiricalSample, b: EmpiricalSample) -> float:
-    """Exact W1 between two equal-size empirical laws (sorted coupling)."""
-    if a.replicates != b.replicates:
-        raise DomainError(
-            f"two_sample_w1 needs equal sizes, got {a.replicates} and {b.replicates}"
-        )
-    return float(np.mean(np.abs(a.values - b.values)))
-
-
 def kolmogorov_se(replicates: int, alpha: float = DKW_ALPHA) -> float:
     """Dvoretzky–Kiefer–Wolfowitz envelope half-width at confidence 1-alpha."""
     if replicates <= 0:
@@ -199,7 +183,6 @@ class DistanceReport:
     wr_r: float
     wr_value: float
     wr_is_upper_bound: bool
-    lineage: str = ""
 
     def transfer_bound(self) -> float:
         """Kolmogorov bound implied by the measured coupling distance."""
@@ -243,7 +226,6 @@ def compute_report(
         wr_r=float(wr_r),
         wr_value=wr_value,
         wr_is_upper_bound=upper,
-        lineage=sample.lineage,
     )
 
 
@@ -263,27 +245,16 @@ DISTANCE_CSV_COLUMNS = (
 )
 
 
-def report_csv_row(report: DistanceReport) -> list[str]:
-    """One CSV row per report; floats in shortest round-trip decimal form."""
-    cells = (
-        report.model_id,
-        report.n,
-        float(report.p),
-        report.replicates,
-        report.kolmogorov,
-        report.kolmogorov_se,
-        report.w1,
-        report.w1_se,
-        report.wr_r,
-        report.wr_value,
-        report.wr_is_upper_bound,
-        report.transfer_bound(),
-    )
-    return [csv_cell(x) for x in cells]
-
-
 def reports_to_csv(reports: Iterable[DistanceReport]) -> str:
-    lines = [",".join(DISTANCE_CSV_COLUMNS)]
-    for rep in reports:
-        lines.append(",".join(report_csv_row(rep)))
-    return "\n".join(lines) + "\n"
+    """The distance table; floats in shortest round-trip decimal form."""
+    return csv_text(
+        DISTANCE_CSV_COLUMNS,
+        (
+            (
+                rep.model_id, rep.n, float(rep.p), rep.replicates,
+                rep.kolmogorov, rep.kolmogorov_se, rep.w1, rep.w1_se,
+                rep.wr_r, rep.wr_value, rep.wr_is_upper_bound, rep.transfer_bound(),
+            )
+            for rep in reports
+        ),
+    )

@@ -2,8 +2,8 @@
 
 Everything written here is deterministic: JSON is emitted in canonical form
 (sorted keys, compact separators, shortest round-trip floats), CSV text comes
-from the builders in the sibling modules, and the binary batch format is a
-fixed little-endian layout.  Rerunning the same config with the same master
+from `numerics.csv_text`, and the binary batch format is a fixed
+little-endian layout.  Rerunning the same config with the same master
 seed therefore reproduces every artifact byte for byte.
 """
 
@@ -23,6 +23,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from .bounds import BOUNDS
+from .distances import DISTANCE_CSV_COLUMNS, DistanceReport
 from .errors import ConfigurationError, DataFormatError
 from .models import KNOWN_FAMILIES, ModelSpec
 
@@ -155,7 +156,7 @@ class ExperimentConfig:
 
 
 def _plain(obj: Any) -> Any:
-    """Recursively coerce a params tree to plain JSON-safe types."""
+    """Recursively coerce a params or metadata tree to plain JSON-safe types."""
     if isinstance(obj, Mapping):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -164,7 +165,7 @@ def _plain(obj: Any) -> Any:
         return obj.item()
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    raise ConfigurationError(f"params value {obj!r} is not JSON-representable")
+    raise ConfigurationError(f"value {obj!r} is not JSON-representable")
 
 
 def canonical_json(doc: Mapping[str, Any]) -> str:
@@ -395,14 +396,14 @@ def write_manifest(out_dir: Path, manifest: Mapping[str, Any]) -> Path:
 # distance CSV round trip (rate fitting consumes distance tables)
 
 
-def read_distance_csv(path: Path) -> list[dict[str, Any]]:
-    """Parse a distance table back into typed row dicts.
+def read_distance_csv(path: Path) -> list[DistanceReport]:
+    """Parse a distance table back into the reports that wrote it.
 
     The header must match the documented schema exactly; numeric fields are
-    parsed as float/int and the upper-bound flag as a boolean.
+    parsed as float/int and the upper-bound flag as a boolean.  The
+    be_transfer column is derived from wr_value and p, so it is only checked
+    to be a number.
     """
-    from .distances import DISTANCE_CSV_COLUMNS
-
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(_io.StringIO(text))
     try:
@@ -413,29 +414,29 @@ def read_distance_csv(path: Path) -> list[dict[str, Any]]:
         raise DataFormatError(
             f"{path}: header {header!r} does not match the distance schema"
         )
-    rows = []
+    reports = []
     for line_no, rec in enumerate(reader, start=2):
         if not rec:
             continue
         if len(rec) != len(header):
             raise DataFormatError(f"{path}:{line_no}: expected {len(header)} fields")
         try:
-            rows.append(
-                {
-                    "model_id": rec[0],
-                    "n": int(rec[1]),
-                    "p": float(rec[2]),
-                    "replicates": int(rec[3]),
-                    "kolmogorov": float(rec[4]),
-                    "kolmogorov_se": float(rec[5]),
-                    "w1": float(rec[6]),
-                    "w1_se": float(rec[7]),
-                    "wr_r": float(rec[8]),
-                    "wr_value": float(rec[9]),
-                    "wr_is_upper_bound": rec[10] == "true",
-                    "be_transfer": float(rec[11]),
-                }
+            float(rec[11])
+            reports.append(
+                DistanceReport(
+                    model_id=rec[0],
+                    n=int(rec[1]),
+                    p=float(rec[2]),
+                    replicates=int(rec[3]),
+                    kolmogorov=float(rec[4]),
+                    kolmogorov_se=float(rec[5]),
+                    w1=float(rec[6]),
+                    w1_se=float(rec[7]),
+                    wr_r=float(rec[8]),
+                    wr_value=float(rec[9]),
+                    wr_is_upper_bound=rec[10] == "true",
+                )
             )
         except ValueError as exc:
             raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-    return rows
+    return reports

@@ -133,9 +133,6 @@ class CELowerBound(Model):
             exact=True,
         )
 
-    def statistic_normalizer(self) -> float:
-        return math.sqrt(float(self.spec.n))
-
     # -- path generation ---------------------------------------------------
 
     def _draw_row(self, g: np.random.Generator) -> np.ndarray:

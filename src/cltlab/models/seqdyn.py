@@ -137,9 +137,6 @@ class SequentialMaps(Model):
             note=note,
         )
 
-    def statistic_normalizer(self) -> float:
-        return math.sqrt(self.exact_vn())
-
     # -- sampling --------------------------------------------------------------
 
     def _observe(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Shared numerical kernel: Gaussian special functions, an adaptive
-quadrature oracle, deterministic stream seeding, and the number format of
+quadrature oracle, deterministic stream seeding, and the one writer of
 every CSV artifact.
 
 The Gaussian helpers are thin wrappers over the Cephes routines shipped with
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr as _ndtr, ndtri as _ndtri
@@ -238,3 +238,21 @@ def csv_cell(x: object) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+# Columns that hold free text (formulas, notes).  Their cells are always
+# quoted, with any '"' doubled as RFC 4180 asks; every other cell is bare.
+FREE_TEXT_COLUMNS = frozenset({"formula", "note"})
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A CSV table: the header, then one csv_cell line per row, unix newlines."""
+    quoted = [c in FREE_TEXT_COLUMNS for c in columns]
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (
+            '"' + csv_cell(x).replace('"', '""') + '"' if q else csv_cell(x)
+            for x, q in zip(row, quoted, strict=True)
+        )
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

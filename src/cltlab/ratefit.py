@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError, DomainError
-from .numerics import csv_cell
+from .numerics import csv_text
 
 DISTANCE_KINDS = ("kolmogorov", "w1", "w1_normalized")
 
@@ -284,27 +284,17 @@ def fit_replicated(
     )
 
 
-def result_csv_row(r: RateFitResult) -> str:
-    vals = (
-        r.model_id,
-        r.distance_kind,
-        str(r.points_used),
-        str(r.n_min),
-        str(r.n_max),
-        csv_cell(float(r.decades)),
-        csv_cell(float(r.exponent)),
-        csv_cell(float(r.intercept)),
-        csv_cell(float(r.ci_halfwidth)),
-        csv_cell(float(r.log_corrected_exponent)),
-        csv_cell(float(r.target_exponent)),
-        csv_cell(float(r.tolerance)),
-        r.verdict,
-        '"' + r.note + '"',
-    )
-    return ",".join(vals)
-
-
 def results_to_csv(results: Sequence[RateFitResult]) -> str:
-    lines = [",".join(RATEFIT_CSV_COLUMNS)]
-    lines.extend(result_csv_row(r) for r in results)
-    return "\n".join(lines) + "\n"
+    """The rate-fit table, one row per result."""
+    return csv_text(
+        RATEFIT_CSV_COLUMNS,
+        (
+            (
+                r.model_id, r.distance_kind, r.points_used, r.n_min, r.n_max,
+                float(r.decades), float(r.exponent), float(r.intercept),
+                float(r.ci_halfwidth), float(r.log_corrected_exponent),
+                float(r.target_exponent), float(r.tolerance), r.verdict, r.note,
+            )
+            for r in results
+        ),
+    )

@@ -231,6 +231,22 @@ class TestMasterBound:
         assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m, mode="exact")[0]) <= 1e-12
         assert abs(bd.total - bd.recompute_total()) <= 1e-12
 
+    def test_missing_oracle_raises_before_any_psi_path(self, monkeypatch):
+        # sequential_maps has no conditional-variance oracle, so the
+        # fluctuation sum cannot be formed: no psi path may be drawn first
+        m = SequentialMaps(spec("sequential_maps", 32))
+        calls = []
+        draw = m.increment_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(m, "increment_matrix", counted)
+        with pytest.raises(CapabilityError):
+            theorem1_rhs(1.0, 3.0, 1.0, m, psi_mode="monte_carlo", replicates=200)
+        assert calls == []
+
     def test_grid_refinement_converges(self):
         # Doubling the psi grid should not move the total at 1e-6 scale for a
         # smooth profile (Gaussian family).

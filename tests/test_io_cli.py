@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -18,6 +19,8 @@ from cltlab.cli import (
     EXIT_IO,
     EXIT_OK,
     MODEL_TAGS,
+    VERIFY_CE_CSV_COLUMNS,
+    _measure,
     build_parser,
     main,
     resolve_config,
@@ -297,20 +300,32 @@ class TestDistanceCsvRoundTrip:
         reports = self.make_reports()
         path = tmp_path / "distances.csv"
         write_text(path, reports_to_csv(reports))
-        rows = read_distance_csv(path)
-        assert len(rows) == 2
-        for rep, row in zip(reports, rows):
-            assert row["model_id"] == rep.model_id
-            assert row["n"] == rep.n
-            assert row["p"] == rep.p
-            assert row["replicates"] == rep.replicates
-            assert row["kolmogorov"] == rep.kolmogorov
-            assert row["kolmogorov_se"] == rep.kolmogorov_se
-            assert row["w1"] == rep.w1
-            assert row["w1_se"] == rep.w1_se
-            assert row["wr_value"] == rep.wr_value
-            assert row["wr_is_upper_bound"] == rep.wr_is_upper_bound
-            assert row["be_transfer"] == rep.transfer_bound()
+        assert read_distance_csv(path) == reports
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "gaussian_iid",
+            "rademacher_iid",
+            "linear_statistic",
+            pytest.param("rho_mixing_chain", marks=pytest.mark.xfail(
+                strict=True, raises=DataFormatError,
+                reason="model_id holds a comma and distances.csv writes it unquoted",
+            )),
+            pytest.param("ce_lowerbound", marks=pytest.mark.xfail(
+                strict=True, raises=DataFormatError,
+                reason="model_id holds a comma and distances.csv writes it unquoted",
+            )),
+            "sequential_maps",
+        ],
+    )
+    def test_cli_table_reads_back_as_measured(self, tmp_path, family):
+        out = tmp_path / family
+        argv = ["distance", "--model", family, "--n-grid", "32,64", "--reps", "200",
+                "--seed", "5", "--out", str(out)]
+        assert run_cli(*argv) == EXIT_OK
+        cfg = resolve_config(build_parser().parse_args(argv))
+        assert read_distance_csv(out / "distances.csv") == _measure(cfg, cfg.master_seed, 1)
 
     def test_header_must_match_schema(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -456,9 +471,9 @@ class TestCliCommands:
         assert run_cli(*base, "--out", str(out2)) == EXIT_OK
         assert (out2 / "distances.csv").read_bytes() == first_csv
 
-        rows = read_distance_csv(out1 / "distances.csv")
-        assert [r["n"] for r in rows] == [8, 16]
-        assert all(r["replicates"] == 400 for r in rows)
+        reports = read_distance_csv(out1 / "distances.csv")
+        assert [r.n for r in reports] == [8, 16]
+        assert all(r.replicates == 400 for r in reports)
 
     def test_simulate_writes_sized_batches_and_manifest(self, tmp_path):
         out = tmp_path / "sim"
@@ -492,7 +507,8 @@ class TestCliCommands:
                      "--reps", "100", "--out", str(out))
         assert rc == EXIT_OK
         tags = list(DEFAULT_BOUND_SETS[family])
-        rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+        header, *rows = csv.reader((out / "bounds.csv").read_text().splitlines())
+        assert all(len(r) == len(header) for r in rows)
         assert [r[0] for r in rows if r[1] == "total"] == tags
         meta = json.loads((out / "bounds_meta.json").read_text())
         assert [e["bound_id"] for e in meta["entries"]] == tags
@@ -517,7 +533,7 @@ class TestCliCommands:
             lines.append(
                 ",".join(
                     (
-                        "rademacher_iid", str(n), "3.0", "100",
+                        f"rademacher_iid(n={n})", str(n), "3.0", "100",
                         repr(d), repr(0.001), repr(d), repr(0.001),
                         "3.0", repr(d), "false", repr(2.0 * d),
                     )
@@ -559,20 +575,33 @@ class TestCliCommands:
         # two grid points cannot support a verdict; that is a warning, not a failure
         assert rc == EXIT_OK
         assert (out / "distances.csv").exists()
-        assert "inconclusive" in (out / "ratefit.csv").read_text()
+        header, row = csv.reader((out / "ratefit.csv").read_text().splitlines())
+        assert len(row) == len(header)
+        assert row[header.index("verdict")] == "inconclusive"
+
+    @pytest.mark.parametrize(
+        "fit_flags",
+        [("--model", "rademacher_iid"), ("--model", "gaussian_iid", "--p", "2.5")],
+    )
+    def test_ratefit_refuses_a_stale_distance_table(self, tmp_path, fit_flags):
+        out = str(tmp_path / "stale")
+        grid = ("--n-grid", "8,16", "--reps", "100", "--out", out)
+        assert run_cli("distance", "--model", "gaussian_iid", *grid) == EXIT_OK
+        assert run_cli("ratefit", *fit_flags, *grid) == EXIT_IO
+        assert not (tmp_path / "stale" / "ratefit.csv").exists()
 
     def test_verify_ce_quick_grid_passes(self, tmp_path):
         out = tmp_path / "ce"
         rc = run_cli("verify-ce", "--n-grid", "64", "--reps", "2000",
                      "--seed", "1", "--out", str(out))
         assert rc == EXIT_OK
-        lines = (out / "verify_ce.csv").read_text().splitlines()
-        assert lines[0].split(",") == [
+        header, row = csv.reader((out / "verify_ce.csv").read_text().splitlines())
+        assert tuple(header) == VERIFY_CE_CSV_COLUMNS == (
             "n", "atom", "atom_se", "atom_threshold", "atom_pass",
             "kolmogorov", "kolmogorov_se", "kolmogorov_threshold", "kolmogorov_pass",
             "max_moment", "max_moment_se", "moment_cap", "moment_pass",
-        ]
-        assert len(lines) == 2 and lines[1].startswith("64,")
+        )
+        assert len(row) == len(header) and row[0] == "64"
 
     @pytest.mark.parametrize(
         "argv,code",

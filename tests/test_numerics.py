@@ -11,6 +11,7 @@ from cltlab.errors import DomainError, QuadratureError
 from cltlab.numerics import (
     BLOCK_STRIDE,
     SeedLineage,
+    csv_text,
     integral_of_phi,
     normal_abs_moment,
     normal_cdf,
@@ -203,3 +204,13 @@ class TestSeedLineage:
     def test_child_changes_stream_only(self):
         lin = SeedLineage(42, 0).child(9)
         assert (lin.master_seed, lin.stream_id) == (42, 9)
+
+
+class TestCsvText:
+    def test_cells_and_free_text_quoting(self):
+        text = csv_text(("id", "value", "exact", "formula"), [("a", 0.1, True, 'x "y", z')])
+        assert text == 'id,value,exact,formula\na,0.1,true,"x ""y"", z"\n'
+
+    def test_row_width_must_match_header(self):
+        with pytest.raises(ValueError):
+            csv_text(("id", "value"), [("a",)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -276,3 +278,9 @@ class TestCsvRows:
         assert float(fields[10]) == r.target_exponent
         assert fields[12] == r.verdict
         assert fields[13] == '"' + r.note + '"'
+
+    def test_note_with_quotes_and_commas_reads_back(self):
+        r = dataclasses.replace(fit(power_series(3.0, -0.25), target=-0.25), note='a "b", c')
+        header, row = csv.reader(results_to_csv([r]).splitlines())
+        assert len(header) == len(row) == 14
+        assert row[13] == 'a "b", c'
