@@ -342,6 +342,11 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
 
     csv_path = out / "distances.csv"
     if csv_path.exists():
+        if cfg.fit_seeds > 1:
+            raise DataFormatError(
+                f"{csv_path}: holds one seed's table, but fit_seeds = {cfg.fit_seeds} "
+                "refits across seeds; remove the file to measure them"
+            )
         reports = read_distance_csv(csv_path)
         if not reports:
             raise DataFormatError(f"{csv_path}: no distance rows to fit")

@@ -76,6 +76,8 @@ class RhoMixingChain(Model):
         self._rev: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._sigma2: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
+        self._moments: Optional[PathMoments] = None
+        self._laws: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def model_id(self) -> str:
@@ -113,10 +115,7 @@ class RhoMixingChain(Model):
 
     def autocovariance(self, lag: int) -> float:
         """gamma_lag = E f(Y_0) f(Y_lag), exact."""
-        lag = abs(int(lag))
-        g = self.f.copy()
-        for _ in range(lag):
-            g = self.P @ g
+        g = np.linalg.matrix_power(self.P, abs(int(lag))) @ self.f
         return float(self.pi @ (self.f * g))
 
     def _gammas(self, upto: int) -> np.ndarray:
@@ -144,18 +143,12 @@ class RhoMixingChain(Model):
         if n is None:
             n = self.spec.n
         gam = self._gammas(n - 1)
-        best = 0.0
         # Var over window length w: w*g0 + 2*sum_{d=1}^{w-1} (w-d) g_d, built
-        # incrementally: adding one step adds g0 + 2*sum_{d=1}^{w-1} g_d.
-        var_w = 0.0
-        cum_g = 0.0
-        for w in range(1, n + 1):
-            var_w += gam[0] + 2.0 * cum_g
-            cum_g += gam[w] if w < n else 0.0
-            ratio = (w * gam[0]) / var_w
-            if ratio > best:
-                best = ratio
-        return best
+        # by running sums: adding one step adds g0 + 2*sum_{d=1}^{w-1} g_d.
+        cum_g = np.concatenate(([0.0], np.cumsum(gam[1:])))
+        var_w = np.cumsum(gam[0] + 2.0 * cum_g)
+        ratios = (np.arange(1, n + 1) * gam[0]) / var_w
+        return float(np.max(ratios))
 
     # -- projection martingale ladder -----------------------------------------
 
@@ -202,15 +195,16 @@ class RhoMixingChain(Model):
         return self._sigma2
 
     def moments(self) -> PathMoments:
-        sigma2 = self.sigma2_ladder()
-        v_n = self.var_sn()
-        return PathMoments(
-            sigma2=sigma2,
-            v_n=v_n,
-            delta_n=float(math.sqrt(np.max(sigma2))),
-            conditional_variance_constant=False,
-            exact=True,
-        )
+        if self._moments is None:
+            sigma2 = self.sigma2_ladder()
+            self._moments = PathMoments(
+                sigma2=sigma2,
+                v_n=self.var_sn(),
+                delta_n=float(math.sqrt(np.max(sigma2))),
+                conditional_variance_constant=False,
+                exact=True,
+            )
+        return self._moments
 
     def conditional_variance_gap(self, prefix_states: np.ndarray, ell: int) -> np.ndarray:
         """sum_{k=ell}^n (E(xi_k^2 | Y_{ell-1}) - sigma_k^2), exact per state.
@@ -244,36 +238,57 @@ class RhoMixingChain(Model):
             self._gap = tables
         return self._gap
 
-    def increment_abs_moment(self, k: int, p: float) -> float:
-        """E|xi_k|^p, exact."""
-        vals, probs = self.increment_values(k)
-        return float(np.sum(probs * np.abs(vals) ** p))
+    def _increment_laws(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exact laws of xi_1..xi_n as (n, S^2) value and probability tables.
+
+        Row k-1 is increment_values(k); row 0 holds xi_1's S values and is
+        padded with zero-probability zeros.
+        """
+        if self._laws is None:
+            n, width = self.spec.n, self.n_states**2
+            values, probs = np.zeros((n, width)), np.zeros((n, width))
+            for k in range(1, n + 1):
+                v, q = self.increment_values(k)
+                values[k - 1, : v.size], probs[k - 1, : q.size] = v, q
+            self._laws = (values, probs)
+        return self._laws
+
+    def _expectations(self, terms: np.ndarray) -> np.ndarray:
+        """Per-k sums of a (n, S^2) table of probability-weighted terms.
+
+        Row 0 sums only xi_1's own S entries: with the padding included the
+        pairwise summation would pair them differently once S >= 4.
+        """
+        out = np.empty(terms.shape[0])
+        out[0] = np.sum(terms[0, : self.n_states])
+        out[1:] = np.sum(terms[1:], axis=1)
+        return out
+
+    def _sup_ratio(self, expectations: np.ndarray) -> float:
+        """max_k expectations_k / sigma_k^2 over sigma_k^2 > 0 (0 when none)."""
+        sigma2 = self.sigma2_ladder()
+        live = sigma2 > 0.0
+        if not np.any(live):
+            return 0.0
+        return float(np.max(expectations[live] / sigma2[live]))
+
+    def increment_abs_moments(self, p: float) -> np.ndarray:
+        """E|xi_k|^p for k = 1..n, exact."""
+        values, probs = self._increment_laws()
+        return self._expectations(probs * np.abs(values) ** p)
 
     def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        sigma2 = self.sigma2_ladder()
-        best = 0.0
-        for k in range(1, self.spec.n + 1):
-            if sigma2[k - 1] <= 0.0:
-                continue
-            best = max(best, self.increment_abs_moment(k, p) / sigma2[k - 1])
-        return best, 0.0, True
+        return self._sup_ratio(self.increment_abs_moments(p)), 0.0, True
 
     def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
-        total = sum(self.increment_abs_moment(k, p) for k in range(1, self.spec.n + 1))
-        return float(total), 0.0, True
+        # added left to right, one k at a time; np.sum would pair them differently
+        return float(np.cumsum(self.increment_abs_moments(p))[-1]), 0.0, True
 
     def psi_closed_form(self, t: float) -> float:
+        values, probs = self._increment_laws()
         delta = math.sqrt(float(np.max(self.sigma2_ladder())))
-        sigma2 = self.sigma2_ladder()
-        best = 0.0
-        for k in range(1, self.spec.n + 1):
-            if sigma2[k - 1] <= 0.0:
-                continue
-            vals, probs = self.increment_values(k)
-            a = np.abs(vals)
-            contrib = float(np.sum(probs * np.minimum(t * delta * vals**2, a**3)))
-            best = max(best, contrib / sigma2[k - 1])
-        return best
+        terms = probs * np.minimum(t * delta * values**2, np.abs(values) ** 3)
+        return self._sup_ratio(self._expectations(terms))
 
     def u_samples(self, states: np.ndarray, ell: int, p: float) -> np.ndarray:
         """Per-path integrand of the fluctuation statistic at split index ell.

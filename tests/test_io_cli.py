@@ -590,6 +590,16 @@ class TestCliCommands:
         assert run_cli("ratefit", *fit_flags, *grid) == EXIT_IO
         assert not (tmp_path / "stale" / "ratefit.csv").exists()
 
+    def test_ratefit_refuses_one_table_for_several_seeds(self, tmp_path):
+        out = tmp_path / "seeds"
+        grid = ("--n-grid", "8,16", "--reps", "100", "--out", str(out))
+        assert run_cli("distance", "--model", "rademacher_iid", *grid) == EXIT_OK
+        doc = config_doc(n_grid=[8, 16], fit_seeds=2, outputs=str(out))
+        cfg_path = tmp_path / "fit.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_IO
+        assert not (out / "ratefit.csv").exists()
+
     def test_verify_ce_quick_grid_passes(self, tmp_path):
         out = tmp_path / "ce"
         rc = run_cli("verify-ce", "--n-grid", "64", "--reps", "2000",

@@ -435,10 +435,11 @@ class TestRhoMixingChain:
         oracle = ChainEnumeration(model.P, model.f, model.pi, 6)
         assert abs(model.var_sn() - sum(p * oracle.path_sum(s) ** 2 for p, s in oracle.paths)) <= 1e-12
         ladder = model.sigma2_ladder()
+        moments = model.increment_abs_moments(2.5)
         for k in range(1, 7):
             assert abs(ladder[k - 1] - oracle.sigma2(k)) <= 1e-12
             want = sum(p * abs(oracle.xi(s, k)) ** 2.5 for p, s in oracle.paths)
-            assert abs(model.increment_abs_moment(k, 2.5) - want) <= 1e-12
+            assert abs(moments[k - 1] - want) <= 1e-12
 
     def test_conditional_gap_matches_path_enumeration(self):
         model = self.asymmetric(6)
@@ -497,6 +498,94 @@ class TestRhoMixingChain:
         states = m.prefix_states_chunk(master_seed=53, replicates=5000)
         freq = (states == 0).mean(axis=0)
         np.testing.assert_allclose(freq, m.pi[0], atol=0.03)
+
+    # -- the increment-law table against the per-k loops it replaces ---------
+
+    @staticmethod
+    def random_chain(n, n_states, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.random((n_states, n_states)) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        return RhoMixingChain(
+            spec("rho_mixing_chain", n, transition=P.tolist(),
+                 state_values=rng.normal(size=n_states).tolist())
+        )
+
+    def law_chains(self):
+        # the periodic chain has sigma_k^2 = 0 for every k >= 2
+        periodic = RhoMixingChain(spec("rho_mixing_chain", 7, transition=[[0.0, 1.0], [1.0, 0.0]]))
+        return [
+            self.two_state(1),
+            self.two_state(40),
+            self.asymmetric(33),
+            periodic,
+            *(self.random_chain(n, s, 1000 + s) for n, s in ((17, 3), (12, 4), (9, 5))),
+        ]
+
+    @staticmethod
+    def per_k_reference(model, t, p):
+        """psi(t), E|xi_k|^p, their sup ratio and sum, one k at a time."""
+        sigma2 = model.sigma2_ladder()
+        delta = math.sqrt(float(np.max(sigma2)))
+        psi = sup = total = 0.0
+        moments = []
+        for k in range(1, model.spec.n + 1):
+            vals, probs = model.increment_values(k)
+            moments.append(float(np.sum(probs * np.abs(vals) ** p)))
+            total += moments[-1]
+            if sigma2[k - 1] <= 0.0:
+                continue
+            contrib = float(np.sum(probs * np.minimum(t * delta * vals**2, np.abs(vals) ** 3)))
+            psi = max(psi, contrib / sigma2[k - 1])
+            sup = max(sup, moments[-1] / sigma2[k - 1])
+        return psi, moments, sup, total
+
+    @pytest.mark.parametrize("p", (2.5, 3.0))
+    def test_increment_law_table_matches_per_k_loop(self, p):
+        for model in self.law_chains():
+            for t in (0.0, 1e-3, 0.37, 1.0, 6.0, 250.0):
+                psi, moments, sup, total = self.per_k_reference(model, t, p)
+                assert model.psi_closed_form(t) == psi
+            assert model.increment_abs_moments(p).tolist() == moments
+            assert model.sup_moment_ratio(p) == (sup, 0.0, True)
+            assert model.sum_abs_moments(p) == (total, 0.0, True)
+
+    def test_periodic_chain_skips_zero_variance_increments(self):
+        m = self.law_chains()[3]
+        assert np.all(m.sigma2_ladder()[1:] == 0.0)
+        # only xi_1 = h_6(Y_1) = +-1 counts: E min(t xi^2, |xi|^3) / 1
+        assert m.psi_closed_form(0.5) == 0.5
+        assert m.sup_moment_ratio(3.0)[0] == 1.0
+
+    def test_window_ratio_matches_running_sum_loop(self):
+        for model in (*self.law_chains()[:3], self.two_state(300, stay=0.25)):
+            n = model.spec.n
+            gam = model._gammas(n - 1)
+            best, var_w, cum_g = 0.0, 0.0, 0.0
+            for w in range(1, n + 1):
+                var_w += gam[0] + 2.0 * cum_g
+                cum_g += gam[w] if w < n else 0.0
+                best = max(best, (w * gam[0]) / var_w)
+            assert model.c_n() == best
+
+    def test_autocovariance_by_matrix_power_matches_stepping(self):
+        m = self.random_chain(8, 4, 7)
+        g = m.f.copy()
+        for lag in range(200):
+            assert abs(m.autocovariance(lag) - float(m.pi @ (m.f * g))) <= 1e-12
+            g = m.P @ g
+
+    def test_moments_and_draws_build_no_increment_law_table(self, monkeypatch):
+        def no_table(self):
+            raise AssertionError("the increment-law table was built")
+
+        monkeypatch.setattr(RhoMixingChain, "_increment_laws", no_table)
+        m = self.two_state(64)
+        calls = []
+        monkeypatch.setattr(m, "var_sn", lambda: calls.append(1) or RhoMixingChain.var_sn(m))
+        assert m.moments() is m.moments()
+        assert len(calls) == 1
+        m.statistic_values(master_seed=3, replicates=50)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
