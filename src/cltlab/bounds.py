@@ -72,51 +72,59 @@ class BoundTerm:
     formula: str
 
 
+# combination -> the bound table's formula for the total it derives
+_TOTAL_FORMULAS = {
+    "sum": lambda power: "sum(terms)",
+    "powered_sum": lambda power: f"(sum(terms))^{power:g}",
+    "prefactor_powered_sum": lambda power: f"terms[0]*(sum(terms[1:]))^{power:g}",
+}
+
+
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """A bound total together with the terms it was assembled from.
+    """A bound total together with the terms it is assembled from.
 
-    combination says how terms make the total:
-      sum                   total = sum(values)
+    combination (a key of _TOTAL_FORMULAS) and power say how the terms make
+    the total, which is derived at construction:
+      sum                   total = sum(values)            (power must be 1)
       powered_sum           total = (sum(values)) ** power
       prefactor_powered_sum total = values[0] * (sum(values[1:])) ** power
     """
 
     bound_id: str
     terms: tuple[BoundTerm, ...]
-    total: float
     constants_mode: str
     combination: str = "sum"
     power: float = 1.0
     meta: Mapping[str, object] = field(default_factory=dict)
+    total: float = field(init=False)
 
-    def recompute_total(self) -> float:
-        vals = [t.value for t in self.terms]
-        if self.combination == "sum":
-            return float(sum(vals))
-        if self.combination == "powered_sum":
-            return float(sum(vals)) ** self.power
+    def __post_init__(self) -> None:
+        if self.combination not in _TOTAL_FORMULAS:
+            raise ConfigurationError(f"unknown combination {self.combination!r}")
+        if self.combination == "sum" and self.power != 1.0:
+            raise ConfigurationError(f"a plain sum has power 1, got {self.power!r}")
+        prefactor, summands = self._split()
+        total = prefactor * float(sum(t.value for t in summands)) ** self.power
+        object.__setattr__(self, "total", float(total))
+
+    def _split(self) -> tuple[float, tuple[BoundTerm, ...]]:
+        """(prefactor, summands): total = prefactor * sum(summands) ** power."""
         if self.combination == "prefactor_powered_sum":
-            return vals[0] * float(sum(vals[1:])) ** self.power
-        raise ConfigurationError(f"unknown combination {self.combination!r}")
+            return self.terms[0].value, self.terms[1:]
+        return 1.0, self.terms
+
+    def total_formula(self) -> str:
+        return _TOTAL_FORMULAS[self.combination](self.power)
 
     def total_se(self) -> float:
         """First-order propagated standard error of the total."""
-        ses = np.array([t.se for t in self.terms])
-        vals = np.array([t.value for t in self.terms])
-        if self.combination == "sum":
-            return float(math.sqrt(float(np.sum(ses**2))))
-        if self.combination == "powered_sum":
-            s = float(np.sum(vals))
-            if s <= 0.0:
-                return 0.0
-            grad = abs(self.power) * s ** (self.power - 1.0)
-            return grad * float(math.sqrt(float(np.sum(ses**2))))
-        s = float(np.sum(vals[1:]))
-        if s <= 0.0:
+        prefactor, summands = self._split()
+        spread = float(math.sqrt(float(np.sum(np.array([t.se for t in summands]) ** 2))))
+        s = float(np.sum([t.value for t in summands]))
+        if self.power != 1.0 and s <= 0.0:
             return 0.0
-        grad = vals[0] * abs(self.power) * s ** (self.power - 1.0)
-        return grad * float(math.sqrt(float(np.sum(ses[1:] ** 2))))
+        return prefactor * abs(self.power) * s ** (self.power - 1.0) * spread
 
     def term(self, name: str) -> BoundTerm:
         for t in self.terms:
@@ -129,15 +137,9 @@ def breakdowns_to_csv(breakdowns: Sequence[BoundBreakdown]) -> str:
     """The bound table: one row per term plus a closing total row per breakdown."""
     rows = []
     for bd in breakdowns:
-        if bd.combination == "sum":
-            total_formula = "sum(terms)"
-        elif bd.combination == "powered_sum":
-            total_formula = f"(sum(terms))^{bd.power:g}"
-        else:
-            total_formula = f"terms[0]*(sum(terms[1:]))^{bd.power:g}"
         items = [(t.name, t.value, t.se, t.exact, t.formula) for t in bd.terms]
         exact = all(t.exact for t in bd.terms)
-        items.append(("total", bd.total, bd.total_se(), exact, total_formula))
+        items.append(("total", bd.total, bd.total_se(), exact, bd.total_formula()))
         rows.extend(
             (bd.bound_id, name, float(value), float(se), is_exact, bd.constants_mode, formula)
             for name, value, se, is_exact, formula in items
@@ -310,7 +312,8 @@ def _fluctuation_sum(
     denoms = denominators(mo)
     if mode != "monte_carlo":
         try:
-            total = sum(model.u_exact(ell, p) / d for ell, d in zip(ells, denoms))
+            u = model.u_exact(p)
+            total = sum(u[ell - 2] / d for ell, d in zip(ells, denoms))
             return float(total), 0.0, True
         except CapabilityError:
             if mode == "exact":
@@ -437,11 +440,9 @@ def theorem1_rhs(
         meta["kappa_explicit"] = KAPPA_R1
         meta["cubic_constant"] = C_R1_CUBIC
         meta["quartic_constant"] = C_R1_QUARTIC
-    total = float(sum(t.value for t in terms))
     return BoundBreakdown(
         bound_id="theorem1_rhs",
         terms=terms,
-        total=total,
         constants_mode=constants_mode,
         combination="sum",
         meta=meta,
@@ -559,11 +560,9 @@ def corollary_w1_bound(
             formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         ),
     )
-    total = float(sum(t.value for t in terms))
     return BoundBreakdown(
         bound_id="w1_upper",
         terms=terms,
-        total=total,
         constants_mode="shape_only",
         combination="sum",
         meta={
@@ -642,11 +641,9 @@ def berry_esseen_bound(
             formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + delta^2)^((p-r)/2)",
         ),
     )
-    total = terms[0].value * (terms[1].value + terms[2].value) ** power
     return BoundBreakdown(
         bound_id="berry_esseen",
         terms=terms,
-        total=float(total),
         constants_mode="shape_only",
         combination="prefactor_powered_sum",
         power=power,
@@ -702,15 +699,12 @@ def heyde_brown_bound(
             formula="V_n^(-p/2) * sum_k E|xi_k|^p",
         ),
     )
-    power = 1.0 / (p + 1.0)
-    total = (terms[0].value + terms[1].value) ** power
     return BoundBreakdown(
         bound_id="heyde_brown",
         terms=terms,
-        total=float(total),
         constants_mode="shape_only",
         combination="powered_sum",
-        power=power,
+        power=1.0 / (p + 1.0),
         meta={
             "model_id": model.model_id,
             "p": p,
@@ -815,11 +809,9 @@ def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> Boun
                 formula="(sum_{k=1}^{n+1} (alpha_k - alpha_{k-1})^2)^(1/2)",
             )
         )
-    total = float(sum(t.value for t in terms))
     return BoundBreakdown(
         bound_id="linear_w1",
         terms=tuple(terms),
-        total=total,
         constants_mode="shape_only",
         combination="sum",
         meta={
@@ -853,7 +845,7 @@ def _shape_breakdown(
 ) -> BoundBreakdown:
     """A one-term shape display: the total is the shape value itself."""
     term = BoundTerm("shape", value, 0.0, True, formula)
-    return BoundBreakdown(bound_id, (term,), value, "shape_only", meta=meta)
+    return BoundBreakdown(bound_id, (term,), "shape_only", meta=meta)
 
 
 def _rho_mixing(model: Model) -> BoundBreakdown:

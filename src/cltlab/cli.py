@@ -350,6 +350,18 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
         reports = read_distance_csv(csv_path)
         if not reports:
             raise DataFormatError(f"{csv_path}: no distance rows to fit")
+        for rep in reports:
+            if rep.replicates != cfg.replicates:
+                raise DataFormatError(
+                    f"{csv_path}: the row at n={rep.n} holds {rep.replicates} replicates, but "
+                    f"replicates = {cfg.replicates}; remove the file to measure them"
+                )
+        table_grid = sorted({rep.n for rep in reports})
+        if table_grid != list(cfg.n_grid):
+            raise DataFormatError(
+                f"{csv_path}: holds n = {table_grid}, but n_grid = {list(cfg.n_grid)}; "
+                "remove the file to measure them"
+            )
         series = [_series(cfg, reports)]
         print(f"fitting {len(reports)} rows from {csv_path}")
     else:

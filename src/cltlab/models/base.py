@@ -23,10 +23,12 @@ Each family implements one draw kernel and the maps over it:
 chunk of one.  ``statistic_values`` turns the sums into the normalized
 statistic samples the distance pipeline consumes.
 
-Each oracle the bound evaluators use (``psi_closed_form``, the moment sums,
-``u_exact``, ``u_samples`` over ``prefix_states_chunk``, ``bracket_samples``,
-``projection_norms``, ``k_n``, ``c_n``) is defined once on ``Model`` and
-raises CapabilityError there; a family declares a capability by overriding it.
+Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
+``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
+index at once, ``u_samples`` over ``prefix_states_chunk``,
+``bracket_samples``, ``projection_norms``, ``k_n``, ``c_n``) is defined once
+on ``Model`` and raises CapabilityError there; a family declares a
+capability by overriding it.
 """
 
 from __future__ import annotations
@@ -206,20 +208,6 @@ class Model:
 
     # -- capabilities ------------------------------------------------------
 
-    def conditional_variance_gap(
-        self, prefix_states: np.ndarray, ell: int
-    ) -> np.ndarray:
-        """sum_{k=ell}^{n} (E(xi_k^2 | F_{ell-1}) - sigma_k^2) per prefix.
-
-        Models with constant conditional variances return exact zeros; others
-        must override or raise CapabilityError.
-        """
-        if self.moments().conditional_variance_constant:
-            return np.zeros(np.asarray(prefix_states).shape[0])
-        raise CapabilityError(
-            f"{self.model_id} has no conditional variance oracle"
-        )
-
     def psi_closed_form(self, t: float) -> float:
         """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2, exact."""
         raise CapabilityError(f"{self.model_id} has no closed-form psi profile; use monte_carlo")
@@ -232,8 +220,8 @@ class Model:
         """sum_k E|xi_k|^p as (value, se, exact)."""
         raise CapabilityError(f"{self.model_id} cannot evaluate absolute moment sums")
 
-    def u_exact(self, ell: int, p: float) -> float:
-        """The fluctuation statistic U_ell(p), exact."""
+    def u_exact(self, p: float) -> np.ndarray:
+        """The fluctuation statistics U_ell(p) for ell = 2..n at index ell-2, exact."""
         raise CapabilityError(f"{self.model_id} has no exact fluctuation statistics")
 
     def prefix_states_chunk(self, master_seed: int, replicates: int, block: int = 0) -> np.ndarray:

@@ -13,9 +13,12 @@ increments of S_n,
 whose sum telescopes exactly to S_n (so the bound and the measured distance
 talk about the same random variable) and whose variance ladder sums exactly
 to Var(S_n).  Every conditional quantity of the chain is a matrix-power
-expression, so the conditional-variance oracle, the ladder, the
-per-increment distributions (each xi_k takes at most S^2 values) and the
-conditional-variance fluctuation statistics are all exact.
+expression, built once as three (n, S) stacks: h_{n-k}, P h_{n-k} and the
+conditional variance E(xi_k^2 | Y_{k-1}).  The draw, the variance ladder,
+the conditional-variance gap tables, the per-increment laws (each xi_k takes
+at most S^2 values) and the bound oracles built on them all read those
+stacks.  Every oracle but the Monte Carlo integrand ``u_samples`` is exact,
+and ``u_exact`` gives U_2..U_n at once.
 
 Everything second-order (autocovariances gamma_k, Var(S_n), the window
 variance-ratio statistic and its spectral bound) is computed from the
@@ -72,8 +75,7 @@ class RhoMixingChain(Model):
             raise ConfigurationError("state_values are constant; the functional is degenerate")
         self._cum_p = np.cumsum(P, axis=1)
         self._cum_pi = np.cumsum(self.pi)
-        self._h: Optional[np.ndarray] = None  # h_r stacked, filled lazily
-        self._rev: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._tables: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._sigma2: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
         self._moments: Optional[PathMoments] = None
@@ -152,45 +154,33 @@ class RhoMixingChain(Model):
 
     # -- projection martingale ladder -----------------------------------------
 
-    def _h_stack(self) -> np.ndarray:
-        """h_r for r = 0..n-1 stacked as rows; h_r = f + P h_{r-1}."""
-        if self._h is None:
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (n, S) conditional tables every exact oracle and the draw read.
+
+        Row k-1 holds h_{n-k}, P h_{n-k} and (P h_{n-k}^2) - (P h_{n-k})^2,
+        which for k >= 2 is the conditional variance E(xi_k^2 | Y_{k-1} = y).
+        The batched matmul rounds each row as the matrix-vector product P @ h
+        does.
+        """
+        if self._tables is None:
             n = self.spec.n
             h = np.empty((n, self.n_states))
-            h[0] = self.f
-            for r in range(1, n):
-                h[r] = self.f + self.P @ h[r - 1]
-            self._h = h
-        return self._h
-
-    def increment_values(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """All values of xi_k with their probabilities (exact distribution).
-
-        k = 1 returns the S values h_{n-1}(y) with weights pi; k >= 2 returns
-        the S^2 values h_{n-k}(y) - (P h_{n-k})(y') over pairs (y', y) with
-        weights pi_{y'} P_{y'y}.
-        """
-        n = self.spec.n
-        if not (1 <= k <= n):
-            raise DomainError(f"increment index k must be in [1, {n}]")
-        h = self._h_stack()[n - k]
-        if k == 1:
-            return h.copy(), self.pi.copy()
-        ph = self.P @ h
-        vals = h[None, :] - ph[:, None]  # (y', y)
-        probs = self.pi[:, None] * self.P
-        return vals.ravel(), probs.ravel()
+            h[n - 1] = self.f
+            for k in range(n - 1, 0, -1):
+                h[k - 1] = self.f + self.P @ h[k]
+            ph = np.matmul(self.P, h[:, :, None])[:, :, 0]
+            w = np.matmul(self.P, (h**2)[:, :, None])[:, :, 0] - ph**2
+            self._tables = (h, ph, w)
+        return self._tables
 
     def sigma2_ladder(self) -> np.ndarray:
+        """sigma_k^2 = pi h_{n-k}^2 - pi (P h_{n-k})^2; sigma_1^2 = pi h_{n-1}^2."""
         if self._sigma2 is None:
-            n = self.spec.n
-            h = self._h_stack()
-            sigma2 = np.empty(n)
-            sigma2[0] = float(self.pi @ (h[n - 1] ** 2))
-            for k in range(2, n + 1):
-                hk = h[n - k]
-                phk = self.P @ hk
-                sigma2[k - 1] = float(self.pi @ (hk**2) - self.pi @ (phk**2))
+            h, ph, _ = self._stacks()
+            # pi-weighted row sums, each rounded as the vector product pi @ v
+            pi = self.pi[:, None]
+            sigma2 = np.matmul((h**2)[:, None, :], pi)[:, 0, 0]
+            sigma2[1:] -= np.matmul((ph[1:] ** 2)[:, None, :], pi)[:, 0, 0]
             self._sigma2 = sigma2
         return self._sigma2
 
@@ -206,33 +196,19 @@ class RhoMixingChain(Model):
             )
         return self._moments
 
-    def conditional_variance_gap(self, prefix_states: np.ndarray, ell: int) -> np.ndarray:
-        """sum_{k=ell}^n (E(xi_k^2 | Y_{ell-1}) - sigma_k^2), exact per state.
-
-        prefix_states holds the state index Y_{ell-1} per replicate.
-        """
-        n = self.spec.n
-        if not (2 <= ell <= n):
-            raise DomainError(f"ell must be in [2, {n}]")
-        table = self._gap_tables()[ell - 2]
-        states = np.asarray(prefix_states, dtype=np.intp)
-        return table[states]
-
     def _gap_tables(self) -> np.ndarray:
-        """Row ell-2 gives the state-indexed table of the conditional gap at ell."""
+        """Row ell-2 gives sum_{k>=ell}(E(xi_k^2 | Y_{ell-1}) - sigma_k^2) per state."""
         if self._gap is None:
             n = self.spec.n
-            h = self._h_stack()
+            w = self._stacks()[2]
             sigma2 = self.sigma2_ladder()
             # G_ell(y) = sum_{k >= ell} E(xi_k^2 | Y_{ell-1}=y), backward:
-            # G_ell = w_ell + P G_{ell+1},  w_k(y) = (P h_{n-k}^2)(y) - ((P h_{n-k})(y))^2
+            # G_ell = w_ell + P G_{ell+1}
             tables = np.empty((n - 1, self.n_states))
             g_next = np.zeros(self.n_states)
             tail_sigma = 0.0
             for ell in range(n, 1, -1):
-                hk = h[n - ell]
-                w = self.P @ (hk**2) - (self.P @ hk) ** 2
-                g_next = w + self.P @ g_next
+                g_next = w[ell - 1] + self.P @ g_next
                 tail_sigma += sigma2[ell - 1]
                 tables[ell - 2] = g_next - tail_sigma
             self._gap = tables
@@ -241,15 +217,17 @@ class RhoMixingChain(Model):
     def _increment_laws(self) -> tuple[np.ndarray, np.ndarray]:
         """The exact laws of xi_1..xi_n as (n, S^2) value and probability tables.
 
-        Row k-1 is increment_values(k); row 0 holds xi_1's S values and is
-        padded with zero-probability zeros.
+        Row k-1 (k >= 2) holds h_{n-k}(y) - (P h_{n-k})(y') with weight
+        pi_{y'} P_{y'y} at column y' S + y; row 0 holds xi_1 = h_{n-1}(Y_1)'s
+        S values with weights pi, padded with zero-probability zeros.
         """
         if self._laws is None:
-            n, width = self.spec.n, self.n_states**2
-            values, probs = np.zeros((n, width)), np.zeros((n, width))
-            for k in range(1, n + 1):
-                v, q = self.increment_values(k)
-                values[k - 1, : v.size], probs[k - 1, : q.size] = v, q
+            h, ph, _ = self._stacks()
+            n, S = self.spec.n, self.n_states
+            values = (h[:, None, :] - ph[:, :, None]).reshape(n, S * S)
+            probs = np.tile((self.pi[:, None] * self.P).ravel(), (n, 1))
+            values[0], probs[0] = 0.0, 0.0
+            values[0, :S], probs[0, :S] = h[0], self.pi
             self._laws = (values, probs)
         return self._laws
 
@@ -290,6 +268,22 @@ class RhoMixingChain(Model):
         terms = probs * np.minimum(t * delta * values**2, np.abs(values) ** 3)
         return self._sup_ratio(self._expectations(terms))
 
+    def u_exact(self, p: float) -> np.ndarray:
+        """U_ell(p) for ell = 2..n at index ell-2, exact.
+
+        E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1}(xi_k^2)-sigma_k^2)|]
+        over the law of xi_{ell-1}: law row ell-2 pairs each value with the
+        state Y_{ell-1} = y of its column, whose gap is row ell-2 of the gap
+        table.  Each row is added left to right (row 0's zero-probability
+        padding adds exact zeros).
+        """
+        values, probs = self._increment_laws()
+        n = self.spec.n
+        sigma = np.sqrt(self.sigma2_ladder()[: n - 1])
+        weights = np.maximum(np.abs(values[: n - 1]), sigma[:, None]) ** (p - 2.0)
+        gaps = np.tile(np.abs(self._gap_tables()), self.n_states)
+        return np.cumsum(probs[: n - 1] * weights * gaps, axis=1)[:, -1]
+
     def u_samples(self, states: np.ndarray, ell: int, p: float) -> np.ndarray:
         """Per-path integrand of the fluctuation statistic at split index ell.
 
@@ -300,14 +294,12 @@ class RhoMixingChain(Model):
         n = self.spec.n
         if not (2 <= ell <= n):
             raise DomainError(f"ell must be in [2, {n}]")
+        h, ph, _ = self._stacks()
         sigma = math.sqrt(self.sigma2_ladder()[ell - 2])
         gap = self._gap_tables()[ell - 2][states[:, ell - 2]]
-        h = self._h_stack()[n - (ell - 1)]
-        if ell == 2:
-            xi = h[states[:, 0]]
-        else:
-            ph = self.P @ h
-            xi = h[states[:, ell - 2]] - ph[states[:, ell - 3]]
+        xi = h[ell - 2][states[:, ell - 2]]
+        if ell > 2:
+            xi = xi - ph[ell - 2][states[:, ell - 3]]
         return np.maximum(np.abs(xi), sigma) ** (p - 2.0) * np.abs(gap)
 
     def bracket_samples(self, states: np.ndarray) -> np.ndarray:
@@ -316,39 +308,11 @@ class RhoMixingChain(Model):
         <M>_n = sigma_1^2 + sum_{k=2}^n E(xi_k^2 | Y_{k-1}); each conditional
         expectation is a state lookup, so the only randomness is the path.
         """
-        n = self.spec.n
-        h = self._h_stack()
+        w = self._stacks()[2]
         out = np.full(states.shape[0], self.sigma2_ladder()[0])
-        for k in range(2, n + 1):
-            hk = h[n - k]
-            w = self.P @ (hk**2) - (self.P @ hk) ** 2
-            out += w[states[:, k - 2]]
+        for k in range(2, self.spec.n + 1):
+            out += w[k - 1][states[:, k - 2]]
         return out
-
-    def u_exact(self, ell: int, p: float) -> float:
-        """Exact conditional-variance fluctuation statistic at split index ell.
-
-        E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1}(xi_k^2)-sigma_k^2)|]
-        by enumeration over the (Y_{ell-2}, Y_{ell-1}) pairs.
-        """
-        n = self.spec.n
-        if not (2 <= ell <= n):
-            raise DomainError(f"ell must be in [2, {n}]")
-        sigma = math.sqrt(self.sigma2_ladder()[ell - 2])
-        gap = self._gap_tables()[ell - 2]  # indexed by Y_{ell-1}
-        h = self._h_stack()[n - (ell - 1)]
-        if ell == 2:
-            # xi_1 = h_{n-1}(Y_1), Y_1 ~ pi
-            weights = np.maximum(np.abs(h), sigma) ** (p - 2.0)
-            return float(np.sum(self.pi * weights * np.abs(gap)))
-        ph = self.P @ h
-        total = 0.0
-        for y_prev in range(self.n_states):
-            for y in range(self.n_states):
-                prob = self.pi[y_prev] * self.P[y_prev, y]
-                xi = h[y] - ph[y_prev]
-                total += prob * max(abs(xi), sigma) ** (p - 2.0) * abs(gap[y])
-        return total
 
     # -- sampling ---------------------------------------------------------------
 
@@ -376,20 +340,13 @@ class RhoMixingChain(Model):
         """
         states = self._states(draws)
         n = self.spec.n
-        rev_h, rev_ph = self._rev_stacks()
-        xi = rev_h[np.arange(n), states]
-        xi[:, 1:] -= rev_ph[np.arange(1, n), states[:, :-1]]
+        h, ph, _ = self._stacks()
+        xi = h[np.arange(n), states]
+        xi[:, 1:] -= ph[np.arange(1, n), states[:, :-1]]
         return xi
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
         return self.f[self._states(draws)].sum(axis=1)
-
-    def _rev_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h_{n-k}, (P h_{n-k})) stacked with row index k-1."""
-        if self._rev is None:
-            h = self._h_stack()[::-1]
-            self._rev = (np.ascontiguousarray(h), h @ self.P.T)
-        return self._rev
 
     def prefix_states_chunk(
         self, master_seed: int, replicates: int, block: int = 0

@@ -57,6 +57,24 @@ def gaussian_min_profile(u) -> np.ndarray:
     return np.maximum(res, 0.0)
 
 
+# The capabilities of independent increments xi_k ~ N(0, sig_k^2), shared by
+# the Gaussian families; each returns what the Model oracle of its name does.
+
+
+def gaussian_ladder_psi(sig: np.ndarray, t: float) -> float:
+    # sigma -> sigma * profile(t delta / sigma) is increasing, so the sup over
+    # k of sig_k * E min((t delta / sig_k) Z^2, |Z|^3) sits at sig_k = delta_n
+    return float(float(np.max(sig)) * gaussian_min_profile(t))
+
+
+def gaussian_ladder_sup_ratio(sig: np.ndarray, p: float) -> tuple[float, float, bool]:
+    return float(np.max(sig ** (p - 2.0))) * normal_abs_moment(p), 0.0, True
+
+
+def gaussian_ladder_abs_sum(sig: np.ndarray, p: float) -> tuple[float, float, bool]:
+    return float(np.sum(sig**p)) * normal_abs_moment(p), 0.0, True
+
+
 class _IIDBase(Model):
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
@@ -94,17 +112,13 @@ class GaussianIID(_IIDBase):
         return g.standard_normal(self.spec.n)
 
     def psi_closed_form(self, t: float) -> float:
-        # sup_k sigma_k * E min((t delta / sigma_k) Z^2, |Z|^3); the map
-        # sigma -> sigma * profile(c / sigma) is increasing, so the sup sits
-        # at sigma_k = delta_n.
-        return float(self._delta * gaussian_min_profile(t))
+        return gaussian_ladder_psi(self.sigma, t)
 
     def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        value = float(np.max(self.sigma ** (p - 2.0))) * normal_abs_moment(p)
-        return value, 0.0, True
+        return gaussian_ladder_sup_ratio(self.sigma, p)
 
     def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
-        return float(np.sum(self.sigma**p)) * normal_abs_moment(p), 0.0, True
+        return gaussian_ladder_abs_sum(self.sigma, p)
 
 
 class RademacherIID(_IIDBase):

@@ -34,6 +34,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, quadrature
 from .base import DEFAULT_CHUNK, Model, ModelSpec, PathMoments
+from .iid import gaussian_ladder_abs_sum, gaussian_ladder_psi, gaussian_ladder_sup_ratio
 
 
 def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
@@ -266,24 +267,16 @@ class LinearStatistic(Model):
     def _sums(self, draws: np.ndarray) -> np.ndarray:
         return draws @ self._weights
 
-    # -- moment capabilities ---------------------------------------------------
+    # -- moment capabilities: the increments are N(0, sigma_k^2) -------------
 
     def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        sig = np.sqrt(self.moments().sigma2)
-        return float(np.max(sig ** (p - 2.0))) * normal_abs_moment(p), 0.0, True
+        return gaussian_ladder_sup_ratio(np.sqrt(self.moments().sigma2), p)
 
     def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
-        sig = np.sqrt(self.moments().sigma2)
-        return float(np.sum(sig**p)) * normal_abs_moment(p), 0.0, True
+        return gaussian_ladder_abs_sum(np.sqrt(self.moments().sigma2), p)
 
     def psi_closed_form(self, t: float) -> float:
-        from .iid import gaussian_min_profile
-
-        sig = np.sqrt(self.moments().sigma2)
-        delta = float(np.max(sig))
-        # increments of the innovation ladder are Gaussian with scales sig_k;
-        # sigma -> sigma * profile(t * delta / sigma) is increasing in sigma.
-        return float(delta * gaussian_min_profile(t))
+        return gaussian_ladder_psi(np.sqrt(self.moments().sigma2), t)
 
     # -- projection-norm sequences for the dependent-sum bound ----------------
 

@@ -220,9 +220,6 @@ class SeedLineage:
         key = np.array(self.philox_key(), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream_id: int) -> "SeedLineage":
-        return SeedLineage(self.master_seed, stream_id)
-
     @staticmethod
     def stream_for(block: int, replicate: int) -> int:
         """Compose the documented stream id for (grid block, replicate)."""

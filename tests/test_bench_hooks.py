@@ -55,3 +55,10 @@ def test_hook_target_takes_the_arguments_it_reads(hook_name):
     for target in targets:
         params = inspect.signature(target).parameters
         assert read <= set(params), f"{hook_name}: {target.__qualname__} lacks {read - set(params)}"
+
+
+@pytest.mark.parametrize("method", traced_cli.MODEL_METHODS)
+def test_traced_model_method_is_defined(method):
+    # the tracer wraps a method only on the classes whose own namespace holds it
+    classes = traced_cli._all_subclasses(traced_cli.Model)
+    assert any(method in vars(cls) for cls in classes), f"no model class defines {method!r}"

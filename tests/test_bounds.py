@@ -55,6 +55,16 @@ def flat_moments(n, v):
     )
 
 
+def combined(bd):
+    """The total by the breakdown's documented combination rule."""
+    vals = [t.value for t in bd.terms]
+    if bd.combination == "sum":
+        return sum(vals)
+    if bd.combination == "powered_sum":
+        return sum(vals) ** bd.power
+    return vals[0] * sum(vals[1:]) ** bd.power
+
+
 def rademacher(n, p=3.0):
     return RademacherIID(spec("rademacher_iid", n, p=p))
 
@@ -207,7 +217,7 @@ class TestMasterBound:
             "sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         )
         assert abs(bd.term("smoothing_floor").value - ADDITIVE_CONST) <= 1e-15
-        assert abs(bd.total - bd.recompute_total()) <= 1e-12
+        assert bd.total == combined(bd)
         assert bd.meta["kappa"] == KAPPA_R1
         assert abs(bd.meta["x_upper"] - math.sqrt(201.0)) <= 1e-12
         assert bd.meta["cubic_constant"] == 1.0
@@ -229,7 +239,7 @@ class TestMasterBound:
         lterm = bd.term("fluctuation_sum")
         assert lterm.exact and lterm.value > 0.0
         assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m, mode="exact")[0]) <= 1e-12
-        assert abs(bd.total - bd.recompute_total()) <= 1e-12
+        assert bd.total == combined(bd)
 
     def test_missing_oracle_raises_before_any_psi_path(self, monkeypatch):
         # sequential_maps has no conditional-variance oracle, so the
@@ -264,7 +274,6 @@ class TestMasterBound:
             return BoundBreakdown(
                 bound_id="theorem1_rhs",
                 terms=(BoundTerm("only", total, 0.0, True, "fake"),),
-                total=total,
                 constants_mode="shape_only",
             )
 
@@ -313,7 +322,7 @@ class TestBerryEsseen:
         assert abs(bd.total - want) <= 1e-12
         assert bd.meta["target_exponent"] == -0.25
         assert bd.meta["log_correction"] is True
-        assert abs(bd.total - bd.recompute_total()) <= 1e-15
+        assert bd.total == combined(bd)
         assert bd.combination == "prefactor_powered_sum"
 
     def test_p_below_three_uses_power_combination(self):
@@ -327,7 +336,7 @@ class TestBerryEsseen:
         m = asymmetric_chain(6)
         bd = berry_esseen_bound(3.0, m, u_mode="exact")
         assert bd.term("fluctuation_sum").value > 0.0
-        assert abs(bd.total - bd.recompute_total()) <= 1e-15
+        assert bd.total == combined(bd)
 
 
 class TestHeydeBrown:
@@ -354,7 +363,7 @@ class TestHeydeBrown:
         bd = heyde_brown_bound(3.0, m, replicates=2000, master_seed=13)
         first = bd.term("bracket_deviation")
         assert not first.exact and first.value > 0.0 and first.se > 0.0
-        assert abs(bd.total - bd.recompute_total()) <= 1e-15
+        assert bd.total == combined(bd)
 
 
 class TestDependentSumBound:
@@ -400,7 +409,7 @@ class TestDependentSumBound:
         bd = linear_statistic_w1_bound(m)
         assert {t.name for t in bd.terms} == {"projection_l2", "bnp"}
         assert all(t.value > 0.0 and t.exact for t in bd.terms)
-        assert abs(bd.total - bd.recompute_total()) <= 1e-12
+        assert bd.total == combined(bd)
         relaxed = linear_statistic_w1_bound(m, spectral_floor=False)
         assert relaxed.term("coefficient_increments").value > 0.0
         assert relaxed.total > bd.total
@@ -418,21 +427,20 @@ class TestBreakdownPlumbing:
                 BoundTerm("a", 3.0, 0.3, False, "f"),
                 BoundTerm("b", 1.0, 0.4, False, "g"),
             ),
-            total=2.0,
             constants_mode="shape_only",
             combination="powered_sum",
             power=0.5,
         )
         # d/ds sqrt(s) at s=4 is 1/4; combined se = 0.5/4.
+        assert bd.total == 2.0
         assert abs(bd.total_se() - 0.25 * 0.5) <= 1e-12
 
     def test_unknown_combination_is_loud(self):
-        bd = BoundBreakdown(
-            bound_id="x", terms=(BoundTerm("a", 1.0, 0.0, True, "f"),),
-            total=1.0, constants_mode="shape_only", combination="product",
-        )
+        terms = (BoundTerm("a", 1.0, 0.0, True, "f"),)
         with pytest.raises(ConfigurationError):
-            bd.recompute_total()
+            BoundBreakdown("x", terms, "shape_only", combination="product")
+        with pytest.raises(ConfigurationError):
+            BoundBreakdown("x", terms, "shape_only", combination="sum", power=0.5)
 
     def test_term_lookup(self):
         bd = berry_esseen_bound(3.0, rademacher(16))
@@ -486,7 +494,7 @@ class TestBoundTable:
         if family in SUPPORTED[tag]:
             bd = BOUNDS[tag](model, 3.0, 0, 1.0)
             assert bd.bound_id == tag
-            assert bd.total == bd.recompute_total()
+            assert bd.total == combined(bd)
         else:
             with pytest.raises(CapabilityError):
                 BOUNDS[tag](model, 3.0, 0, 1.0)

@@ -590,6 +590,22 @@ class TestCliCommands:
         assert run_cli("ratefit", *fit_flags, *grid) == EXIT_IO
         assert not (tmp_path / "stale" / "ratefit.csv").exists()
 
+    @pytest.mark.parametrize(
+        "fit_grid, in_table, configured",
+        [(("--n-grid", "8,16", "--reps", "5000"), "100 replicates", "replicates = 5000"),
+         (("--n-grid", "8,16,32,64", "--reps", "100"), "n = [8, 16]", "n_grid = [8, 16, 32, 64]")],
+    )
+    def test_ratefit_refuses_a_table_of_another_size_or_grid(
+        self, tmp_path, capsys, fit_grid, in_table, configured
+    ):
+        out = tmp_path / "sized"
+        measured = ("--model", "rademacher_iid", "--out", str(out))
+        assert run_cli("distance", *measured, "--n-grid", "8,16", "--reps", "100") == EXIT_OK
+        assert run_cli("ratefit", *measured, *fit_grid) == EXIT_IO
+        assert not (out / "ratefit.csv").exists()
+        err = capsys.readouterr().err
+        assert all(text in err for text in ("distances.csv", in_table, configured))
+
     def test_ratefit_refuses_one_table_for_several_seeds(self, tmp_path):
         out = tmp_path / "seeds"
         grid = ("--n-grid", "8,16", "--reps", "100", "--out", str(out))

@@ -380,6 +380,57 @@ class TestLinearStatistic:
         assert abs(mc - eta[2]) <= 0.01
 
 
+# -- the chain's per-k and per-ell loops, kept as references for its tables ---
+
+
+def reference_h_stack(model):
+    """h_r for r = 0..n-1 as rows; h_r = f + P h_{r-1}."""
+    h = np.empty((model.spec.n, model.n_states))
+    h[0] = model.f
+    for r in range(1, model.spec.n):
+        h[r] = model.f + model.P @ h[r - 1]
+    return h
+
+
+def reference_law(model, k):
+    """The values of xi_k and their probabilities, one k at a time."""
+    h = reference_h_stack(model)[model.spec.n - k]
+    if k == 1:
+        return h.copy(), model.pi.copy()
+    ph = model.P @ h
+    return (h[None, :] - ph[:, None]).ravel(), (model.pi[:, None] * model.P).ravel()
+
+
+def reference_tables(model, p):
+    """sigma_k^2 per k, the gap tables and U_ell(p) per ell, by the loops."""
+    n, S, P, pi = model.spec.n, model.n_states, model.P, model.pi
+    h = reference_h_stack(model)
+    sigma2 = [float(pi @ (h[n - 1] ** 2))]
+    for k in range(2, n + 1):
+        sigma2.append(float(pi @ (h[n - k] ** 2) - pi @ ((P @ h[n - k]) ** 2)))
+    gaps = np.empty((n - 1, S))
+    g, tail = np.zeros(S), 0.0
+    for ell in range(n, 1, -1):
+        hk = h[n - ell]
+        g = P @ (hk**2) - (P @ hk) ** 2 + P @ g
+        tail += sigma2[ell - 1]
+        gaps[ell - 2] = g - tail
+    u = []
+    for ell in range(2, n + 1):
+        sigma, gap, hk = math.sqrt(sigma2[ell - 2]), gaps[ell - 2], h[n - ell + 1]
+        if ell == 2:
+            weights = np.maximum(np.abs(hk), sigma) ** (p - 2.0)
+            u.append(float(np.sum(pi * weights * np.abs(gap))))
+            continue
+        ph, total = P @ hk, 0.0
+        for y_prev in range(S):
+            for y in range(S):
+                xi = hk[y] - ph[y_prev]
+                total += pi[y_prev] * P[y_prev, y] * max(abs(xi), sigma) ** (p - 2.0) * abs(gap[y])
+        u.append(total)
+    return sigma2, gaps, u
+
+
 class TestRhoMixingChain:
     def two_state(self, n, stay=0.75):
         return RhoMixingChain(spec("rho_mixing_chain", n, transition={"rule": "two_state", "stay": stay}))
@@ -425,10 +476,9 @@ class TestRhoMixingChain:
 
     def test_symmetric_chain_has_constant_conditional_variance(self):
         m = self.two_state(8)
-        for ell in range(2, 9):
-            gap = m.conditional_variance_gap(np.array([0, 1]), ell)
-            np.testing.assert_allclose(gap, 0.0, atol=1e-12)
-            assert m.u_exact(ell, 3.0) <= 1e-12
+        np.testing.assert_allclose(m._gap_tables(), 0.0, atol=1e-12)
+        assert m._gap_tables().shape == (7, 2)
+        assert np.all(m.u_exact(3.0) <= 1e-12)
 
     def test_increments_match_path_enumeration(self):
         model = self.asymmetric(6)
@@ -449,7 +499,7 @@ class TestRhoMixingChain:
                 # any enumerated prefix ending in `state` carries the same gap
                 prefix = tuple([1] * (ell - 2) + [state])
                 want = oracle.cond_var_gap(prefix)
-                got = model.conditional_variance_gap(np.array([state]), ell)[0]
+                got = model._gap_tables()[ell - 2][state]
                 assert abs(got - want) <= 1e-12
 
     def test_fluctuation_statistic_matches_path_enumeration(self):
@@ -457,7 +507,7 @@ class TestRhoMixingChain:
         oracle = ChainEnumeration(model.P, model.f, model.pi, 6)
         for p in (2.5, 3.0):
             for ell in (2, 3, 5, 6):
-                assert abs(model.u_exact(ell, p) - oracle.u_ell(ell, p)) <= 1e-12
+                assert abs(model.u_exact(p)[ell - 2] - oracle.u_ell(ell, p)) <= 1e-12
 
     def test_sample_path_increments_are_projection_increments(self):
         # The designated martingale array: xi_k along the sampled path must
@@ -479,7 +529,7 @@ class TestRhoMixingChain:
         for ell in (2, 4):
             samples = model.u_samples(states, ell, 3.0)
             se = float(np.std(samples) / math.sqrt(samples.size))
-            assert abs(float(np.mean(samples)) - model.u_exact(ell, 3.0)) <= 3.0 * se + 1e-12
+            assert abs(float(np.mean(samples)) - model.u_exact(3.0)[ell - 2]) <= 3.0 * se + 1e-12
 
     def test_bracket_mean_is_variance(self):
         model = self.asymmetric(8)
@@ -530,7 +580,7 @@ class TestRhoMixingChain:
         psi = sup = total = 0.0
         moments = []
         for k in range(1, model.spec.n + 1):
-            vals, probs = model.increment_values(k)
+            vals, probs = reference_law(model, k)
             moments.append(float(np.sum(probs * np.abs(vals) ** p)))
             total += moments[-1]
             if sigma2[k - 1] <= 0.0:
@@ -539,6 +589,27 @@ class TestRhoMixingChain:
             psi = max(psi, contrib / sigma2[k - 1])
             sup = max(sup, moments[-1] / sigma2[k - 1])
         return psi, moments, sup, total
+
+    @pytest.mark.parametrize("p", (2.5, 3.0))
+    def test_conditional_tables_match_per_k_and_per_ell_loops(self, p):
+        for model in self.law_chains():
+            sigma2, gaps, u = reference_tables(model, p)
+            assert model.sigma2_ladder().tolist() == sigma2
+            assert np.array_equal(model._gap_tables(), gaps)
+            assert model.u_exact(p).tolist() == u
+            values, probs = model._increment_laws()
+            for k in range(1, model.spec.n + 1):
+                v, q = reference_law(model, k)
+                assert values[k - 1, : v.size].tolist() == v.tolist()
+                assert probs[k - 1, : q.size].tolist() == q.tolist()
+                assert not values[k - 1, v.size :].any() and not probs[k - 1, q.size :].any()
+
+    def test_sampled_increments_are_law_values(self):
+        for model in self.law_chains():
+            values, _ = model._increment_laws()
+            xi = model.increment_matrix(master_seed=59, replicates=300)
+            for k in range(model.spec.n):
+                assert np.isin(xi[:, k], values[k]).all(), (model.model_id, k + 1)
 
     @pytest.mark.parametrize("p", (2.5, 3.0))
     def test_increment_law_table_matches_per_k_loop(self, p):
@@ -723,4 +794,4 @@ class TestBatchPlumbing:
         with pytest.raises(CapabilityError):
             m.sup_moment_ratio(3.0)
         with pytest.raises(CapabilityError):
-            m.conditional_variance_gap(np.zeros(2), 2)
+            m.u_exact(3.0)

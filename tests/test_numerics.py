@@ -201,10 +201,6 @@ class TestSeedLineage:
         with pytest.raises(DomainError):
             SeedLineage(1.5, 0)
 
-    def test_child_changes_stream_only(self):
-        lin = SeedLineage(42, 0).child(9)
-        assert (lin.master_seed, lin.stream_id) == (42, 9)
-
 
 class TestCsvText:
     def test_cells_and_free_text_quoting(self):
