@@ -9,10 +9,10 @@ is ever a single opaque number.
 Unknown absolute constants are never invented: totals are computed with the
 leading constant set to 1 and the breakdown flagged ``shape_only``.  The
 one place explicit constants are known (r = 1: kappa = 6, the two cubic /
-quartic smoothing constants 1 and 8/5) can be requested as
-``explicit_r1``, which records them in the breakdown metadata; the leading
-constant still enters as 1, so both modes produce shape values suitable for
-rate comparisons, not certified numerical bounds.
+quartic smoothing constants 1 and 8/5) is the master bound at r = 1, which
+is flagged ``explicit_r1`` and records them in the breakdown metadata; the
+leading constant still enters as 1, so both modes produce shape values
+suitable for rate comparisons, not certified numerical bounds.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ def psi_n(
     mode: str = "closed_form",
     replicates: int = PSI_REPLICATES,
     master_seed: int = 0,
-    block: int = PSI_BLOCK,
 ) -> tuple[float, float, bool]:
     """sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2  as (value, se, exact).
 
@@ -188,29 +187,29 @@ def psi_n(
         raise DomainError(f"t must be a real >= 0, got {t!r}")
     if t == 0.0 and mode in ("closed_form", "monte_carlo"):
         return 0.0, 0.0, True
-    value, se = _psi_profile(model, mode, replicates, master_seed, block)
+    value, se = _psi_profile(model, mode, replicates, master_seed)
     if se is None:
         return float(value(t)), 0.0, True
     return value(t), se(t), False
 
 
 def _psi_profile(
-    model: Model, mode: str, replicates: int, master_seed: int, block: int
+    model: Model, mode: str, replicates: int, master_seed: int
 ) -> tuple[Callable[[float], float], Optional[Callable[[float], float]]]:
     """psi as a function of t, with its standard error (None when exact)."""
     if mode == "closed_form":
         return model.psi_closed_form, None
     if mode == "monte_carlo":
-        return _psi_mc_profile(model, replicates, master_seed, block)
+        return _psi_mc_profile(model, replicates, master_seed)
     raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
 
 
 def _psi_mc_profile(
-    model: Model, replicates: int, master_seed: int, block: int
+    model: Model, replicates: int, master_seed: int
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Shared-path psi estimator: one increment matrix serves every t."""
     mo = model.moments()
-    xi = model.increment_matrix(master_seed, replicates, block)
+    xi = model.increment_matrix(master_seed, replicates, PSI_BLOCK)
     sigma2 = mo.sigma2
     mask = sigma2 > 0.0
     if not np.any(mask):
@@ -243,7 +242,6 @@ def u_ln(
     model: Model,
     replicates: int = U_REPLICATES,
     master_seed: int = 0,
-    block: int = U_BLOCK,
     mode: str = "auto",
 ) -> tuple[float, float, bool]:
     """E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1} xi_k^2 - sigma_k^2)|].
@@ -256,7 +254,7 @@ def u_ln(
     if not (2 <= ell <= n):
         raise DomainError(f"ell must be in [2, {n}], got {ell!r}")
     return _fluctuation_sum(
-        model, p, (ell,), lambda mo: (1.0,), mode, replicates, master_seed, block
+        model, model.moments(), p, (ell,), (1.0,), mode, replicates, master_seed
     )
 
 
@@ -268,7 +266,6 @@ def l_n(
     mode: str = "auto",
     replicates: int = U_REPLICATES,
     master_seed: int = 0,
-    block: int = U_BLOCK,
 ) -> tuple[float, float, bool]:
     """sum_{ell=2}^n U_ell(p) / (V_n - V_{ell-1} + a^2 delta^2)^((p-r)/2).
 
@@ -280,36 +277,28 @@ def l_n(
     _validate_rp(r, p)
     if not (math.isfinite(a) and a >= 1.0):
         raise DomainError(f"a must be a real >= 1, got {a!r}")
-    n = model.spec.n
-    q = (p - r) / 2.0
-
-    def denominators(mo: PathMoments) -> np.ndarray:
-        a2d2 = a * a * mo.delta_n**2
-        return np.array(
-            [(mo.v_n - mo.partial_v(ell - 1) + a2d2) ** q for ell in range(2, n + 1)]
-        )
-
+    mo = model.moments()
+    # V_n - V_{ell-1} for ell = 2..n as the tail sums of the ladder, added
+    # from the last increment back: one pass and no cancellation
+    tails = np.cumsum(mo.sigma2[:0:-1])[::-1]
+    denoms = (tails + a * a * mo.delta_n**2) ** ((p - r) / 2.0)
     return _fluctuation_sum(
-        model, p, range(2, n + 1), denominators, mode, replicates, master_seed, block
+        model, mo, p, range(2, model.spec.n + 1), denoms, mode, replicates, master_seed
     )
 
 
 def _fluctuation_sum(
-    model: Model, p: float, ells: Sequence[int],
-    denominators: Callable[[PathMoments], Sequence[float]],
-    mode: str, replicates: int, master_seed: int, block: int,
+    model: Model, mo: PathMoments, p: float, ells: Sequence[int],
+    denoms: Sequence[float], mode: str, replicates: int, master_seed: int,
 ) -> tuple[float, float, bool]:
-    """sum over ells of U_ell(p) / denominator as (value, se, exact).
+    """sum over ells of U_ell(p) / denoms as (value, se, exact).
 
-    The denominators are only built when the conditional variances are not
-    constant (otherwise every U_ell is exactly 0).
+    Exactly 0 when the conditional variances are constant (mo says so).
     """
     if mode not in ("auto", "exact", "monte_carlo"):
         raise ConfigurationError(f"unknown fluctuation mode {mode!r}")
-    mo = model.moments()
     if mo.conditional_variance_constant:
         return 0.0, 0.0, True
-    denoms = denominators(mo)
     if mode != "monte_carlo":
         try:
             u = model.u_exact(p)
@@ -318,7 +307,7 @@ def _fluctuation_sum(
         except CapabilityError:
             if mode == "exact":
                 raise
-    states = model.prefix_states_chunk(master_seed, replicates, block)
+    states = model.prefix_states_chunk(master_seed, replicates, U_BLOCK)
     acc = np.zeros(states.shape[0])
     for ell, d in zip(ells, denoms):
         acc += model.u_samples(states, ell, p) / d
@@ -341,13 +330,10 @@ def theorem1_rhs(
     p: float,
     a: float,
     model: Model,
-    constants_mode: str = "shape_only",
-    kappa: Optional[float] = None,
     psi_mode: str = "closed_form",
     u_mode: str = "auto",
     replicates: int = U_REPLICATES,
     master_seed: int = 0,
-    grid_points: int = PSI_GRID_POINTS,
 ) -> BoundBreakdown:
     """Four-term smoothing bound on the ideal metric of order r.
 
@@ -356,23 +342,12 @@ def theorem1_rhs(
     term 3  the conditional-variance fluctuation sum           (exact or MC)
     term 4  4*sqrt(2) * a^r * delta^r                          (closed form)
 
-    X = sqrt(v_n(a))/delta.  The leading constant multiplying terms 1-3 is
-    unknown and entered as 1; ``explicit_r1`` (r = 1 only) records the
-    explicit smoothing constants in the metadata.
+    X = sqrt(v_n(a))/delta and kappa = 6.  The leading constant multiplying
+    terms 1-3 is unknown and entered as 1; at r = 1, where the explicit
+    smoothing constants are known, the breakdown is flagged ``explicit_r1``
+    and records them in the metadata, and otherwise it is ``shape_only``.
     """
     _validate_rp(r, p)
-    if not (math.isfinite(a) and a >= 1.0):
-        raise DomainError(f"a must be a real >= 1, got {a!r}")
-    if constants_mode not in ("shape_only", "explicit_r1"):
-        raise ConfigurationError(f"unknown constants_mode {constants_mode!r}")
-    if constants_mode == "explicit_r1" and r != 1.0:
-        raise ConfigurationError("explicit_r1 constants are only available for r = 1")
-    if grid_points < 9 or grid_points % 2 == 0:
-        raise ConfigurationError("grid_points must be an odd integer >= 9")
-    kappa = KAPPA_R1 if kappa is None else float(kappa)
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
-
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
@@ -387,9 +362,7 @@ def theorem1_rhs(
         p, r, a, model, mode=u_mode, replicates=replicates, master_seed=master_seed
     )
 
-    t2, t2_se, t2_exact = _psi_term(
-        model, mo, r, a, x_hi, kappa, psi_mode, replicates, master_seed, grid_points
-    )
+    t2, t2_se, t2_exact = _psi_term(model, mo, r, a, x_hi, psi_mode, replicates, master_seed)
 
     t4 = ADDITIVE_CONST * a**r * delta**r
 
@@ -428,7 +401,7 @@ def theorem1_rhs(
         "r": r,
         "p": p,
         "a": a,
-        "kappa": kappa,
+        "kappa": KAPPA_R1,
         "x_upper": x_hi,
         "v_n_of_a": va,
         "delta_n": delta,
@@ -436,6 +409,7 @@ def theorem1_rhs(
         "psi_mode": psi_mode,
         "u_mode": u_mode,
     }
+    constants_mode = "explicit_r1" if r == 1.0 else "shape_only"
     if constants_mode == "explicit_r1":
         meta["kappa_explicit"] = KAPPA_R1
         meta["cubic_constant"] = C_R1_CUBIC
@@ -455,11 +429,9 @@ def _psi_term(
     r: float,
     a: float,
     x_hi: float,
-    kappa: float,
     psi_mode: str,
     replicates: int,
     master_seed: int,
-    grid_points: int,
 ) -> tuple[float, float, bool]:
     """delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx on a log grid.
 
@@ -467,16 +439,16 @@ def _psi_term(
     the trapezoid on the uniform u-grid is paired with its half-resolution
     restriction for a Richardson error estimate.
     """
-    value_fn, se_fn = _psi_profile(model, psi_mode, replicates, master_seed, PSI_BLOCK)
-    u = np.linspace(math.log(a), math.log(x_hi), grid_points)
+    value_fn, se_fn = _psi_profile(model, psi_mode, replicates, master_seed)
+    u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
     x = np.exp(u)
-    g = np.array([value_fn(kappa * xi) for xi in x]) * np.exp(u * (r - 1.0))
+    g = np.array([value_fn(KAPPA_R1 * xi) for xi in x]) * np.exp(u * (r - 1.0))
     fine = float(_trapezoid(g, u))
     coarse = float(_trapezoid(g[::2], u[::2]))
     richardson = abs(fine - coarse) / 3.0
     mc_se = 0.0
     if se_fn is not None:
-        ses = np.array([se_fn(kappa * xi) for xi in x]) * np.exp(u * (r - 1.0))
+        ses = np.array([se_fn(KAPPA_R1 * xi) for xi in x]) * np.exp(u * (r - 1.0))
         mc_se = float(_trapezoid(ses, u))
     delta = mo.delta_n
     scale = delta ** (r - 1.0)
@@ -520,12 +492,10 @@ def corollary_w1_bound(
     _validate_rp(r, p)
     if r > 1.0:
         raise DomainError(f"the transport display needs r in (0, 1], got {r!r}")
-    if not (math.isfinite(a) and a >= 1.0):
-        raise DomainError(f"a must be a real >= 1, got {a!r}")
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
-    sup, sup_se, sup_exact = model.sup_moment_ratio(p)
+    sup = model.sup_moment_ratio(p)
     if p == 3.0 and r == 1.0:
         factor = math.log(math.sqrt(va) / delta)
         display = "log"
@@ -548,8 +518,8 @@ def corollary_w1_bound(
         BoundTerm(
             name="moment_ratio_term",
             value=float(sup * factor),
-            se=float(sup_se * abs(factor)),
-            exact=sup_exact,
+            se=0.0,
+            exact=True,
             formula=mid_formula,
         ),
         BoundTerm(
@@ -604,7 +574,7 @@ def berry_esseen_bound(
         raise DomainError(f"p must lie in (2, 3], got {p!r}")
     mo = model.moments()
     target = berry_esseen_target_exponent(p)
-    sup, sup_se, sup_exact = model.sup_moment_ratio(p)
+    sup = model.sup_moment_ratio(p)
     if p < 3.0:
         r = p - 2.0
         factor = 1.0
@@ -629,8 +599,8 @@ def berry_esseen_bound(
         BoundTerm(
             name="moment_ratio_term",
             value=float(sup * factor),
-            se=float(sup_se * factor),
-            exact=sup_exact,
+            se=0.0,
+            exact=True,
             formula=mid_formula,
         ),
         BoundTerm(
@@ -663,7 +633,6 @@ def heyde_brown_bound(
     model: Model,
     replicates: int = U_REPLICATES,
     master_seed: int = 0,
-    block: int = HB_BLOCK,
 ) -> BoundBreakdown:
     """Classical quadratic-variation bound shape, for comparison plots.
 
@@ -676,12 +645,11 @@ def heyde_brown_bound(
     if mo.conditional_variance_constant:
         first, first_se, first_exact = 0.0, 0.0, True
     else:
-        states = model.prefix_states_chunk(master_seed, replicates, block)
+        states = model.prefix_states_chunk(master_seed, replicates, HB_BLOCK)
         dev = np.abs(model.bracket_samples(states) / mo.v_n - 1.0) ** (p / 2.0)
         first = float(dev.mean())
         first_se = float(dev.std(ddof=1) / math.sqrt(dev.size))
         first_exact = False
-    ssum, ssum_se, ssum_exact = model.sum_abs_moments(p)
     vpow = mo.v_n ** (-p / 2.0)
     terms = (
         BoundTerm(
@@ -693,9 +661,9 @@ def heyde_brown_bound(
         ),
         BoundTerm(
             name="lyapunov_sum",
-            value=float(vpow * ssum),
-            se=float(vpow * ssum_se),
-            exact=ssum_exact,
+            value=float(vpow * model.sum_abs_moments(p)),
+            se=0.0,
+            exact=True,
             formula="V_n^(-p/2) * sum_k E|xi_k|^p",
         ),
     )
@@ -879,7 +847,7 @@ def _at_a(
 # the family has no oracle for raises CapabilityError.
 BOUNDS: dict[str, Callable[[Model, float, int, Optional[float]], BoundBreakdown]] = {
     "theorem1_rhs": lambda model, p, seed, a: _at_a(
-        lambda x: theorem1_rhs(1.0, p, x, model, constants_mode="explicit_r1", master_seed=seed),
+        lambda x: theorem1_rhs(1.0, p, x, model, master_seed=seed),
         model, a,
     ),
     "w1_upper": lambda model, p, seed, a: _at_a(

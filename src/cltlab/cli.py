@@ -187,10 +187,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         updates["outputs"] = str(args.out)
     if args.a is not None:
         if args.a == "auto":
-            updates["a_mode"], updates["a_value"] = "auto", 1.0
+            updates["a"] = None
         else:
             try:
-                updates["a_mode"], updates["a_value"] = "fixed", float(args.a)
+                updates["a"] = float(args.a)
             except ValueError:
                 raise ConfigurationError(f"--a must be a real >= 1 or 'auto', got {args.a!r}") from None
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -280,12 +280,11 @@ def _print_breakdown(n: int, bd: _bounds.BoundBreakdown) -> None:
 def cmd_bounds(cfg: ExperimentConfig) -> int:
     out = _ensure_out(cfg)
     tags = cfg.bound_requests or _bounds.DEFAULT_BOUNDS[cfg.model.family]
-    a = None if cfg.a_mode == "auto" else cfg.a_value
     breakdowns = []
     metas = []
     for i, n, model in _grid_models(cfg):
         for tag in tags:
-            bd = _bounds.BOUNDS[tag](model, cfg.model.p, cfg.master_seed, a)
+            bd = _bounds.BOUNDS[tag](model, cfg.model.p, cfg.master_seed, cfg.a)
             breakdowns.append(bd)
             metas.append({"n": n, "bound_id": bd.bound_id, "meta": _plain(bd.meta)})
             _print_breakdown(n, bd)

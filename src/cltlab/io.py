@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import io as _io
 import json
+import math
 import platform
 import struct
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .bounds import BOUNDS
 from .distances import DISTANCE_CSV_COLUMNS, DistanceReport
 from .errors import ConfigurationError, DataFormatError
-from .models import KNOWN_FAMILIES, ModelSpec
+from .models import ModelSpec
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -61,8 +62,8 @@ class ExperimentConfig:
 
     ``model`` carries the family, p, and family parameters; its n field is
     the template value and is replaced by each grid point when the runner
-    instantiates per-n models.  ``a_mode`` is "fixed" or "auto"; ``a_value``
-    is the fixed inflation parameter (ignored under auto).
+    instantiates per-n models.  ``a`` is the fixed inflation parameter, or
+    None to let the bound table choose it (written "auto" in documents).
     """
 
     model: ModelSpec
@@ -71,8 +72,7 @@ class ExperimentConfig:
     master_seed: int
     outputs: str
     bound_requests: tuple[str, ...]
-    a_mode: str = "fixed"
-    a_value: float = 1.0
+    a: Optional[float] = 1.0
     distance_kind: str = "kolmogorov"
     target_exponent: Optional[float] = None
     tolerance: float = 0.05
@@ -105,16 +105,18 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"unknown bound tag {tag!r}; known tags: {', '.join(KNOWN_BOUND_TAGS)}"
                 )
-        if self.a_mode not in ("fixed", "auto"):
-            raise ConfigurationError(f"a_mode must be 'fixed' or 'auto', got {self.a_mode!r}")
-        if self.a_mode == "fixed" and not (
-            isinstance(self.a_value, (int, float)) and self.a_value >= 1.0
-        ):
-            raise ConfigurationError(f"fixed a must be a real >= 1, got {self.a_value!r}")
+        if self.a is not None and not (_finite(self.a) and self.a >= 1.0):
+            raise ConfigurationError(f"a must be a finite real >= 1 or 'auto', got {self.a!r}")
         if self.distance_kind not in ("kolmogorov", "w1", "w1_normalized"):
             raise ConfigurationError(f"unknown distance_kind {self.distance_kind!r}")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0.0):
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (_finite(self.tolerance) and self.tolerance > 0.0):
+            raise ConfigurationError(
+                f"tolerance must be a finite positive real, got {self.tolerance!r}"
+            )
+        if self.target_exponent is not None and not _finite(self.target_exponent):
+            raise ConfigurationError(
+                f"target_exponent must be a finite real, got {self.target_exponent!r}"
+            )
         if not isinstance(self.fit_seeds, int) or self.fit_seeds < 1:
             raise ConfigurationError(f"fit_seeds must be a positive integer, got {self.fit_seeds!r}")
         if self.master_seed + self.fit_seeds - 1 >= 2**64:
@@ -142,7 +144,7 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "outputs": self.outputs,
             "bound_requests": list(self.bound_requests),
-            "a": "auto" if self.a_mode == "auto" else float(self.a_value),
+            "a": "auto" if self.a is None else float(self.a),
             "distance_kind": self.distance_kind,
             "tolerance": self.tolerance,
             "fit_seeds": self.fit_seeds,
@@ -153,6 +155,10 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return sha256_text(canonical_json(self.to_json_dict()))
+
+
+def _finite(x: Any) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def _plain(obj: Any) -> Any:
@@ -223,14 +229,9 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     model_doc = doc.get("model")
     if not isinstance(model_doc, Mapping):
         raise ConfigurationError("config needs a 'model' object")
-    family = model_doc.get("family")
-    if family not in KNOWN_FAMILIES:
-        raise ConfigurationError(
-            f"unknown model family {family!r}; known: {', '.join(KNOWN_FAMILIES)}"
-        )
     try:
         spec = ModelSpec(
-            family=family,
+            family=model_doc.get("family"),
             n=int(model_doc.get("n", 0)),
             p=float(model_doc.get("p", 3.0)),
             params=dict(model_doc.get("params", {})),
@@ -246,13 +247,13 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"n_grid must be a list of integers: {exc}") from exc
 
-    a_raw = doc.get("a", 1.0)
-    if a_raw == "auto":
-        a_mode, a_value = "auto", 1.0
-    elif isinstance(a_raw, (int, float)) and not isinstance(a_raw, bool):
-        a_mode, a_value = "fixed", float(a_raw)
+    a = doc.get("a", 1.0)
+    if a == "auto":
+        a = None
+    elif isinstance(a, (int, float)) and not isinstance(a, bool):
+        a = float(a)
     else:
-        raise ConfigurationError(f"a must be a real >= 1 or 'auto', got {a_raw!r}")
+        raise ConfigurationError(f"a must be a real >= 1 or 'auto', got {a!r}")
 
     target = doc.get("target_exponent")
     if target is not None:
@@ -268,8 +269,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         master_seed=int(doc.get("master_seed", 0)),
         outputs=str(doc.get("outputs", "out")),
         bound_requests=tuple(doc.get("bound_requests", ())),
-        a_mode=a_mode,
-        a_value=a_value,
+        a=a,
         distance_kind=str(doc.get("distance_kind", "kolmogorov")),
         target_exponent=target,
         tolerance=float(doc.get("tolerance", 0.05)),

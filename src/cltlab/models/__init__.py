@@ -5,7 +5,6 @@
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
 from .base import (
     DEFAULT_CHUNK,
     KNOWN_FAMILIES,
@@ -32,10 +31,7 @@ _FAMILY_CLASSES = {
 
 def make_model(spec: ModelSpec) -> Model:
     """Instantiate (and fully validate) the family named by the spec."""
-    cls = _FAMILY_CLASSES.get(spec.family)
-    if cls is None:
-        raise ConfigurationError(f"unknown model family {spec.family!r}")
-    return cls(spec)
+    return _FAMILY_CLASSES[spec.family](spec)
 
 
 __all__ = [

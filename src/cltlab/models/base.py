@@ -28,7 +28,10 @@ Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 index at once, ``u_samples`` over ``prefix_states_chunk``,
 ``bracket_samples``, ``projection_norms``, ``k_n``, ``c_n``) is defined once
 on ``Model`` and raises CapabilityError there; a family declares a
-capability by overriding it.
+capability by overriding it.  ψ, the two moment sums and ``u_exact`` are
+exact and return plain floats (an array for ``u_exact``); ``u_samples`` and
+``bracket_samples`` return per-path samples that the bound evaluators
+average into a value and its standard error.
 """
 
 from __future__ import annotations
@@ -150,12 +153,6 @@ class PathMoments:
         if abs(self.delta_n - expected_delta) > 1e-9 * max(1.0, expected_delta):
             raise DomainError("delta_n must equal max_k sigma_k")
 
-    def partial_v(self, ell: int) -> float:
-        """Sum of sigma2 over the first ell increments (V_ell)."""
-        if not (0 <= ell <= self.sigma2.size):
-            raise DomainError(f"ell out of range: {ell}")
-        return float(np.sum(self.sigma2[:ell]))
-
 
 @dataclass(frozen=True)
 class PathSample:
@@ -212,12 +209,12 @@ class Model:
         """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2, exact."""
         raise CapabilityError(f"{self.model_id} has no closed-form psi profile; use monte_carlo")
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        """sup_k E|xi_k|^p / sigma_k^2 as (value, se, exact)."""
+    def sup_moment_ratio(self, p: float) -> float:
+        """sup_k E|xi_k|^p / sigma_k^2, exact."""
         raise CapabilityError(f"{self.model_id} cannot evaluate sup moment ratio")
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
-        """sum_k E|xi_k|^p as (value, se, exact)."""
+    def sum_abs_moments(self, p: float) -> float:
+        """sum_k E|xi_k|^p, exact."""
         raise CapabilityError(f"{self.model_id} cannot evaluate absolute moment sums")
 
     def u_exact(self, p: float) -> np.ndarray:

@@ -191,12 +191,12 @@ class CELowerBound(Model):
             p = self.params.p
         return normal_abs_moment(p) + 5.0 ** (p - 2.0)
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        return max(normal_abs_moment(p), self.tail_abs_moment(p)), 0.0, True
+    def sup_moment_ratio(self, p: float) -> float:
+        return max(normal_abs_moment(p), self.tail_abs_moment(p))
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
+    def sum_abs_moments(self, p: float) -> float:
         cp = self.params
-        return cp.m * normal_abs_moment(p) + cp.k * self.tail_abs_moment(p), 0.0, True
+        return cp.m * normal_abs_moment(p) + cp.k * self.tail_abs_moment(p)
 
     def psi_closed_form(self, t: float) -> float:
         # Prefix increments are standard Gaussian; post-split increments are

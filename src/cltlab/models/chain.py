@@ -255,12 +255,12 @@ class RhoMixingChain(Model):
         values, probs = self._increment_laws()
         return self._expectations(probs * np.abs(values) ** p)
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        return self._sup_ratio(self.increment_abs_moments(p)), 0.0, True
+    def sup_moment_ratio(self, p: float) -> float:
+        return self._sup_ratio(self.increment_abs_moments(p))
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
+    def sum_abs_moments(self, p: float) -> float:
         # added left to right, one k at a time; np.sum would pair them differently
-        return float(np.cumsum(self.increment_abs_moments(p))[-1]), 0.0, True
+        return float(np.cumsum(self.increment_abs_moments(p))[-1])
 
     def psi_closed_form(self, t: float) -> float:
         values, probs = self._increment_laws()

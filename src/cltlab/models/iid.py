@@ -67,12 +67,12 @@ def gaussian_ladder_psi(sig: np.ndarray, t: float) -> float:
     return float(float(np.max(sig)) * gaussian_min_profile(t))
 
 
-def gaussian_ladder_sup_ratio(sig: np.ndarray, p: float) -> tuple[float, float, bool]:
-    return float(np.max(sig ** (p - 2.0))) * normal_abs_moment(p), 0.0, True
+def gaussian_ladder_sup_ratio(sig: np.ndarray, p: float) -> float:
+    return float(np.max(sig ** (p - 2.0))) * normal_abs_moment(p)
 
 
-def gaussian_ladder_abs_sum(sig: np.ndarray, p: float) -> tuple[float, float, bool]:
-    return float(np.sum(sig**p)) * normal_abs_moment(p), 0.0, True
+def gaussian_ladder_abs_sum(sig: np.ndarray, p: float) -> float:
+    return float(np.sum(sig**p)) * normal_abs_moment(p)
 
 
 class _IIDBase(Model):
@@ -104,29 +104,21 @@ class _IIDBase(Model):
 class GaussianIID(_IIDBase):
     """xi_k = sigma_k Z_k; the normalized sum is exactly standard Gaussian."""
 
-    @property
-    def model_id(self) -> str:
-        return f"gaussian_iid(n={self.spec.n})"
-
     def _draw_row(self, g: np.random.Generator) -> np.ndarray:
         return g.standard_normal(self.spec.n)
 
     def psi_closed_form(self, t: float) -> float:
         return gaussian_ladder_psi(self.sigma, t)
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
+    def sup_moment_ratio(self, p: float) -> float:
         return gaussian_ladder_sup_ratio(self.sigma, p)
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
+    def sum_abs_moments(self, p: float) -> float:
         return gaussian_ladder_abs_sum(self.sigma, p)
 
 
 class RademacherIID(_IIDBase):
     """xi_k = sigma_k eps_k with fair signs; the canonical lattice example."""
-
-    @property
-    def model_id(self) -> str:
-        return f"rademacher_iid(n={self.spec.n})"
 
     def _draw_row(self, g: np.random.Generator) -> np.ndarray:
         return 2.0 * g.integers(0, 2, self.spec.n).astype(float) - 1.0
@@ -136,8 +128,8 @@ class RademacherIID(_IIDBase):
         # increasing in sigma_k, so the sup is min(t, 1) * delta.
         return float(self._delta * min(t, 1.0))
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
-        return float(np.max(self.sigma ** (p - 2.0))), 0.0, True
+    def sup_moment_ratio(self, p: float) -> float:
+        return float(np.max(self.sigma ** (p - 2.0)))
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
-        return float(np.sum(self.sigma**p)), 0.0, True
+    def sum_abs_moments(self, p: float) -> float:
+        return float(np.sum(self.sigma**p))

@@ -269,10 +269,10 @@ class LinearStatistic(Model):
 
     # -- moment capabilities: the increments are N(0, sigma_k^2) -------------
 
-    def sup_moment_ratio(self, p: float) -> tuple[float, float, bool]:
+    def sup_moment_ratio(self, p: float) -> float:
         return gaussian_ladder_sup_ratio(np.sqrt(self.moments().sigma2), p)
 
-    def sum_abs_moments(self, p: float) -> tuple[float, float, bool]:
+    def sum_abs_moments(self, p: float) -> float:
         return gaussian_ladder_abs_sum(np.sqrt(self.moments().sigma2), p)
 
     def psi_closed_form(self, t: float) -> float:

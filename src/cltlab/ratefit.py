@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import ConfigurationError, DomainError
 from .numerics import csv_text
@@ -254,7 +254,8 @@ def fit_replicated(
     intercepts = np.array([f[1] for f in fits])
     logcs = np.array([f[3] for f in fits])
     k = exps.size
-    tq = float(stats.t.ppf(0.975, k - 1))
+    # the 97.5 % quantile of Student's t with k - 1 degrees of freedom
+    tq = float(stdtrit(k - 1, 0.975))
     exponent = float(exps.mean())
     ci = tq * float(exps.std(ddof=1)) / math.sqrt(k)
     log_corrected = float(np.nanmean(logcs))

@@ -52,7 +52,7 @@ from cltlab.io import (
     write_manifest,
     write_text,
 )
-from cltlab.models import ModelSpec
+from cltlab.models import KNOWN_FAMILIES, ModelSpec
 from cltlab.numerics import SeedLineage
 
 
@@ -91,7 +91,7 @@ class TestParseConfig:
         assert cfg.n_grid == (8, 16)
         assert cfg.replicates == 100
         assert cfg.master_seed == 7
-        assert (cfg.a_mode, cfg.a_value) == ("fixed", 2.0)
+        assert cfg.a == 2.0
         assert cfg.distance_kind == "w1"
         assert cfg.target_exponent == -0.5
         assert cfg.tolerance == 0.1
@@ -111,7 +111,7 @@ class TestParseConfig:
         assert cfg.master_seed == 0
         assert cfg.outputs == "out"
         assert cfg.bound_requests == ()
-        assert (cfg.a_mode, cfg.a_value) == ("fixed", 1.0)
+        assert cfg.a == 1.0
         assert cfg.distance_kind == "kolmogorov"
         assert cfg.target_exponent is None
         assert cfg.tolerance == 0.05
@@ -119,7 +119,7 @@ class TestParseConfig:
 
     def test_auto_a(self):
         cfg = parse_config(config_doc(a="auto"))
-        assert cfg.a_mode == "auto"
+        assert cfg.a is None
         assert cfg.to_json_dict()["a"] == "auto"
 
     def bad_documents():
@@ -155,6 +155,27 @@ class TestParseConfig:
     def test_rejected_documents(self, name, doc):
         with pytest.raises(ConfigurationError):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("a", math.inf),
+            ("a", math.nan),
+            ("tolerance", math.inf),
+            ("target_exponent", math.nan),
+            ("target_exponent", -math.inf),
+        ],
+    )
+    def test_nonfinite_values_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            parse_config(config_doc(**{key: value}))
+
+    def test_unknown_family_names_the_known_ones(self):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(config_doc(model={"family": "weibull", "n": 8}))
+        message = str(err.value)
+        assert message.startswith("bad model block: unknown model family 'weibull'")
+        assert all(family in message for family in KNOWN_FAMILIES)
 
     def test_seed_range_must_stay_below_2_64(self):
         assert parse_config(config_doc(master_seed=2**64 - 2, fit_seeds=2)).fit_seeds == 2
@@ -415,7 +436,7 @@ class TestCliParsing:
         assert cfg.outputs == str(tmp_path / "o2")
         assert cfg.n_grid == (32, 64)
         assert cfg.model.p == 2.5
-        assert cfg.a_mode == "auto"
+        assert cfg.a is None
 
     def test_config_or_model_required(self):
         args = build_parser().parse_args(["distance"])
@@ -654,6 +675,24 @@ class TestCliCommands:
         argv = [str(bad) if a == "BADJSON" else a for a in argv]
         argv = [str(tmp_path / "nope.json") if a == "MISSING" else a for a in argv]
         assert main(argv) == code
+
+    def test_nonfinite_a_flag_exits_2_before_any_table(self, tmp_path):
+        out = tmp_path / "d"
+        rc = run_cli("distance", "--model", "rademacher_iid", "--n-grid", "8",
+                     "--reps", "100", "--a", "inf", "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert not (out / "distances.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("a", math.inf), ("tolerance", math.inf), ("target_exponent", math.nan)]
+    )
+    def test_nonfinite_config_value_exits_2_before_any_table(self, tmp_path, key, value):
+        # json.loads reads the Infinity and NaN literals that json.dumps writes
+        out = tmp_path / "d"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_doc(outputs=str(out), **{key: value})), encoding="utf-8")
+        assert run_cli("distance", "--config", str(path)) == EXIT_CONFIG
+        assert not (out / "distances.csv").exists()
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLTLAB_THREADS", "several")

@@ -81,19 +81,6 @@ class TestPathMoments:
                 conditional_variance_constant=True,
             )
 
-    def test_partial_v(self):
-        m = PathMoments(
-            sigma2=np.array([1.0, 4.0]),
-            v_n=5.0,
-            delta_n=2.0,
-            conditional_variance_constant=True,
-        )
-        assert m.partial_v(0) == 0.0
-        assert m.partial_v(1) == 1.0
-        assert m.partial_v(2) == 5.0
-        with pytest.raises(DomainError):
-            m.partial_v(3)
-
 
 class TestIIDFamilies:
     def test_affine_schedule_variance(self):
@@ -120,8 +107,8 @@ class TestIIDFamilies:
 
     def test_rademacher_moment_capabilities(self):
         m = RademacherIID(spec("rademacher_iid", 10))
-        assert m.sup_moment_ratio(3.0) == (1.0, 0.0, True)
-        assert m.sum_abs_moments(2.5) == (10.0, 0.0, True)
+        assert m.sup_moment_ratio(3.0) == 1.0
+        assert m.sum_abs_moments(2.5) == 10.0
         assert m.psi_closed_form(0.3) == 0.3
         assert m.psi_closed_form(7.0) == 1.0
 
@@ -618,15 +605,15 @@ class TestRhoMixingChain:
                 psi, moments, sup, total = self.per_k_reference(model, t, p)
                 assert model.psi_closed_form(t) == psi
             assert model.increment_abs_moments(p).tolist() == moments
-            assert model.sup_moment_ratio(p) == (sup, 0.0, True)
-            assert model.sum_abs_moments(p) == (total, 0.0, True)
+            assert model.sup_moment_ratio(p) == sup
+            assert model.sum_abs_moments(p) == total
 
     def test_periodic_chain_skips_zero_variance_increments(self):
         m = self.law_chains()[3]
         assert np.all(m.sigma2_ladder()[1:] == 0.0)
         # only xi_1 = h_6(Y_1) = +-1 counts: E min(t xi^2, |xi|^3) / 1
         assert m.psi_closed_form(0.5) == 0.5
-        assert m.sup_moment_ratio(3.0)[0] == 1.0
+        assert m.sup_moment_ratio(3.0) == 1.0
 
     def test_window_ratio_matches_running_sum_loop(self):
         for model in (*self.law_chains()[:3], self.two_state(300, stay=0.25)):

@@ -5,12 +5,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cltlab
 from cltlab.errors import ConfigurationError, DomainError
 from cltlab.ratefit import (
     MIN_DECADES,
@@ -228,6 +233,15 @@ class TestFitReplicated:
         assert r.ci_halfwidth > 0.0
         assert r.meta["log_corrected_ci_halfwidth"] >= 0.0
 
+    def test_halfwidth_is_the_t_interval(self):
+        # eight seeds: the 97.5 % quantile of Student's t with 7 degrees of
+        # freedom is 2.364624251592784
+        series = [power_series(1.0, -0.25 + 0.01 * j) for j in range(8)]
+        slopes = np.array([fit(s, target=-0.25).exponent for s in series])
+        r = fit_replicated(series, target=-0.25)
+        expected = 2.364624251592784 * float(slopes.std(ddof=1)) / math.sqrt(8)
+        assert abs(r.ci_halfwidth - expected) <= 1e-12 * expected
+
     def test_needs_at_least_two_series(self):
         with pytest.raises(ConfigurationError, match="at least two"):
             fit_replicated([power_series(1.0, -0.25)], target=-0.25)
@@ -284,3 +298,14 @@ class TestCsvRows:
         header, row = csv.reader(results_to_csv([r]).splitlines())
         assert len(header) == len(row) == 14
         assert row[13] == 'a "b", c'
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import and every CLI run pays it
+    src = str(Path(cltlab.__file__).resolve().parents[1])
+    code = "import sys, cltlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    assert out.stdout.strip() == "False"
