@@ -423,6 +423,8 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.n_grid) if args.n_grid else (64, 256, 1024)
     reps = args.reps if args.reps is not None else DEFAULT_REPLICATES
     seed = args.seed if args.seed is not None else 0
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"--seed must be an unsigned 64-bit integer, got {seed!r}")
     threads = worker_threads()
 
     # the whole grid must satisfy the construction's hypotheses before any work

@@ -8,9 +8,9 @@ index without changing a single output byte.
 
 Each family implements one draw kernel and the maps over it:
 
-* ``_draw_row(g)``      spends one replicate's generator in the family's
-                         documented draw order and returns the row of draws
-                         (width ``_draw_width()``),
+* ``_draw_row(g, row)`` spends one replicate's generator in the family's
+                         documented draw order, writing its draws into
+                         ``row`` (width ``_draw_width()``) in place,
 * ``_increments(D)``    (chunk, n) martingale increments from the stacked
                          (chunk, width) draw matrix D,
 * ``_sums(D)``          (chunk,) raw path sums from D, with the family's own
@@ -18,10 +18,12 @@ Each family implements one draw kernel and the maps over it:
                          addition of the increments would lose it),
 * ``moments()``         the exact per-increment variance ladder.
 
-``Model`` owns the only generator loop: ``statistic_range`` and
-``increment_matrix`` apply the maps chunk by chunk, and ``sample_path`` is a
-chunk of one.  ``statistic_values`` turns the sums into the normalized
-statistic samples the distance pipeline consumes.
+``Model`` owns the only generator loop, ``_draws``: a chunk checks its seed
+and replicate range once and re-keys one Philox per replicate
+(``SeedLineage.generators``).  ``statistic_range`` and ``increment_matrix``
+apply the maps chunk by chunk, and ``sample_path`` is a chunk of one.
+``statistic_values`` turns the sums into the normalized statistic samples
+the distance pipeline consumes.
 
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -191,8 +193,8 @@ class Model:
         """Number of draws one replicate's row holds."""
         return self.spec.n
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
-        """One replicate's draws, in the family's documented order."""
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
+        """Write one replicate's draws into row, in the family's documented order."""
         raise NotImplementedError
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
@@ -254,11 +256,11 @@ class Model:
     def chunk_size(self) -> int:
         return max(64, min(DEFAULT_CHUNK, self.draw_budget // self._draw_width()))
 
-    def _draws(self, lineages: Sequence[SeedLineage]) -> np.ndarray:
-        """The stacked (len(lineages), width) draw matrix, one generator a row."""
-        draws = np.empty((len(lineages), self._draw_width()))
-        for i, lineage in enumerate(lineages):
-            draws[i] = self._draw_row(lineage.generator())
+    def _draws(self, first: SeedLineage, count: int) -> np.ndarray:
+        """The stacked (count, width) draw matrix of the streams from first on."""
+        draws = np.empty((count, self._draw_width()))
+        for row, g in zip(draws, first.generators(count)):
+            self._draw_row(g, row)
         return draws
 
     def _map_chunks(
@@ -273,16 +275,13 @@ class Model:
         chunk = self.chunk_size()
         for done in range(0, out.shape[0], chunk):
             c = min(chunk, out.shape[0] - done)
-            lineages = [
-                SeedLineage(master_seed, SeedLineage.stream_for(block, start + done + j))
-                for j in range(c)
-            ]
-            out[done : done + c] = fn(self._draws(lineages))
+            first = SeedLineage(master_seed, SeedLineage.stream_for(block, start + done))
+            out[done : done + c] = fn(self._draws(first, c))
         return out
 
     def sample_path(self, lineage: SeedLineage) -> PathSample:
         """One path: the maps applied to a chunk of one."""
-        draws = self._draws([lineage])
+        draws = self._draws(lineage, 1)
         return PathSample(self._increments(draws)[0], float(self._sums(draws)[0]))
 
     def statistic_range(

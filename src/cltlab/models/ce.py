@@ -135,9 +135,10 @@ class CELowerBound(Model):
 
     # -- path generation ---------------------------------------------------
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
         """Fixed draw order: m Gaussians, then k uniforms."""
-        return np.concatenate((g.standard_normal(self.params.m), g.random(self.params.k)))
+        g.standard_normal(out=row[: self.params.m])
+        g.random(out=row[self.params.m :])
 
     def _split(self, draws: np.ndarray) -> tuple[np.ndarray, ...]:
         """(S_m, uniforms, in-window mask, first-branch mask) per row."""

@@ -316,9 +316,9 @@ class RhoMixingChain(Model):
 
     # -- sampling ---------------------------------------------------------------
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
         """n uniforms in time order."""
-        return g.random(self.spec.n)
+        g.random(out=row)
 
     def _states(self, draws: np.ndarray) -> np.ndarray:
         """(chunk, n) state paths Y_1..Y_n, vectorized across the chunk."""

@@ -104,8 +104,8 @@ class _IIDBase(Model):
 class GaussianIID(_IIDBase):
     """xi_k = sigma_k Z_k; the normalized sum is exactly standard Gaussian."""
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
-        return g.standard_normal(self.spec.n)
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
+        g.standard_normal(out=row)
 
     def psi_closed_form(self, t: float) -> float:
         return gaussian_ladder_psi(self.sigma, t)
@@ -120,8 +120,9 @@ class GaussianIID(_IIDBase):
 class RademacherIID(_IIDBase):
     """xi_k = sigma_k eps_k with fair signs; the canonical lattice example."""
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
-        return 2.0 * g.integers(0, 2, self.spec.n).astype(float) - 1.0
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
+        # integers has no out=; its last uint32 stays buffered in the stream
+        row[:] = 2.0 * g.integers(0, 2, self.spec.n) - 1.0
 
     def psi_closed_form(self, t: float) -> float:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),

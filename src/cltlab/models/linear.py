@@ -244,8 +244,8 @@ class LinearStatistic(Model):
         # the chunk gemv's bits depend on where chunks start (see DEFAULT_CHUNK)
         return DEFAULT_CHUNK
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
-        return g.standard_normal(self._weights.size)
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
+        g.standard_normal(out=row)
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         """Martingale increments of the innovation ladder.

@@ -145,8 +145,8 @@ class SequentialMaps(Model):
             out += c * np.cos((2.0 * math.pi * h) * x)
         return out
 
-    def _draw_row(self, g: np.random.Generator) -> np.ndarray:
-        return g.random(self.spec.n)
+    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
+        g.random(out=row)
 
     def _orbit(self, draws: np.ndarray) -> Iterator[np.ndarray]:
         """x_n, x_{n-1}, ..., x_1 per row, one array updated in place."""

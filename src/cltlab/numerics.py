@@ -22,14 +22,15 @@ README:
     generator = Generator(Philox(key=(k0, k1)))
 
 splitmix64 is a bijection on 64-bit integers, so distinct (master_seed,
-stream_id) pairs always produce distinct keys.
+stream_id) pairs always produce distinct keys.  `SeedLineage.generators` draws
+a run of streams from one re-keyed Philox, bit-identical to that construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr as _ndtr, ndtri as _ndtri
@@ -179,8 +180,8 @@ def quadrature(
     return sign * total
 
 
-def splitmix64(z: int) -> int:
-    """One round of the SplitMix64 finalizer (a bijection on 64-bit ints)."""
+def splitmix64(z):
+    """One SplitMix64 finalizer round (a 64-bit bijection); int or uint64 array."""
     z = (z + _SPLITMIX_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -219,6 +220,26 @@ class SeedLineage:
     def generator(self) -> np.random.Generator:
         key = np.array(self.philox_key(), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def generators(self, count: int) -> Iterator[np.random.Generator]:
+        """generator() of streams stream_id .. stream_id + count - 1 (one block).
+
+        One Philox is re-keyed per stream to the state generator() starts in:
+        the key, a zero counter, an empty buffer and no held uint32.  Each
+        yielded generator is valid until the next is taken.
+        """
+        if self.stream_id % BLOCK_STRIDE + count > BLOCK_STRIDE:
+            raise DomainError("block and replicate must be nonnegative, replicate < 2^40")
+        k0 = splitmix64(int(self.master_seed))
+        ids = np.uint64(self.stream_id) + np.arange(count, dtype=np.uint64)
+        g = np.random.Generator(np.random.Philox(key=0))
+        philox = {"counter": [0, 0, 0, 0], "key": None}
+        state = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0],
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for k1 in splitmix64(np.uint64(k0) ^ ids).tolist():
+            philox["key"] = [k0, k1]
+            g.bit_generator.state = state
+            yield g
 
     @staticmethod
     def stream_for(block: int, replicate: int) -> int:

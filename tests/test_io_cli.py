@@ -700,15 +700,37 @@ class TestCliCommands:
                      "--reps", "100", "--out", str(tmp_path / "t"))
         assert rc == EXIT_CONFIG
 
-    def test_overflowing_seed_range_exits_2_before_any_draw(self, tmp_path, monkeypatch):
-        def no_draw(lineage):
+    @staticmethod
+    def forbid_draws(monkeypatch):
+        # every replicate stream comes from SeedLineage.generators
+        def no_draw(lineage, count):
             raise AssertionError("a replicate was drawn before the seed range was checked")
 
-        monkeypatch.setattr(SeedLineage, "generator", no_draw)
+        monkeypatch.setattr(SeedLineage, "generators", no_draw)
+
+    def test_overflowing_seed_range_exits_2_before_any_draw(self, tmp_path, monkeypatch):
+        self.forbid_draws(monkeypatch)
         path = tmp_path / "cfg.json"
         doc = config_doc(master_seed=2**64 - 2, fit_seeds=3, outputs=str(tmp_path / "fit"))
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("ratefit", "--config", str(path)) == EXIT_CONFIG
+
+    def test_forbidden_draws_do_fail(self, tmp_path, monkeypatch):
+        # the guard above would pass vacuously if draws took another route
+        self.forbid_draws(monkeypatch)
+        with pytest.raises(AssertionError, match="drawn before"):
+            run_cli("verify-ce", "--n-grid", "64", "--reps", "100", "--out", str(tmp_path / "ce"))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_verify_ce_bad_seed_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys, seed):
+        self.forbid_draws(monkeypatch)
+        out = tmp_path / "ce"
+        rc = run_cli("verify-ce", "--n-grid", "64", "--reps", "100",
+                     "--seed", str(seed), "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        # refused up front: not even the table header was printed
+        assert capsys.readouterr().out == ""
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
         # 16384 replicates crosses the worker-pool threshold at 2 threads

@@ -1,5 +1,6 @@
 """Model zoo: exact moment structure, sampling laws, and batch plumbing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
 from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
-from cltlab.numerics import SeedLineage, normal_abs_moment, normal_cdf
+from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf
 
 from helpers import ChainEnumeration
 
@@ -31,6 +32,25 @@ ALL_FAMILIES = (
     spec("rho_mixing_chain", 6),
     spec("sequential_maps", 6, observable="cos12"),
 )
+FAMILY_IDS = (
+    "gaussian_iid", "rademacher_iid", "ce_lowerbound", "linear_ar1", "linear_ma",
+    "rho_mixing_chain", "sequential_maps",
+)
+
+
+def reference_row(model, lineage):
+    """One replicate's draws from its own SeedLineage.generator(), the
+    documented per-replicate construction the chunked streams must match."""
+    row = np.empty(model._draw_width())
+    model._draw_row(lineage.generator(), row)
+    return row
+
+
+def reference_rows(model, seed, block, replicates):
+    return np.stack([
+        reference_row(model, SeedLineage(seed, SeedLineage.stream_for(block, r)))
+        for r in replicates
+    ])
 
 
 class TestModelSpec:
@@ -184,7 +204,7 @@ class TestCELowerBound:
             lin = SeedLineage(7, r)
             path = m.sample_path(lin)
             assert path.increments.shape == (100,)
-            draws = m._draws([lin])[0]
+            draws = reference_row(m, lin)
             s_m = float(np.sum(draws[: cp.m]))
             np.testing.assert_array_equal(path.increments[: cp.m], draws[: cp.m])
             if cp.a <= abs(s_m) <= 2.0 * cp.a:
@@ -505,7 +525,7 @@ class TestRhoMixingChain:
         for r in range(5):
             lin = SeedLineage(107, r)
             path = model.sample_path(lin)
-            states = tuple(int(s) for s in model._states(model._draws([lin]))[0])
+            states = tuple(int(s) for s in model._states(reference_row(model, lin)[None])[0])
             want = [oracle.xi(states, k) for k in range(1, 7)]
             np.testing.assert_allclose(path.increments, want, atol=1e-12)
             assert abs(path.path_sum - oracle.path_sum(states)) <= 1e-12
@@ -701,7 +721,7 @@ class TestSequentialMaps:
         m = SequentialMaps(spec("sequential_maps", 12, observable="cos1",
                                 multipliers={"rule": "cycle", "values": [2, 3, 5]}))
         lin = SeedLineage(71, 0)
-        xs = m._points(m._draws([lin]))[0]
+        xs = m._points(reference_row(m, lin)[None])[0]
         np.testing.assert_array_equal(m.sample_path(lin).increments, m._observe(xs))
         for k in range(11):
             fwd = math.fmod(xs[k] * m.m[k + 1], 1.0)
@@ -782,3 +802,113 @@ class TestBatchPlumbing:
             m.sup_moment_ratio(3.0)
         with pytest.raises(CapabilityError):
             m.u_exact(3.0)
+
+
+class TestReplicateStreams:
+    """Each chunk re-keys one Philox per replicate; every row must equal the
+    row drawn from that replicate's own SeedLineage.generator()."""
+
+    SEEDS = (0, 2**64 - 1, 0x5DEECE66D)
+    BLOCKS = (0, 103, 1063)
+
+    @pytest.mark.parametrize("s", ALL_FAMILIES, ids=FAMILY_IDS)
+    def test_chunk_rows_match_one_generator_per_replicate(self, s):
+        m = make_model(s)
+        for seed in self.SEEDS:
+            for block in self.BLOCKS:
+                for start, count in ((0, 5), (12_345, 3), (BLOCK_STRIDE - 4, 4)):
+                    first = SeedLineage(seed, SeedLineage.stream_for(block, start))
+                    got = m._draws(first, count)
+                    want = reference_rows(m, seed, block, range(start, start + count))
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", ALL_FAMILIES, ids=FAMILY_IDS)
+    def test_chunks_from_an_offset_cross_a_boundary(self, s):
+        # the last replicate of the run is 2^40 - 1, the last of its block
+        m = make_model(s)
+        count = m.chunk_size() + 3
+        start = BLOCK_STRIDE - count
+        out = np.empty((count, m._draw_width()))
+        m._map_chunks(lambda draws: draws, out, 2**64 - 1, start, 1063)
+        want = reference_rows(m, 2**64 - 1, 1063, range(start, start + count))
+        assert out.tobytes() == want.tobytes()
+
+    def test_rademacher_rows_do_not_inherit_a_buffered_uint32(self):
+        # integers(0, 2, n) draws 32-bit words, so an odd n leaves half of
+        # the last 64-bit output buffered in the stream
+        m = RademacherIID(spec("rademacher_iid", 7))
+        got = m._draws(SeedLineage(5, 0), 6)
+        assert got.tobytes() == reference_rows(m, 5, 0, range(6)).tobytes()
+
+    def test_runs_stay_inside_their_block(self):
+        m = GaussianIID(spec("gaussian_iid", 4))
+        with pytest.raises(DomainError):
+            m.statistic_range(master_seed=1, start=BLOCK_STRIDE - 2, count=3)
+        with pytest.raises(DomainError):
+            m.statistic_range(master_seed=2**64, start=0, count=1)
+        with pytest.raises(DomainError):
+            next(SeedLineage(1, SeedLineage.stream_for(2, BLOCK_STRIDE - 1)).generators(2))
+        last = m.statistic_range(master_seed=1, start=BLOCK_STRIDE - 2, count=2, block=7)
+        assert last.shape == (2,)
+
+
+# SHA-256 of increment_matrix(PINNED_SEED, 200, block=5) and of
+# statistic_range(PINNED_SEED, 37, 200, block=5), recorded while every
+# replicate still built its own SeedLineage.generator().  They pin the stream
+# contract and each family's draw order and maps to the bit.  gaussian_iid
+# and linear_statistic sum through BLAS and sequential_maps calls numpy's cos,
+# so on another numpy or BLAS build a mismatch in those rows should first be
+# reproduced against a per-replicate construction on that build.
+PINNED_SEED = 2_718_281_828
+PINNED_CHAIN_S3 = spec(
+    "rho_mixing_chain", 64,
+    transition=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+    state_values=[1.0, -0.7, 0.3],
+)
+PINNED_DIGESTS = {
+    "gaussian_iid": (
+        "7871e0575c76bb85c5099d27556831e68c02cb948d82f29bbb1cfa86cd921924",
+        "d3a35f663e882888aca6b171ba981649f19e5e22c07b55a7944df08a93378594",
+    ),
+    "rademacher_iid": (
+        "522c8a88ab7914357859a97d917c29d5063b4bde6b891167041bd9f8216be3d5",
+        "ccff925cef636f7e563403c0f6eeff39820c212633564844fb5a1bb6391f5e40",
+    ),
+    "ce_lowerbound": (
+        "7232b217ca5363d534654288a88f7183fb88b559d93424bc5f1adad0c61264d3",
+        "5ec5c8e7d662bb70b1dd947fe0a3b2e36ce478777a99e34a18aabd088305c9f7",
+    ),
+    "linear_ar1": (
+        "696b2e78f754cd0e16425105adf7fa7811bbb3e915a7bb10e133c817c5154bf2",
+        "8777b1830366b2896879c3e473760f743ac31ba2080d7e087f9c2aa97d72b6cd",
+    ),
+    "linear_ma": (
+        "f8ed24846603456f783a88fd615f564b93c6f585e5dc4c7e6386d44943d3bc38",
+        "9dd57af20f8ddaa67ef59a6b0bb665107216f3ab6f1eaad4afe4520b81051995",
+    ),
+    "rho_mixing_chain": (
+        "e89d163b4218130bc62173310f48df58a7cd4932591ca6285a6b53f3fde6237b",
+        "845d05af966621a01e86335fd930225e8f3446771d4a5526d74cdbf5777a1ad6",
+    ),
+    "sequential_maps": (
+        "5b0958b638135f8d8b90f737ef239c695d4e15fed8b961315da5a254f9b4f429",
+        "07d1c4b911048f724e6e83c29d034325e9b8a2ded6708a74eda41c20c0fddc2a",
+    ),
+    "rho_mixing_chain_s3": (
+        "c797d2ad5ec84990cfbda019ae107862bb1c64a6cff3d95a6c99f52d5c87eff1",
+        "70cf12806f0f7019272339d97511dbbae112bdf150cc9daf68ce4708cc2f4a40",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "s,name",
+    [*zip(ALL_FAMILIES, FAMILY_IDS), (PINNED_CHAIN_S3, "rho_mixing_chain_s3")],
+    ids=[*FAMILY_IDS, "rho_mixing_chain_s3"],
+)
+def test_pinned_increment_and_statistic_bits(s, name):
+    m = make_model(s)
+    incs = m.increment_matrix(PINNED_SEED, 200, block=5)
+    stats = m.statistic_range(PINNED_SEED, 37, 200, block=5)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (incs, stats))
+    assert got == PINNED_DIGESTS[name]
