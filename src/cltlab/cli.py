@@ -50,6 +50,7 @@ from .io import (
     canonical_json,
     load_config,
     read_distance_csv,
+    read_manifest,
     write_batch,
     write_manifest,
     write_text,
@@ -345,6 +346,12 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
             raise DataFormatError(
                 f"{csv_path}: holds one seed's table, but fit_seeds = {cfg.fit_seeds} "
                 "refits across seeds; remove the file to measure them"
+            )
+        manifest = read_manifest(out)
+        if manifest is not None and manifest.get("master_seed") != cfg.master_seed:
+            raise DataFormatError(
+                f"{csv_path}: its manifest records master_seed = {manifest.get('master_seed')}, "
+                f"but master_seed = {cfg.master_seed}; remove the file to measure them"
             )
         reports = read_distance_csv(csv_path)
         if not reports:

@@ -392,6 +392,20 @@ def write_manifest(out_dir: Path, manifest: Mapping[str, Any]) -> Path:
     return path
 
 
+def read_manifest(out_dir: Path) -> Optional[dict[str, Any]]:
+    """The manifest.json in out_dir as a dict, or None when there is none."""
+    path = Path(out_dir) / "manifest.json"
+    if not path.exists():
+        return None
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON manifest ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a manifest must be a JSON object")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # distance CSV round trip (rate fitting consumes distance tables)
 

@@ -23,6 +23,15 @@ and ``u_exact`` gives U_2..U_n at once.
 Everything second-order (autocovariances gamma_k, Var(S_n), the window
 variance-ratio statistic and its spectral bound) is computed from the
 transition matrix directly.
+
+The state paths follow the inverse-cdf rule of the stream contract,
+Y_t = #{j < S-1 : u_t >= cumsum(P[Y_{t-1}])_j}, and Y_1 the same way from
+the stationary cdf.  They are read from one interval table built with the
+model: every threshold lies in the sorted distinct set T of the rows'
+cumulative sums, so the code #{T <= u_t} of a draw fixes the next state
+from every previous state at once.  A chunk's codes come from one pass over
+its draw matrix, and each time step is then one add and one table lookup
+across the chunk, in the smallest unsigned dtype that holds code*S + s.
 """
 
 from __future__ import annotations
@@ -73,8 +82,14 @@ class RhoMixingChain(Model):
         self.f = f - float(self.pi @ f)
         if np.allclose(self.f, 0.0):
             raise ConfigurationError("state_values are constant; the functional is degenerate")
-        self._cum_p = np.cumsum(P, axis=1)
-        self._cum_pi = np.cumsum(self.pi)
+        self._cum_pi = np.cumsum(self.pi)[:-1]
+        # the interval table (see the module docstring): row code, column s
+        # holds the state after s; flattened, one lookup at code*S + s
+        cum_p = np.cumsum(P, axis=1)[:, :-1]
+        self._cuts = np.unique(cum_p)
+        below = cum_p[None, :, :] <= self._cuts[:, None, None]
+        steps = np.vstack((np.zeros(self.n_states), below.sum(axis=2)))
+        self._step_table = steps.ravel().astype(np.min_scalar_type(steps.size - 1))
         self._tables: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._sigma2: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
@@ -321,16 +336,29 @@ class RhoMixingChain(Model):
         g.random(out=row)
 
     def _states(self, draws: np.ndarray) -> np.ndarray:
-        """(chunk, n) state paths Y_1..Y_n, vectorized across the chunk."""
-        n = self.spec.n
-        last = self.n_states - 1
-        states = np.empty(draws.shape, dtype=np.intp)
-        # initial state from the stationary law
-        states[:, 0] = np.minimum(np.searchsorted(self._cum_pi, draws[:, 0], side="right"), last)
+        """(chunk, n) state paths Y_1..Y_n, one table lookup per time step.
+
+        The codes of the whole (chunk, n) draw matrix are counted in place,
+        one comparison pass per threshold; only these compact codes are laid
+        out time-major.  Row t of that buffer holds code(u_t)*S until step t
+        replaces it with the table entry at code(u_t)*S + Y_{t-1}, which is
+        Y_t.  The states come back C-contiguous in the table's dtype.
+        """
+        chunk, n = draws.shape
+        codes = np.zeros(draws.shape, dtype=self._step_table.dtype)
+        hit = np.empty(draws.shape, dtype=bool)
+        for cut in self._cuts:
+            np.greater_equal(draws, cut, out=hit)
+            codes += hit
+        path = np.empty((n, chunk), dtype=self._step_table.dtype)
+        np.multiply(codes.T, self.n_states, out=path)
+        # Y_1 = #{j < S-1 : u_1 >= (cumsum pi)_j}, from the stationary law
+        path[0] = np.searchsorted(self._cum_pi, draws[:, 0], side="right")
+        step = np.empty(chunk, dtype=self._step_table.dtype)
         for t in range(1, n):
-            rows = self._cum_p[states[:, t - 1]]  # (c, S)
-            states[:, t] = np.minimum((draws[:, t, None] >= rows[:, :-1]).sum(axis=1), last)
-        return states
+            np.add(path[t], path[t - 1], out=step)
+            self._step_table.take(step, out=path[t])
+        return np.ascontiguousarray(path.T)
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         """Projection increments xi_1..xi_n along each state path.
@@ -352,5 +380,5 @@ class RhoMixingChain(Model):
         self, master_seed: int, replicates: int, block: int = 0
     ) -> np.ndarray:
         """(replicates, n) state paths for the fluctuation-statistic MC."""
-        out = np.empty((replicates, self.spec.n), dtype=np.intp)
+        out = np.empty((replicates, self.spec.n), dtype=self._step_table.dtype)
         return self._map_chunks(self._states, out, master_seed, 0, block)

@@ -393,6 +393,33 @@ class TestHeydeBrown:
         assert bd.total == combined(bd)
 
 
+class TestChainMonteCarloBits:
+    """The Monte Carlo fluctuation sum and bracket deviation of an S = 3
+    chain, pinned as float.hex values recorded when the state paths were
+    still np.intp matrices built by a per-step comparison loop."""
+
+    @staticmethod
+    def chain():
+        return RhoMixingChain(spec(
+            "rho_mixing_chain", 300,
+            transition=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+            state_values=[1.0, -0.7, 0.3],
+        ))
+
+    def test_fluctuation_sum(self):
+        # 5000 replicates at n = 300 span two chunks of prefix states
+        val, se, exact = l_n(2.7, 1.0, 1.5, self.chain(), mode="monte_carlo",
+                             replicates=5000, master_seed=17)
+        assert (val.hex(), se.hex(), exact) == (
+            "0x1.7cbd87c01e68cp+0", "0x1.a0e40cb660deap-10", False)
+
+    def test_heyde_brown(self):
+        bd = heyde_brown_bound(3.0, self.chain(), replicates=5000, master_seed=19)
+        first = bd.term("bracket_deviation")
+        assert (first.value.hex(), first.se.hex(), bd.total.hex()) == (
+            "0x1.0682b701b11f7p-10", "0x1.08bee9adaee91p-16", "0x1.0bf200ab940b4p-1")
+
+
 class TestDependentSumBound:
     def test_bnp_hand_case_below_p3(self):
         # n=2, p=2.5, alphas=(1,1), lambda=(1/2,1/4), eta=(1,1/2,1/4):

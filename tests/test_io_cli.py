@@ -123,36 +123,43 @@ class TestParseConfig:
         assert cfg.to_json_dict()["a"] == "auto"
 
     def bad_documents():
-        docs = {
-            "not_object": [],
-            "schema_version": config_doc(schema_version=2),
-            "unknown_key": config_doc(zzz=1),
-            "bad_family": config_doc(model={"family": "weibull", "n": 8}),
-            "grid_string": config_doc(n_grid="8,16"),
-            "grid_nonint": config_doc(n_grid=[8, "x"]),
-            "grid_decreasing": config_doc(n_grid=[16, 8]),
-            "grid_repeat": config_doc(n_grid=[8, 8]),
-            "grid_empty": config_doc(n_grid=[]),
-            "grid_too_long": config_doc(n_grid=list(range(1, MAX_GRID_POINTS + 2))),
-            "replicates_low": config_doc(replicates=MIN_REPLICATES - 1),
-            "seed_negative": config_doc(master_seed=-1),
-            "seed_overflow": config_doc(master_seed=2**64),
-            "bad_bound_tag": config_doc(bound_requests=["magic"]),
-            "a_word": config_doc(a="sometimes"),
-            "a_bool": config_doc(a=True),
-            "a_below_one": config_doc(a=0.5),
-            "bad_distance": config_doc(distance_kind="levy"),
-            "tolerance_zero": config_doc(tolerance=0.0),
-            "fit_seeds_zero": config_doc(fit_seeds=0),
-            "bad_target": config_doc(target_exponent="soon"),
-        }
+        """One pytest.param per rejected document, each with a fixed id.
+
+        A new document gets its own name as its id and renames no other
+        case.  The ids with a ``-docN`` suffix are kept verbatim from when
+        pytest numbered these cases by their position in the sorted list.
+        """
         no_model = config_doc()
         del no_model["model"]
-        docs["missing_model"] = no_model
-        return docs
+        return [
+            pytest.param(config_doc(a=0.5), id="a_below_one-doc0"),
+            pytest.param(config_doc(a=True), id="a_bool-doc1"),
+            pytest.param(config_doc(a="sometimes"), id="a_word-doc2"),
+            pytest.param(config_doc(bound_requests=["magic"]), id="bad_bound_tag-doc3"),
+            pytest.param(config_doc(distance_kind="levy"), id="bad_distance-doc4"),
+            pytest.param(config_doc(model={"family": "weibull", "n": 8}), id="bad_family-doc5"),
+            pytest.param(config_doc(target_exponent="soon"), id="bad_target-doc6"),
+            pytest.param(config_doc(fit_seeds=0), id="fit_seeds_zero-doc7"),
+            pytest.param(config_doc(n_grid=[16, 8]), id="grid_decreasing-doc8"),
+            pytest.param(config_doc(n_grid=[]), id="grid_empty-doc9"),
+            pytest.param(config_doc(n_grid=[8, "x"]), id="grid_nonint-doc10"),
+            pytest.param(config_doc(n_grid=[8, 8]), id="grid_repeat-doc11"),
+            pytest.param(config_doc(n_grid="8,16"), id="grid_string-doc12"),
+            pytest.param(
+                config_doc(n_grid=list(range(1, MAX_GRID_POINTS + 2))), id="grid_too_long-doc13"
+            ),
+            pytest.param(no_model, id="missing_model-doc14"),
+            pytest.param([], id="not_object-doc15"),
+            pytest.param(config_doc(replicates=MIN_REPLICATES - 1), id="replicates_low-doc16"),
+            pytest.param(config_doc(schema_version=2), id="schema_version-doc17"),
+            pytest.param(config_doc(master_seed=-1), id="seed_negative-doc18"),
+            pytest.param(config_doc(master_seed=2**64), id="seed_overflow-doc19"),
+            pytest.param(config_doc(tolerance=0.0), id="tolerance_zero-doc20"),
+            pytest.param(config_doc(zzz=1), id="unknown_key-doc21"),
+        ]
 
-    @pytest.mark.parametrize("name,doc", sorted(bad_documents().items()))
-    def test_rejected_documents(self, name, doc):
+    @pytest.mark.parametrize("doc", bad_documents())
+    def test_rejected_documents(self, doc):
         with pytest.raises(ConfigurationError):
             parse_config(doc)
 
@@ -626,6 +633,19 @@ class TestCliCommands:
         assert not (out / "ratefit.csv").exists()
         err = capsys.readouterr().err
         assert all(text in err for text in ("distances.csv", in_table, configured))
+
+    def test_ratefit_refuses_a_table_of_another_seed(self, tmp_path, capsys):
+        out = tmp_path / "seeded"
+        grid = ("--model", "rademacher_iid", "--n-grid", "8,16", "--reps", "100",
+                "--out", str(out))
+        assert run_cli("distance", *grid, "--seed", "1") == EXIT_OK
+        assert run_cli("ratefit", *grid, "--seed", "2") == EXIT_IO
+        assert not (out / "ratefit.csv").exists()
+        err = capsys.readouterr().err
+        assert all(text in err for text in ("distances.csv", "= 1,", "master_seed = 2"))
+        assert run_cli("ratefit", *grid, "--seed", "1") == EXIT_OK
+        (out / "manifest.json").write_text("[1]", encoding="utf-8")
+        assert run_cli("ratefit", *grid, "--seed", "1") == EXIT_IO
 
     def test_ratefit_refuses_one_table_for_several_seeds(self, tmp_path):
         out = tmp_path / "seeds"

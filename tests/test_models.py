@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import make_model
@@ -438,6 +440,74 @@ def reference_tables(model, p):
     return sigma2, gaps, u
 
 
+def reference_states(model, draws):
+    """The chain's state paths by the per-step comparison loop: Y_t counts
+    the thresholds of row Y_{t-1} of cumsum(P) (all but the last) at or
+    below u_t, and Y_1 those of the stationary cdf, clipped to S-1."""
+    last = model.n_states - 1
+    cum_p, cum_pi = np.cumsum(model.P, axis=1), np.cumsum(model.pi)
+    states = np.empty(draws.shape, dtype=np.intp)
+    states[:, 0] = np.minimum(np.searchsorted(cum_pi, draws[:, 0], side="right"), last)
+    for t in range(1, draws.shape[1]):
+        rows = cum_p[states[:, t - 1]]
+        states[:, t] = np.minimum((draws[:, t, None] >= rows[:, :-1]).sum(axis=1), last)
+    return states
+
+
+@st.composite
+def chains_with_draws(draw):
+    """A chain of 2..6 states and a draw matrix that lands on its thresholds.
+
+    Integer weights give zero transitions (a threshold repeated within a
+    row) and thresholds shared across rows, or every row is the same; a
+    shrunk row's cumulative sum ends below 1, as weights like (1, 4, 1) do
+    by rounding alone.  Draws are exact thresholds, the doubles just below
+    them, 0.0 or any double in [0, 1).
+    """
+    S = draw(st.integers(2, 6))
+    cells = st.lists(st.integers(0, 7), min_size=S, max_size=S)
+    weights = np.array(draw(st.lists(cells, min_size=S, max_size=S)), dtype=float)
+    weights[np.arange(S), (np.arange(S) + 1) % S] += 1.0  # a cycle through every state
+    P = weights / weights.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        P[:] = P[0]
+    P[np.array(draw(st.lists(st.booleans(), min_size=S, max_size=S)))] *= 1.0 - 2.0**-30
+    n = draw(st.integers(1, 12))
+    try:
+        model = RhoMixingChain(
+            spec("rho_mixing_chain", n, transition=P.tolist(), state_values=list(range(S)))
+        )
+    except ConfigurationError:
+        assume(False)
+    cuts = np.concatenate((np.cumsum(model.P, axis=1).ravel(), np.cumsum(model.pi), [0.0]))
+    cuts = cuts[cuts < 1.0]
+    landing = sorted(set(np.concatenate((cuts, np.nextafter(cuts, 0.0))).tolist()))
+    values = st.one_of(st.sampled_from(landing), st.floats(0.0, 1.0, exclude_max=True))
+    rows = draw(st.integers(1, 5))
+    draws = np.array(draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+    return model, draws.reshape(rows, n)
+
+
+def two_state_on_thresholds():
+    """The default chain, whose rows share the thresholds 0.25 and 0.75."""
+    below = [np.nextafter(0.25, 0.0), np.nextafter(0.75, 0.0)]
+    draws = np.array([
+        [0.0, 0.25, 0.75, below[0], below[1], 0.5, 0.75, 0.0],
+        [0.75, below[1], 0.25, 0.25, 0.0, below[0], 0.999, 0.25],
+    ])
+    return RhoMixingChain(spec("rho_mixing_chain", 8)), draws
+
+
+def uniform_six_states_at_the_top():
+    """Six equally likely states: both the rows' and the stationary cdf end
+    at the largest double below 1, so a draw there needs the S-1 clip."""
+    top = np.nextafter(1.0, 0.0)
+    model = RhoMixingChain(
+        spec("rho_mixing_chain", 4, transition=[[1 / 6] * 6] * 6, state_values=list(range(6)))
+    )
+    return model, np.array([[top, top, 0.5, top], [0.0, top, 1 / 6, 5 / 6]])
+
+
 class TestRhoMixingChain:
     def two_state(self, n, stay=0.75):
         return RhoMixingChain(spec("rho_mixing_chain", n, transition={"rule": "two_state", "stay": stay}))
@@ -525,7 +595,7 @@ class TestRhoMixingChain:
         for r in range(5):
             lin = SeedLineage(107, r)
             path = model.sample_path(lin)
-            states = tuple(int(s) for s in model._states(reference_row(model, lin)[None])[0])
+            states = tuple(int(s) for s in reference_states(model, reference_row(model, lin)[None])[0])
             want = [oracle.xi(states, k) for k in range(1, 7)]
             np.testing.assert_allclose(path.increments, want, atol=1e-12)
             assert abs(path.path_sum - oracle.path_sum(states)) <= 1e-12
@@ -549,6 +619,29 @@ class TestRhoMixingChain:
         m = self.two_state(32)
         vals = m.statistic_values(master_seed=47, replicates=5000)
         assert abs(float(np.var(vals)) - 1.0) <= 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=chains_with_draws())
+    @example(case=two_state_on_thresholds())
+    @example(case=uniform_six_states_at_the_top())
+    def test_state_table_matches_per_step_loop(self, case):
+        model, draws = case
+        want = reference_states(model, draws)
+        assert np.array_equal(model._states(draws), want)
+        assert model._sums(draws).tobytes() == model.f[want].sum(axis=1).tobytes()
+        n = model.spec.n
+        h, ph, _ = model._stacks()
+        xi = h[np.arange(n), want]
+        xi[:, 1:] -= ph[np.arange(1, n), want[:, :-1]]
+        assert model._increments(draws).tobytes() == xi.tobytes()
+
+    def test_prefix_states_are_compact_reference_states(self):
+        m = self.random_chain(16, 6, 5)
+        count = m.chunk_size() + 5
+        states = m.prefix_states_chunk(master_seed=61, replicates=count, block=9)
+        assert states.dtype == np.uint8 and states.flags.c_contiguous
+        draws = m._map_chunks(lambda d: d, np.empty((count, 16)), 61, 0, 9)
+        assert np.array_equal(states, reference_states(m, draws))
 
     def test_state_paths_have_stationary_marginals(self):
         m = self.asymmetric(4)
