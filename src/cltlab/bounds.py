@@ -187,18 +187,16 @@ def psi_n(
         raise DomainError(f"t must be a real >= 0, got {t!r}")
     if t == 0.0 and mode in ("closed_form", "monte_carlo"):
         return 0.0, 0.0, True
-    value, se = _psi_profile(model, mode, replicates, master_seed)
-    if se is None:
-        return float(value(t)), 0.0, True
-    return value(t), se(t), False
+    value, se = _psi_profile(model, mode, replicates, master_seed)(np.array([t]))
+    return float(value[0]), 0.0 if se is None else float(se[0]), se is None
 
 
 def _psi_profile(
     model: Model, mode: str, replicates: int, master_seed: int
-) -> tuple[Callable[[float], float], Optional[Callable[[float], float]]]:
-    """psi as a function of t, with its standard error (None when exact)."""
+) -> Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]:
+    """psi over an array of t, with its standard errors (None when exact)."""
     if mode == "closed_form":
-        return model.psi_closed_form, None
+        return lambda t: (model.psi_closed_form(t), None)
     if mode == "monte_carlo":
         return _psi_mc_profile(model, replicates, master_seed)
     raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
@@ -206,7 +204,7 @@ def _psi_profile(
 
 def _psi_mc_profile(
     model: Model, replicates: int, master_seed: int
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Shared-path psi estimator: one increment matrix serves every t."""
     mo = model.moments()
     xi = model.increment_matrix(master_seed, replicates, PSI_BLOCK)
@@ -220,16 +218,14 @@ def _psi_mc_profile(
     delta = mo.delta_n
     root_r = math.sqrt(xi.shape[0])
 
-    def value(t: float) -> float:
+    def at(t: float) -> tuple[float, float]:
+        """psi(t) and the SE of the attaining k's mean, from one table."""
         vals = np.minimum(t * delta * xi2, xi3)
-        return float(np.max(vals.mean(axis=0) / s2))
+        ratios = vals.mean(axis=0) / s2
+        k = int(np.argmax(ratios))
+        return ratios[k], vals[:, k].std(ddof=1) / (root_r * s2[k])
 
-    def se(t: float) -> float:
-        vals = np.minimum(t * delta * xi2, xi3)
-        k = int(np.argmax(vals.mean(axis=0) / s2))
-        return float(vals[:, k].std(ddof=1) / (root_r * s2[k]))
-
-    return value, se
+    return lambda t: tuple(np.array([at(x) for x in t]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +435,15 @@ def _psi_term(
     the trapezoid on the uniform u-grid is paired with its half-resolution
     restriction for a Richardson error estimate.
     """
-    value_fn, se_fn = _psi_profile(model, psi_mode, replicates, master_seed)
     u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
-    x = np.exp(u)
-    g = np.array([value_fn(KAPPA_R1 * xi) for xi in x]) * np.exp(u * (r - 1.0))
+    values, ses = _psi_profile(model, psi_mode, replicates, master_seed)(KAPPA_R1 * np.exp(u))
+    g = values * np.exp(u * (r - 1.0))
     fine = float(_trapezoid(g, u))
     coarse = float(_trapezoid(g[::2], u[::2]))
     richardson = abs(fine - coarse) / 3.0
     mc_se = 0.0
-    if se_fn is not None:
-        ses = np.array([se_fn(KAPPA_R1 * xi) for xi in x]) * np.exp(u * (r - 1.0))
-        mc_se = float(_trapezoid(ses, u))
+    if ses is not None:
+        mc_se = float(_trapezoid(ses * np.exp(u * (r - 1.0)), u))
     delta = mo.delta_n
     scale = delta ** (r - 1.0)
     return scale * fine, scale * (richardson + mc_se), False

@@ -51,6 +51,7 @@ from .io import (
     load_config,
     read_distance_csv,
     read_manifest,
+    sha256_file,
     write_batch,
     write_manifest,
     write_text,
@@ -338,7 +339,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     out = _ensure_out(cfg)
     threads = worker_threads()
     target = cfg.target_exponent if cfg.target_exponent is not None else _default_target(cfg)
-    files = ["ratefit.csv"]
+    files = ["ratefit.csv", "distances.csv"]  # a refit's manifest attests the table it read
 
     csv_path = out / "distances.csv"
     if csv_path.exists():
@@ -348,11 +349,18 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
                 "refits across seeds; remove the file to measure them"
             )
         manifest = read_manifest(out)
-        if manifest is not None and manifest.get("master_seed") != cfg.master_seed:
-            raise DataFormatError(
-                f"{csv_path}: its manifest records master_seed = {manifest.get('master_seed')}, "
-                f"but master_seed = {cfg.master_seed}; remove the file to measure them"
-            )
+        if manifest is not None:
+            listed = manifest.get("files")
+            if not isinstance(listed, dict) or listed.get("distances.csv") != sha256_file(csv_path):
+                raise DataFormatError(
+                    f"{csv_path}: {out / 'manifest.json'} does not list it with its SHA-256, "
+                    "so its seed is unknown; remove the file to measure them"
+                )
+            if manifest.get("master_seed") != cfg.master_seed:
+                raise DataFormatError(
+                    f"{csv_path}: its manifest records master_seed = {manifest.get('master_seed')}, "
+                    f"but master_seed = {cfg.master_seed}; remove the file to measure them"
+                )
         reports = read_distance_csv(csv_path)
         if not reports:
             raise DataFormatError(f"{csv_path}: no distance rows to fit")
@@ -376,7 +384,6 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
             reports = _measure(cfg, cfg.master_seed + j, threads)
             if j == 0:
                 write_text(csv_path, reports_to_csv(reports))
-                files.append("distances.csv")
             series.append(_series(cfg, reports))
             print(f"seed {cfg.master_seed + j}: measured {len(series[-1].points)} grid points")
     if len(series) == 1:

@@ -30,10 +30,10 @@ Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 index at once, ``u_samples`` over ``prefix_states_chunk``,
 ``bracket_samples``, ``projection_norms``, ``k_n``, ``c_n``) is defined once
 on ``Model`` and raises CapabilityError there; a family declares a
-capability by overriding it.  ψ, the two moment sums and ``u_exact`` are
-exact and return plain floats (an array for ``u_exact``); ``u_samples`` and
-``bracket_samples`` return per-path samples that the bound evaluators
-average into a value and its standard error.
+capability by overriding it.  ψ (array of t in, array out), the two moment
+sums (plain floats) and ``u_exact`` (an array over ell) are exact;
+``u_samples`` and ``bracket_samples`` return per-path samples that the bound
+evaluators average into a value and its standard error.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ class Model:
 
     # -- capabilities ------------------------------------------------------
 
-    def psi_closed_form(self, t: float) -> float:
-        """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2, exact."""
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
+        """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2 per t >= 0, exact."""
         raise CapabilityError(f"{self.model_id} has no closed-form psi profile; use monte_carlo")
 
     def sup_moment_ratio(self, p: float) -> float:

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri as _ndtri
 
 from ..errors import ConfigurationError, DomainError
-from ..numerics import normal_abs_moment, normal_cdf, quadrature
+from ..numerics import normal_abs_moment, normal_cdf, quadrature, scipy_special
 from .base import Model, ModelSpec, PathMoments
 from .iid import gaussian_min_profile
 
@@ -155,7 +154,7 @@ class CELowerBound(Model):
         xi = draws.copy()
         s = s_m[win, None]
         xi[win, cp.m :] = np.where(first[win], -s / cp.k, cp.k / s)
-        xi[~win, cp.m :] = _ndtri(np.maximum(u[~win], _U_FLOOR))
+        xi[~win, cp.m :] = scipy_special().ndtri(np.maximum(u[~win], _U_FLOOR))
         return xi
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
@@ -164,7 +163,7 @@ class CELowerBound(Model):
         s_m, u, win, first = self._split(draws)
         out = np.empty(s_m.size)
         off = ~win
-        out[off] = s_m[off] + _ndtri(np.maximum(u[off], _U_FLOOR)).sum(axis=1)
+        out[off] = s_m[off] + scipy_special().ndtri(np.maximum(u[off], _U_FLOOR)).sum(axis=1)
         s, b = s_m[win], first[win].sum(axis=1)
         out[win] = np.where(b == k, 0.0, s * (1.0 - b / k) + (k - b) * (k / s))
         return out
@@ -199,27 +198,27 @@ class CELowerBound(Model):
         cp = self.params
         return cp.m * normal_abs_moment(p) + cp.k * self.tail_abs_moment(p)
 
-    def psi_closed_form(self, t: float) -> float:
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         # Prefix increments are standard Gaussian; post-split increments are
         # bounded by |X_j| <= max(2a/k, k/a) on the branch and Gaussian off
         # it.  The sup over k is dominated by the Gaussian profile whenever
         # min(t z^2, |z|^3) integrates higher; evaluating both exactly:
         cp = self.params
-        gauss = float(gaussian_min_profile(t))
+        gauss = gaussian_min_profile(t)
 
-        def integrand(x: float) -> float:
+        def integrand(x: float, t: float) -> float:
             s = math.sqrt(cp.m)
             dens = math.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
             lo = abs(x) / cp.k  # |X| on the first branch
             hi = cp.k / abs(x)  # |X| on the second branch
             w_lo = cp.k**2 / (x * x + cp.k**2)
-            w_hi = 1.0 - w_lo
-            val = w_lo * min(t * lo * lo, lo**3) + w_hi * min(t * hi * hi, hi**3)
+            val = w_lo * min(t * lo * lo, lo**3) + (1.0 - w_lo) * min(t * hi * hi, hi**3)
             return val * dens
 
-        window = 2.0 * quadrature(integrand, cp.a, 2.0 * cp.a, tol=1e-12)
-        post = gauss * (1.0 - cp.branch_probability()) + window
-        return max(gauss, post)
+        window = [2.0 * quadrature(lambda x: integrand(x, ti), cp.a, 2.0 * cp.a, tol=1e-12)
+                  for ti in np.asarray(t, dtype=float).tolist()]
+        post = gauss * (1.0 - cp.branch_probability()) + np.array(window)
+        return np.maximum(gauss, post)
 
 
 def atom_fraction(values: np.ndarray) -> tuple[float, float]:

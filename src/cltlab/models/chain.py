@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError
-from .base import STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
+from .base import DRAW_BUDGET, STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
 
 
 def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +95,7 @@ class RhoMixingChain(Model):
         self._gap: Optional[np.ndarray] = None
         self._moments: Optional[PathMoments] = None
         self._laws: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._law_rows: Optional[np.ndarray] = None
 
     @property
     def model_id(self) -> str:
@@ -234,7 +235,10 @@ class RhoMixingChain(Model):
 
         Row k-1 (k >= 2) holds h_{n-k}(y) - (P h_{n-k})(y') with weight
         pi_{y'} P_{y'y} at column y' S + y; row 0 holds xi_1 = h_{n-1}(Y_1)'s
-        S values with weights pi, padded with zero-probability zeros.
+        S values with weights pi, padded with zero-probability zeros.  _law_rows
+        holds k - 1 for the first k >= 2 of each bitwise-distinct (values,
+        probabilities, sigma_k^2) row with sigma_k^2 > 0: only dozens, as h_{n-k}
+        reaches its float fixed point a few dozen steps from the end.
         """
         if self._laws is None:
             h, ph, _ = self._stacks()
@@ -244,6 +248,12 @@ class RhoMixingChain(Model):
             values[0], probs[0] = 0.0, 0.0
             values[0, :S], probs[0, :S] = h[0], self.pi
             self._laws = (values, probs)
+            sigma2 = self.sigma2_ladder()
+            key = np.column_stack((values, probs, sigma2))[1:].view(np.uint64)
+            order = np.lexsort(key.T)  # stable: equal rows stay in k order
+            first = np.diff(key[order], axis=0, prepend=~key[order[:1]]).any(axis=1)
+            rows = 1 + np.sort(order[first])
+            self._law_rows = rows[sigma2[rows] > 0.0]
         return self._laws
 
     def _expectations(self, terms: np.ndarray) -> np.ndarray:
@@ -257,31 +267,35 @@ class RhoMixingChain(Model):
         out[1:] = np.sum(terms[1:], axis=1)
         return out
 
-    def _sup_ratio(self, expectations: np.ndarray) -> float:
-        """max_k expectations_k / sigma_k^2 over sigma_k^2 > 0 (0 when none)."""
-        sigma2 = self.sigma2_ladder()
-        live = sigma2 > 0.0
-        if not np.any(live):
-            return 0.0
-        return float(np.max(expectations[live] / sigma2[live]))
-
     def increment_abs_moments(self, p: float) -> np.ndarray:
         """E|xi_k|^p for k = 1..n, exact."""
         values, probs = self._increment_laws()
         return self._expectations(probs * np.abs(values) ** p)
 
     def sup_moment_ratio(self, p: float) -> float:
-        return self._sup_ratio(self.increment_abs_moments(p))
+        sigma2 = self.sigma2_ladder()
+        live = sigma2 > 0.0
+        return float(np.max(self.increment_abs_moments(p)[live] / sigma2[live], initial=0.0))
 
     def sum_abs_moments(self, p: float) -> float:
         # added left to right, one k at a time; np.sum would pair them differently
         return float(np.cumsum(self.increment_abs_moments(p))[-1])
 
-    def psi_closed_form(self, t: float) -> float:
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
+        """psi from xi_1's law (S entries) and the distinct law rows, each summed
+        as the per-k table sums it; a block of t holds <= DRAW_BUDGET terms."""
         values, probs = self._increment_laws()
-        delta = math.sqrt(float(np.max(self.sigma2_ladder())))
-        terms = probs * np.minimum(t * delta * values**2, np.abs(values) ** 3)
-        return self._sup_ratio(self._expectations(terms))
+        sigma2, S = self.sigma2_ladder(), self.n_states
+        scale = np.asarray(t, dtype=float)[:, None, None] * math.sqrt(float(np.max(sigma2)))
+        out = np.zeros(scale.shape[0])
+        for rows, width in ((np.flatnonzero(sigma2[:1] > 0.0), S), (self._law_rows, S * S)):
+            v, q = values[rows, :width], probs[rows, :width]
+            step = max(1, DRAW_BUDGET // max(v.size, 1))
+            for lo in range(0, out.size if rows.size else 0, step):
+                terms = q * np.minimum(scale[lo : lo + step] * v**2, np.abs(v) ** 3)
+                ratios = np.sum(terms, axis=2) / sigma2[rows]
+                out[lo : lo + step] = np.maximum(out[lo : lo + step], np.max(ratios, axis=1))
+        return out
 
     def u_exact(self, p: float) -> np.ndarray:
         """U_ell(p) for ell = 2..n at index ell-2, exact.

@@ -61,10 +61,10 @@ def gaussian_min_profile(u) -> np.ndarray:
 # the Gaussian families; each returns what the Model oracle of its name does.
 
 
-def gaussian_ladder_psi(sig: np.ndarray, t: float) -> float:
+def gaussian_ladder_psi(sig: np.ndarray, t: np.ndarray) -> np.ndarray:
     # sigma -> sigma * profile(t delta / sigma) is increasing, so the sup over
     # k of sig_k * E min((t delta / sig_k) Z^2, |Z|^3) sits at sig_k = delta_n
-    return float(float(np.max(sig)) * gaussian_min_profile(t))
+    return float(np.max(sig)) * gaussian_min_profile(t)
 
 
 def gaussian_ladder_sup_ratio(sig: np.ndarray, p: float) -> float:
@@ -107,7 +107,7 @@ class GaussianIID(_IIDBase):
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
         g.standard_normal(out=row)
 
-    def psi_closed_form(self, t: float) -> float:
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         return gaussian_ladder_psi(self.sigma, t)
 
     def sup_moment_ratio(self, p: float) -> float:
@@ -124,10 +124,10 @@ class RademacherIID(_IIDBase):
         # integers has no out=; its last uint32 stays buffered in the stream
         row[:] = 2.0 * g.integers(0, 2, self.spec.n) - 1.0
 
-    def psi_closed_form(self, t: float) -> float:
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),
         # increasing in sigma_k, so the sup is min(t, 1) * delta.
-        return float(self._delta * min(t, 1.0))
+        return self._delta * np.minimum(t, 1.0)
 
     def sup_moment_ratio(self, p: float) -> float:
         return float(np.max(self.sigma ** (p - 2.0)))

@@ -275,7 +275,7 @@ class LinearStatistic(Model):
     def sum_abs_moments(self, p: float) -> float:
         return gaussian_ladder_abs_sum(np.sqrt(self.moments().sigma2), p)
 
-    def psi_closed_form(self, t: float) -> float:
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         return gaussian_ladder_psi(np.sqrt(self.moments().sigma2), t)
 
     # -- projection-norm sequences for the dependent-sum bound ----------------

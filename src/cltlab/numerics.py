@@ -5,7 +5,9 @@ every CSV artifact.
 The Gaussian helpers are thin wrappers over the Cephes routines shipped with
 scipy (`ndtr`, `ndtri`), which are accurate to a few ulp — comfortably inside
 the 1e-15 absolute tolerance the rest of the package assumes.  They accept
-scalars or arrays and always hand back the matching shape.
+scalars or arrays and always hand back the matching shape.  Every scipy call
+goes through `scipy_special`, which imports scipy.special (about 0.3 s) on its
+first call: a command that evaluates no Phi, Phi^-1 or t-quantile never does.
 
 `quadrature` is intentionally *not* backed by scipy: it is the independent
 cross-check used by the test-suite against every closed form in the package,
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr as _ndtr, ndtri as _ndtri
 
 from .errors import DomainError, QuadratureError
 
@@ -58,10 +59,16 @@ def _match_input(result: np.ndarray, x: ArrayLike) -> ArrayLike:
     return result
 
 
+def scipy_special():
+    """The scipy.special module, imported on the first call."""
+    import scipy.special
+    return scipy.special
+
+
 def normal_cdf(x: ArrayLike) -> ArrayLike:
     """Standard Gaussian cdf, vectorized, absolute error under 1e-15."""
     arr = _as_checked_array(x, "x")
-    return _match_input(_ndtr(arr), x)
+    return _match_input(scipy_special().ndtr(arr), x)
 
 
 def normal_pdf(x: ArrayLike) -> ArrayLike:
@@ -80,7 +87,7 @@ def normal_quantile(u: ArrayLike) -> ArrayLike:
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"u must lie strictly inside (0, 1), got {u!r}")
-    return _match_input(_ndtri(arr), u)
+    return _match_input(scipy_special().ndtri(arr), u)
 
 
 def normal_abs_moment(p: float) -> float:
@@ -104,7 +111,7 @@ def integral_of_phi(x: ArrayLike) -> ArrayLike:
     out in the left tail, never to a negative number).
     """
     arr = _as_checked_array(x, "x")
-    res = arr * _ndtr(arr) + np.exp(-0.5 * arr * arr) / _SQRT_2PI
+    res = arr * scipy_special().ndtr(arr) + np.exp(-0.5 * arr * arr) / _SQRT_2PI
     # The subtraction inside x*Phi(x) + phi(x) can round to a tiny negative
     # number in the far left tail; the true value is nonnegative.
     res = np.maximum(res, 0.0)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ConfigurationError, DomainError
-from .numerics import csv_text
+from .numerics import csv_text, scipy_special
 
 DISTANCE_KINDS = ("kolmogorov", "w1", "w1_normalized")
 
@@ -255,7 +254,7 @@ def fit_replicated(
     logcs = np.array([f[3] for f in fits])
     k = exps.size
     # the 97.5 % quantile of Student's t with k - 1 degrees of freedom
-    tq = float(stdtrit(k - 1, 0.975))
+    tq = float(scipy_special().stdtrit(k - 1, 0.975))
     exponent = float(exps.mean())
     ci = tq * float(exps.std(ddof=1)) / math.sqrt(k)
     log_corrected = float(np.nanmean(logcs))

@@ -12,6 +12,7 @@ from cltlab.bounds import (
     BOUNDS,
     DEFAULT_BOUNDS,
     KAPPA_R1,
+    PSI_BLOCK,
     BoundBreakdown,
     BoundTerm,
     berry_esseen_bound,
@@ -30,6 +31,7 @@ from cltlab.bounds import (
     u_ln,
     vn_of_a,
     _power_integral,
+    _psi_mc_profile,
 )
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import KNOWN_FAMILIES, make_model
@@ -122,9 +124,24 @@ class TestPsiN:
     def test_monte_carlo_matches_closed_form_chain(self):
         m = asymmetric_chain(6)
         for t in (0.5, 1.5):
-            closed = m.psi_closed_form(t)
+            closed = psi_n(t, m)[0]
             val, se, _ = psi_n(t, m, mode="monte_carlo", replicates=8_000, master_seed=11)
             assert abs(val - closed) <= 3.0 * se + 1e-9
+
+    @pytest.mark.parametrize("model", [GaussianIID(spec("gaussian_iid", 8)), asymmetric_chain(6)])
+    def test_monte_carlo_profile_is_the_per_t_loop(self, model):
+        grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e2, 17)))
+        value, se = _psi_mc_profile(model, 2_000, 5)(KAPPA_R1 * grid)
+        mo = model.moments()
+        live = mo.sigma2 > 0.0
+        xi = model.increment_matrix(5, 2_000, PSI_BLOCK)[:, live]
+        s2 = mo.sigma2[live]
+        for i, x in enumerate(grid):
+            t = KAPPA_R1 * x
+            vals = np.minimum(t * mo.delta_n * xi**2, np.abs(xi) ** 3)
+            k = int(np.argmax(vals.mean(axis=0) / s2))
+            assert value[i] == float(np.max(vals.mean(axis=0) / s2))
+            assert se[i] == float(vals[:, k].std(ddof=1) / (math.sqrt(xi.shape[0]) * s2[k]))
 
     def test_missing_closed_form_is_loud(self):
         m = SequentialMaps(spec("sequential_maps", 4))

@@ -647,6 +647,31 @@ class TestCliCommands:
         (out / "manifest.json").write_text("[1]", encoding="utf-8")
         assert run_cli("ratefit", *grid, "--seed", "1") == EXIT_IO
 
+    def test_ratefit_refuses_a_table_its_manifest_does_not_attest(self, tmp_path, capsys):
+        # bounds rewrites manifest.json for its own files and another seed
+        out = tmp_path / "overwritten"
+        grid = ("--model", "rademacher_iid", "--n-grid", "8,16", "--reps", "100",
+                "--out", str(out))
+        assert run_cli("distance", *grid, "--seed", "1") == EXIT_OK
+        assert run_cli("bounds", *grid, "--seed", "2") == EXIT_OK
+        assert run_cli("ratefit", *grid, "--seed", "2") == EXIT_IO
+        assert not (out / "ratefit.csv").exists()
+        err = capsys.readouterr().err
+        assert all(text in err for text in ("distances.csv", "manifest.json", "SHA-256"))
+
+    def test_a_refit_manifest_attests_the_table_it_read(self, tmp_path):
+        out = tmp_path / "refit"
+        grid = ("--model", "rademacher_iid", "--n-grid", "8,16", "--reps", "100",
+                "--seed", "3", "--out", str(out))
+        assert run_cli("distance", *grid) == EXIT_OK
+        table = (out / "distances.csv").read_bytes()
+        for _ in range(2):
+            assert run_cli("ratefit", *grid) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert sorted(manifest["files"]) == ["distances.csv", "ratefit.csv"]
+            assert manifest["files"]["distances.csv"] == sha256_file(out / "distances.csv")
+            assert (out / "distances.csv").read_bytes() == table
+
     def test_ratefit_refuses_one_table_for_several_seeds(self, tmp_path):
         out = tmp_path / "seeds"
         grid = ("--n-grid", "8,16", "--reps", "100", "--out", str(out))

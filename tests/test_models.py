@@ -16,7 +16,7 @@ from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
 from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
-from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf
+from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf, quadrature
 
 from helpers import ChainEnumeration
 
@@ -131,8 +131,7 @@ class TestIIDFamilies:
         m = RademacherIID(spec("rademacher_iid", 10))
         assert m.sup_moment_ratio(3.0) == 1.0
         assert m.sum_abs_moments(2.5) == 10.0
-        assert m.psi_closed_form(0.3) == 0.3
-        assert m.psi_closed_form(7.0) == 1.0
+        assert m.psi_closed_form(np.array([0.3, 7.0])).tolist() == [0.3, 1.0]
 
     def test_rademacher_statistic_support(self):
         m = RademacherIID(spec("rademacher_iid", 1))
@@ -150,7 +149,8 @@ class TestIIDFamilies:
 
     def test_gaussian_psi_respects_scale_sup(self):
         m = GaussianIID(spec("gaussian_iid", 3, sigma=[0.5, 2.0, 1.0]))
-        assert abs(m.psi_closed_form(1.0) - 2.0 * float(gaussian_min_profile(1.0))) <= 1e-12
+        psi = m.psi_closed_form(np.array([1.0]))[0]
+        assert abs(psi - 2.0 * float(gaussian_min_profile(1.0))) <= 1e-12
 
 
 class TestCELowerBound:
@@ -272,7 +272,7 @@ class TestCELowerBound:
         mc_vals = np.minimum(t * col * col, np.abs(col) ** 3)
         mc = float(np.mean(mc_vals))
         se = float(np.std(mc_vals) / math.sqrt(col.size))
-        psi = m.psi_closed_form(t)
+        psi = m.psi_closed_form(np.array([t]))[0]
         gauss = float(gaussian_min_profile(t))
         assert abs(mc - max(gauss, psi) if psi < gauss else mc - psi) <= 3.0 * se + 1e-6
 
@@ -714,9 +714,10 @@ class TestRhoMixingChain:
     @pytest.mark.parametrize("p", (2.5, 3.0))
     def test_increment_law_table_matches_per_k_loop(self, p):
         for model in self.law_chains():
-            for t in (0.0, 1e-3, 0.37, 1.0, 6.0, 250.0):
-                psi, moments, sup, total = self.per_k_reference(model, t, p)
-                assert model.psi_closed_form(t) == psi
+            ts = (0.0, 1e-3, 0.37, 1.0, 6.0, 250.0)
+            psi = [self.per_k_reference(model, t, p)[0] for t in ts]
+            assert model.psi_closed_form(np.array(ts)).tolist() == psi
+            _, moments, sup, total = self.per_k_reference(model, 1.0, p)
             assert model.increment_abs_moments(p).tolist() == moments
             assert model.sup_moment_ratio(p) == sup
             assert model.sum_abs_moments(p) == total
@@ -725,7 +726,7 @@ class TestRhoMixingChain:
         m = self.law_chains()[3]
         assert np.all(m.sigma2_ladder()[1:] == 0.0)
         # only xi_1 = h_6(Y_1) = +-1 counts: E min(t xi^2, |xi|^3) / 1
-        assert m.psi_closed_form(0.5) == 0.5
+        assert m.psi_closed_form(np.array([0.5])).tolist() == [0.5]
         assert m.sup_moment_ratio(3.0) == 1.0
 
     def test_window_ratio_matches_running_sum_loop(self):
@@ -765,6 +766,89 @@ class TestRhoMixingChain:
             RhoMixingChain(spec("rho_mixing_chain", 4, transition=[[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ConfigurationError):
             RhoMixingChain(spec("rho_mixing_chain", 4, state_values=[2.0, 2.0]))
+
+
+# t = 0, then a log grid from below 1e-3 to past Rademacher's cap at t = 1
+PSI_GRID = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 97)))
+
+S3_CHAIN = {
+    "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+    "state_values": [1.0, -0.5, 2.0],
+}
+# mixes so slowly that h_{n-k} never reaches its float fixed point: no two
+# law rows repeat, and the t-grid is split into blocks
+SLOW_CHAIN = {
+    "transition": [[0.998, 0.001, 0.001], [0.001, 0.998, 0.001], [0.0005, 0.0005, 0.999]],
+    "state_values": [1.0, -0.5, 2.0],
+}
+
+
+def scalar_psi_reference(model, t):
+    """psi at one Python float t by each family's per-t formula."""
+    if isinstance(model, RhoMixingChain):
+        # every row of the (n, S^2) law table, none deduplicated
+        values, probs = model._increment_laws()
+        sigma2 = model.sigma2_ladder()
+        delta = math.sqrt(float(np.max(sigma2)))
+        terms = probs * np.minimum(t * delta * values**2, np.abs(values) ** 3)
+        live = sigma2 > 0.0
+        if not np.any(live):
+            return 0.0
+        return float(np.max(model._expectations(terms)[live] / sigma2[live]))
+    if isinstance(model, RademacherIID):
+        return float(model._delta * min(t, 1.0))
+    if isinstance(model, CELowerBound):
+        cp = model.params
+        gauss = float(gaussian_min_profile(t))
+
+        def integrand(x):
+            s = math.sqrt(cp.m)
+            dens = math.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+            lo, hi = abs(x) / cp.k, cp.k / abs(x)
+            w_lo = cp.k**2 / (x * x + cp.k**2)
+            val = w_lo * min(t * lo * lo, lo**3) + (1.0 - w_lo) * min(t * hi * hi, hi**3)
+            return val * dens
+
+        window = 2.0 * quadrature(integrand, cp.a, 2.0 * cp.a, tol=1e-12)
+        return max(gauss, gauss * (1.0 - cp.branch_probability()) + window)
+    sig = np.sqrt(model.moments().sigma2)  # the Gaussian families
+    return float(float(np.max(sig)) * gaussian_min_profile(t))
+
+
+class TestPsiProfiles:
+    @pytest.mark.parametrize(
+        "s",
+        [
+            spec("gaussian_iid", 6, sigma=[1.0, 2.0, 0.5, 1.5, 1.0, 3.0]),
+            spec("rademacher_iid", 6, sigma={"rule": "affine", "intercept": 0.5, "slope": 2.0}),
+            spec("ce_lowerbound", 100),
+            spec("linear_statistic", 6, base={"kind": "ar1", "phi": 0.5}),
+            spec("rho_mixing_chain", 192),
+            spec("rho_mixing_chain", 16384),
+            spec("rho_mixing_chain", 2000, **S3_CHAIN),
+            spec("rho_mixing_chain", 600, **SLOW_CHAIN),
+        ],
+        ids=lambda s: f"{s.family}-n{s.n}-{len(s.params)}",
+    )
+    def test_array_psi_is_the_per_t_scalar_bit_for_bit(self, s):
+        model = make_model(s)
+        grid = PSI_GRID[::4] if s.family == "ce_lowerbound" else PSI_GRID
+        reference = [scalar_psi_reference(model, float(t)) for t in grid]
+        assert model.psi_closed_form(grid).tolist() == reference
+
+    @pytest.mark.parametrize(
+        "n, params, distinct", [(192, {}, 54), (16384, {}, 54), (2000, S3_CHAIN, 48), (600, SLOW_CHAIN, 599)]
+    )
+    def test_chain_psi_reads_the_distinct_law_rows(self, n, params, distinct):
+        model = RhoMixingChain(spec("rho_mixing_chain", n, **params))
+        values, probs = model._increment_laws()
+        rows = model._law_rows
+        assert rows.size == distinct
+        table = np.column_stack((values, probs, model.sigma2_ladder()))
+        # every live row k >= 2 repeats one of the indexed rows bit for bit
+        live = np.flatnonzero(model.sigma2_ladder()[1:] > 0.0) + 1
+        indexed = {table[k].tobytes() for k in rows}
+        assert {table[k].tobytes() for k in live} == indexed
 
 
 class TestSequentialMaps:

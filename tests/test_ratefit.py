@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import math
@@ -300,12 +301,64 @@ class TestCsvRows:
         assert row[13] == 'a "b", c'
 
 
+SRC = Path(cltlab.__file__).resolve().parents[1]
+
+
+def fresh_python(code, *args):
+    """The last stdout line of code run in a new interpreter with args as argv[1:]."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=SRC,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of a second to import and every CLI run pays it
-    src = str(Path(cltlab.__file__).resolve().parents[1])
-    code = "import sys, cltlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, cwd=src,
-    )
-    assert out.stdout.strip() == "False"
+    assert fresh_python("import sys, cltlab.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+# runs one CLI command, then reports its exit code and whether it loaded scipy.special
+CLI_THEN_SPECIAL = (
+    "import sys, cltlab.cli; rc = cltlab.cli.main(sys.argv[1:]); "
+    "print(rc, 'scipy.special' in sys.modules)"
+)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 0.3 s; only commands that evaluate Phi load it
+    assert fresh_python("import sys, cltlab.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [(("bounds", "--model", "rho_mixing_chain", "--n-grid", "16,32", "--a", "auto"), "False"),
+     (("simulate", "--model", "ce_lowerbound", "--n-grid", "32", "--reps", "100"), "True")],
+    ids=("chain_bounds", "ce_simulate"),
+)
+def test_scipy_special_loads_only_where_phi_is_evaluated(tmp_path, args, loaded):
+    assert fresh_python(CLI_THEN_SPECIAL, *args, "--out", str(tmp_path)) == f"0 {loaded}"
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # every scipy name goes through numerics.scipy_special, imported on first
+    # call; only statements that run at import time are checked, not the
+    # bodies of functions
+    def import_time_nodes(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield node
+            yield from import_time_nodes(ast.iter_child_nodes(node))
+
+    offenders = []
+    for path in sorted((SRC / "cltlab").rglob("*.py")):
+        for node in import_time_nodes(ast.parse(path.read_text(encoding="utf-8")).body):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
