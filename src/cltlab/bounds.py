@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError
 from .models.base import Model, PathMoments
 from .numerics import csv_text
 
@@ -243,8 +243,8 @@ def u_ln(
     """E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1} xi_k^2 - sigma_k^2)|].
 
     Exactly 0 (no sampling) for models with constant conditional variances;
-    otherwise by ``l_n``'s modes: auto (exact when the family declares
-    u_exact, else Monte Carlo over path prefixes), exact, monte_carlo.
+    otherwise by ``l_n``'s modes: auto (the family's exact ``u_exact``) or
+    monte_carlo (over path prefixes).
     """
     n = model.spec.n
     if not (2 <= ell <= n):
@@ -265,10 +265,11 @@ def l_n(
 ) -> tuple[float, float, bool]:
     """sum_{ell=2}^n U_ell(p) / (V_n - V_{ell-1} + a^2 delta^2)^((p-r)/2).
 
-    mode: auto (exact when the family declares u_exact, else Monte Carlo),
-    exact, monte_carlo.  The Monte Carlo path draws one prefix set and
-    reuses it across every ell, so the reported SE accounts for the
-    cross-ell correlation exactly.
+    mode: auto reads the family's exact ``u_exact`` and raises
+    CapabilityError for a family that does not declare it; monte_carlo
+    averages ``u_samples`` over ``prefix_states_chunk``.  The Monte Carlo
+    path draws one prefix set and reuses it across every ell, so the
+    reported SE accounts for the cross-ell correlation exactly.
     """
     _validate_rp(r, p)
     if not (math.isfinite(a) and a >= 1.0):
@@ -291,18 +292,13 @@ def _fluctuation_sum(
 
     Exactly 0 when the conditional variances are constant (mo says so).
     """
-    if mode not in ("auto", "exact", "monte_carlo"):
+    if mode not in ("auto", "monte_carlo"):
         raise ConfigurationError(f"unknown fluctuation mode {mode!r}")
     if mo.conditional_variance_constant:
         return 0.0, 0.0, True
-    if mode != "monte_carlo":
-        try:
-            u = model.u_exact(p)
-            total = sum(u[ell - 2] / d for ell, d in zip(ells, denoms))
-            return float(total), 0.0, True
-        except CapabilityError:
-            if mode == "exact":
-                raise
+    if mode == "auto":
+        u = model.u_exact(p)
+        return float(sum(u[ell - 2] / d for ell, d in zip(ells, denoms))), 0.0, True
     states = model.prefix_states_chunk(master_seed, replicates, U_BLOCK)
     acc = np.zeros(states.shape[0])
     for ell, d in zip(ells, denoms):
@@ -335,10 +331,12 @@ def theorem1_rhs(
 
     term 1  delta^r * integral_a^X x^(r-3) dx                 (closed form)
     term 2  delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx (trapezoid)
-    term 3  the conditional-variance fluctuation sum           (exact or MC)
+    term 3  the conditional-variance fluctuation sum           (l_n, u_mode)
     term 4  4*sqrt(2) * a^r * delta^r                          (closed form)
 
-    X = sqrt(v_n(a))/delta and kappa = 6.  The leading constant multiplying
+    X = sqrt(v_n(a))/delta and kappa = 6.  psi_mode is closed_form or
+    monte_carlo; u_mode is auto (exact, CapabilityError without ``u_exact``)
+    or monte_carlo, as in ``l_n``.  The leading constant multiplying
     terms 1-3 is unknown and entered as 1; at r = 1, where the explicit
     smoothing constants are known, the breakdown is flagged ``explicit_r1``
     and records them in the metadata, and otherwise it is ``shape_only``.

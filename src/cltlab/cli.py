@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .io import (
     write_manifest,
     write_text,
 )
-from .models import KNOWN_FAMILIES, ModelSpec, atom_fraction, make_model
+from .models import KNOWN_FAMILIES, ModelSpec, atom_fraction, check_table_size, make_model
 from .numerics import csv_text
 
 EXIT_OK = 0
@@ -68,9 +69,15 @@ EXIT_IO = 3
 DEFAULT_N_GRID = tuple(2**k for k in range(7, 15))
 DEFAULT_REPLICATES = 200_000
 
+# the only per-command defaults: without --config, verify-ce checks the
+# lower-bound construction on its own short grid
+COMMAND_DEFAULTS: dict[str, tuple[str, tuple[int, ...]]] = {
+    "verify-ce": ("ce_lowerbound", (64, 256, 1024)),
+}
+
 # replicate cap for the per-increment moment table of verify-ce; the table
-# is built from the full R x n increment matrix (8 R n bytes, plus its
-# |.|^p copy), so the cap bounds memory at the largest n
+# is the full R x n increment matrix (8 R n bytes, raised to |.|^p in
+# place), so the cap bounds memory at the largest n
 VERIFY_MOMENT_REPLICATES = 20_000
 
 # CLI shorthand tags on top of the raw family names
@@ -151,51 +158,48 @@ def _resolve_tag(tag: str) -> tuple[str, dict]:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Combine a config file (if any) with flag overrides into one config."""
+    """A config file, or the defaults, with each flag applied once on top.
+
+    Without --config the model is --model, or the command's default.  A
+    model named by a tag is the template at the first grid point.
+    """
+    default_tag, default_grid = COMMAND_DEFAULTS.get(args.command, (None, DEFAULT_N_GRID))
+    tag = args.model
     if args.config is not None:
         cfg = load_config(Path(args.config))
+        fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     else:
-        if args.model is None:
+        tag = default_tag if tag is None else tag
+        if tag is None:
             raise ConfigurationError("provide --config PATH or --model TAG")
-        family, params = _resolve_tag(args.model)
-        grid = _parse_grid(args.n_grid) if args.n_grid else DEFAULT_N_GRID
-        spec = ModelSpec(
-            family=family, n=grid[0], p=args.p if args.p is not None else 3.0, params=params
-        )
-        cfg = ExperimentConfig(
-            model=spec,
-            n_grid=grid,
-            replicates=args.reps if args.reps is not None else DEFAULT_REPLICATES,
-            master_seed=args.seed if args.seed is not None else 0,
-            outputs=args.out if args.out is not None else "out",
-            bound_requests=(),
-        )
+        fields = {
+            "n_grid": default_grid,
+            "replicates": DEFAULT_REPLICATES,
+            "master_seed": 0,
+            "outputs": "out",
+            "bound_requests": (),
+        }
 
-    updates: dict[str, Any] = {}
-    if args.model is not None and args.config is not None:
-        family, params = _resolve_tag(args.model)
-        updates["model"] = ModelSpec(
-            family=family, n=cfg.n_grid[0], p=cfg.model.p, params=params
-        )
-    if args.p is not None:
-        updates["model"] = dataclasses.replace(updates.get("model", cfg.model), p=args.p)
     if args.n_grid is not None:
-        updates["n_grid"] = _parse_grid(args.n_grid)
+        fields["n_grid"] = _parse_grid(args.n_grid)
+    if tag is not None:
+        family, params = _resolve_tag(tag)
+        p = fields["model"].p if "model" in fields else 3.0
+        fields["model"] = ModelSpec(family=family, n=fields["n_grid"][0], p=p, params=params)
+    if args.p is not None:
+        fields["model"] = dataclasses.replace(fields["model"], p=args.p)
     if args.seed is not None:
-        updates["master_seed"] = args.seed
+        fields["master_seed"] = args.seed
     if args.reps is not None:
-        updates["replicates"] = args.reps
+        fields["replicates"] = args.reps
     if args.out is not None:
-        updates["outputs"] = str(args.out)
+        fields["outputs"] = str(args.out)
     if args.a is not None:
-        if args.a == "auto":
-            updates["a"] = None
-        else:
-            try:
-                updates["a"] = float(args.a)
-            except ValueError:
-                raise ConfigurationError(f"--a must be a real >= 1 or 'auto', got {args.a!r}") from None
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+        try:
+            fields["a"] = None if args.a == "auto" else float(args.a)
+        except ValueError:
+            raise ConfigurationError(f"--a must be a real >= 1 or 'auto', got {args.a!r}") from None
+    return ExperimentConfig(**fields)
 
 
 def _grid_models(cfg: ExperimentConfig):
@@ -214,6 +218,7 @@ def _ensure_out(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    check_table_size(cfg.replicates, cfg.n_grid[-1])
     out = _ensure_out(cfg)
     digest = cfg.digest()
     threads = worker_threads()
@@ -430,29 +435,25 @@ VERIFY_CE_CSV_COLUMNS = (
 )
 
 
-def cmd_verify_ce(args: argparse.Namespace) -> int:
-    p = args.p if args.p is not None else 3.0
+def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
+    """Check ce_lowerbound's constants; verify_ce.csv only when write_csv."""
+    if cfg.model.family != "ce_lowerbound":
+        raise ConfigurationError(f"verify-ce checks ce_lowerbound only, got {cfg.model.family!r}")
+    p, reps, seed = cfg.model.p, cfg.replicates, cfg.master_seed
     if not (2.0 < p <= 3.0):
-        raise ConfigurationError(f"--p must lie in (2, 3], got {p!r}")
-    grid = _parse_grid(args.n_grid) if args.n_grid else (64, 256, 1024)
-    reps = args.reps if args.reps is not None else DEFAULT_REPLICATES
-    seed = args.seed if args.seed is not None else 0
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError(f"--seed must be an unsigned 64-bit integer, got {seed!r}")
+        raise ConfigurationError(f"p must lie in (2, 3], got {p!r}")
+    m_reps = min(reps, VERIFY_MOMENT_REPLICATES)
+    check_table_size(m_reps, cfg.n_grid[-1])
     threads = worker_threads()
 
     # the whole grid must satisfy the construction's hypotheses before any work
-    models = [
-        make_model(ModelSpec(family="ce_lowerbound", n=int(n), p=p, params={}))
-        for n in sorted(grid)
-    ]
+    models = list(_grid_models(cfg))
 
     header = f"{'n':>6}  {'atom':>22}  {'uniform dist':>22}  {'max moment':>22}"
     print(header)
     rows = []
     all_pass = True
-    for i, model in enumerate(models):
-        n = model.spec.n
+    for i, n, model in models:
         values = model.statistic_values(seed, reps, block=i, threads=threads)
         sample = EmpiricalSample.from_values(values)
 
@@ -465,8 +466,9 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
         dist_thr = model.params.kolmogorov_lower_bound()
         dist_ok = dist >= dist_thr - 3.0 * dist_se
 
-        m_reps = min(reps, VERIFY_MOMENT_REPLICATES)
-        abs_p = np.abs(model.increment_matrix(seed, m_reps, block=1000 + i)) ** p
+        abs_p = model.increment_matrix(seed, m_reps, block=1000 + i)
+        np.abs(abs_p, out=abs_p)
+        abs_p **= p
         means = abs_p.mean(axis=0)
         k_star = int(np.argmax(means))
         moment = float(means[k_star])
@@ -486,10 +488,8 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
             dist, dist_se, dist_thr, dist_ok,
             moment, moment_se, cap, moment_ok,
         ))
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_text(out / "verify_ce.csv", csv_text(VERIFY_CE_CSV_COLUMNS, rows))
+    if write_csv:
+        write_text(_ensure_out(cfg) / "verify_ce.csv", csv_text(VERIFY_CE_CSV_COLUMNS, rows))
     print("all checks passed" if all_pass else "CHECK FAILURE")
     return EXIT_OK if all_pass else EXIT_CHECK
 
@@ -499,21 +499,16 @@ def cmd_verify_ce(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {
+        "simulate": cmd_simulate,
+        "distance": cmd_distance,
+        "bounds": cmd_bounds,
+        "ratefit": cmd_ratefit,
+        "verify-ce": functools.partial(cmd_verify_ce, write_csv=args.out is not None),
+    }
     try:
-        if args.command == "verify-ce":
-            return cmd_verify_ce(args)
-        cfg = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "distance":
-            return cmd_distance(cfg)
-        if args.command == "bounds":
-            return cmd_bounds(cfg)
-        if args.command == "ratefit":
-            return cmd_ratefit(cfg)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return commands[args.command](resolve_config(args))
     except (ConfigurationError, DomainError, CapabilityError) as exc:
         print(f"cltlab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

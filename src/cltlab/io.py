@@ -133,12 +133,7 @@ class ExperimentConfig:
         """The canonical document form; hashing and manifests start here."""
         doc: dict[str, Any] = {
             "schema_version": CONFIG_SCHEMA_VERSION,
-            "model": {
-                "family": self.model.family,
-                "n": self.model.n,
-                "p": self.model.p,
-                "params": _plain(self.model.params),
-            },
+            "model": _plain(self.model.to_dict()),
             "n_grid": list(self.n_grid),
             "replicates": self.replicates,
             "master_seed": self.master_seed,
@@ -208,20 +203,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigurationError(
             f"schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
-    known = {
-        "schema_version",
-        "model",
-        "n_grid",
-        "replicates",
-        "master_seed",
-        "outputs",
-        "bound_requests",
-        "a",
-        "distance_kind",
-        "target_exponent",
-        "tolerance",
-        "fit_seeds",
-    }
+    known = {"schema_version", *(f.name for f in dataclasses.fields(ExperimentConfig))}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
@@ -230,12 +212,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(model_doc, Mapping):
         raise ConfigurationError("config needs a 'model' object")
     try:
-        spec = ModelSpec(
-            family=model_doc.get("family"),
-            n=int(model_doc.get("n", 0)),
-            p=float(model_doc.get("p", 3.0)),
-            params=dict(model_doc.get("params", {})),
-        )
+        spec = ModelSpec.from_dict(model_doc)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad model block: {exc}") from exc
 
@@ -307,7 +284,7 @@ def write_batch(path: Path, values: np.ndarray, config_sha256: str) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.tobytes(order="C"))
+        fh.write(memoryview(arr).cast("B"))
 
 
 def read_batch(path: Path) -> tuple[np.ndarray, str]:

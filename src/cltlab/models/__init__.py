@@ -12,6 +12,7 @@ from .base import (
     ModelSpec,
     PathMoments,
     PathSample,
+    check_table_size,
 )
 from .ce import CELowerBound, CEParams, atom_fraction, branch_abs_moment
 from .chain import RhoMixingChain
@@ -51,6 +52,7 @@ __all__ = [
     "SequentialMaps",
     "atom_fraction",
     "branch_abs_moment",
+    "check_table_size",
     "coefficient_schedule",
     "gaussian_min_profile",
     "make_model",

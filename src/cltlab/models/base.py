@@ -66,6 +66,11 @@ DRAW_BUDGET = 1 << 18
 # keep it small next to the work.
 STEP_LOOP_DRAW_BUDGET = 8 * DRAW_BUDGET
 
+# The largest (replicates, n) float64 table one call may allocate: 1 GiB.
+# The default simulate grid would need 26 GB at n = 16384, more than most
+# machines hold; check_table_size refuses such a request before any draw.
+MAX_TABLE_BYTES = 1 << 30
+
 KNOWN_FAMILIES = (
     "gaussian_iid",
     "rademacher_iid",
@@ -74,6 +79,16 @@ KNOWN_FAMILIES = (
     "rho_mixing_chain",
     "sequential_maps",
 )
+
+
+def check_table_size(replicates: int, n: int) -> None:
+    """ConfigurationError when a (replicates, n) float64 table passes MAX_TABLE_BYTES."""
+    size = 8 * replicates * n
+    if size > MAX_TABLE_BYTES:
+        raise ConfigurationError(
+            f"a {replicates} x {n} table of float64 takes {size / 2**30:.1f} GiB, over the "
+            f"{MAX_TABLE_BYTES / 2**30:g} GiB cap; lower the replicates or the largest n"
+        )
 
 
 @dataclass(frozen=True)
@@ -326,6 +341,7 @@ class Model:
         self, master_seed: int, replicates: int, block: int = 0
     ) -> np.ndarray:
         """(replicates, n) matrix of raw increments, one path per row."""
+        check_table_size(replicates, self.spec.n)
         out = np.empty((replicates, self.spec.n))
         return self._map_chunks(self._increments, out, master_seed, 0, block)
 

@@ -3,19 +3,28 @@
 `benchmarks/traced_cli.py` counts work by reading named arguments of a few
 layer functions (HOOKS).  A rename in src/ would leave a hook unattached and
 zero its counter without any error, so each hook target is checked here: it
-must exist in its layer and take every argument its hooks read.
+must exist in its layer and take every argument its hooks read.  A traced
+run of simulate, distance, bounds and verify-ce must also exit 0, count the
+replicates the benchmark expects, and repeat its counters exactly.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACED_CLI = Path(__file__).resolve().parents[1] / "benchmarks" / "traced_cli.py"
+from cltlab.io import BATCH_HEADER_BYTES
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED_CLI = ROOT / "benchmarks" / "traced_cli.py"
 
 
 def _load_traced_cli():
@@ -62,3 +71,40 @@ def test_traced_model_method_is_defined(method):
     # the tracer wraps a method only on the classes whose own namespace holds it
     classes = traced_cli._all_subclasses(traced_cli.Model)
     assert any(method in vars(cls) for cls in classes), f"no model class defines {method!r}"
+
+
+TRACED_GRID = (64, 128)
+TRACED_REPS = 300
+TRACED_RUNS = {
+    "simulate": ("simulate", "--model", "ce_lowerbound"),
+    "distance": ("distance", "--model", "rademacher_iid"),
+    "bounds": ("bounds", "--model", "ce_lowerbound"),
+    "verify-ce": ("verify-ce",),
+}
+
+
+def _traced_counters(tmp_path: Path, argv: tuple, tag: str) -> dict:
+    trace = tmp_path / f"{tag}.json"
+    grid = ",".join(str(n) for n in TRACED_GRID)
+    cmd = [sys.executable, str(TRACED_CLI), str(trace), *argv, "--n-grid", grid,
+           "--reps", str(TRACED_REPS), "--seed", "0", "--out", str(tmp_path / tag)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CLTLAB_THREADS="1")
+    proc = subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text(encoding="utf-8"))["counters"]
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_RUNS))
+def test_traced_run_counts_repeat(tmp_path, command):
+    argv = TRACED_RUNS[command]
+    first = _traced_counters(tmp_path, argv, "first")
+    assert _traced_counters(tmp_path, argv, "second") == first
+    # the benchmark counts R x |grid| replicates for a drawing command and
+    # none for bounds, all through Model.statistic_values
+    drawn = 0 if command == "bounds" else TRACED_REPS * len(TRACED_GRID)
+    assert first.get("models.replicates", 0) == drawn
+    if command == "simulate":
+        # one statistic vector and one increment matrix per grid point
+        batch_bytes = sum(2 * BATCH_HEADER_BYTES + 8 * TRACED_REPS * (1 + n) for n in TRACED_GRID)
+        assert first["models.path_rows"] == drawn
+        assert first["io.batch_bytes"] == first["io.bytes_hashed"] == batch_bytes

@@ -166,7 +166,7 @@ class TestFluctuationStatistics:
         m = RhoMixingChain(spec("rho_mixing_chain", 8))
         for ell in (2, 5, 8):
             assert u_ln(ell, 3.0, m) == (0.0, 0.0, True)
-        assert l_n(3.0, 1.0, 1.0, m, mode="exact")[0] == 0.0
+        assert l_n(3.0, 1.0, 1.0, m)[0] == 0.0
 
     def test_u_ln_exact_matches_path_enumeration(self):
         m = asymmetric_chain(6)
@@ -188,13 +188,13 @@ class TestFluctuationStatistics:
         m = asymmetric_chain(6)
         oracle = ChainEnumeration(m.P, m.f, m.pi, 6)
         for (p, r, a) in ((3.0, 1.0, 1.0), (2.5, 0.5, 2.0)):
-            val, se, exact = l_n(p, r, a, m, mode="exact")
+            val, se, exact = l_n(p, r, a, m)
             assert exact and se == 0.0
             assert abs(val - oracle.l_n(p, r, a)) <= 1e-10
 
     def test_l_n_monte_carlo_agrees_with_exact(self):
         m = asymmetric_chain(6)
-        exact_val = l_n(3.0, 1.0, 1.0, m, mode="exact")[0]
+        exact_val = l_n(3.0, 1.0, 1.0, m)[0]
         val, se, exact = l_n(3.0, 1.0, 1.0, m, mode="monte_carlo", replicates=4000, master_seed=5)
         assert not exact and se > 0.0
         assert abs(val - exact_val) <= 3.0 * se
@@ -218,13 +218,13 @@ class TestFluctuationStatistics:
             tail += Fraction(float(mo.sigma2[ell - 1]))
             terms.append(float(Fraction(float(u[ell - 2])) / (tail + floor)))
         reference = math.fsum(terms)
-        value = l_n(3.0, 1.0, a, m, mode="exact")[0]
+        value = l_n(3.0, 1.0, a, m)[0]
         assert reference > 0.0
         assert abs(value - reference) <= 1e-13 * reference
 
     def test_l_n_nonincreasing_in_a(self):
         m = asymmetric_chain(8)
-        vals = [l_n(3.0, 1.0, a, m, mode="exact")[0] for a in (1.0, 2.0, 4.0)]
+        vals = [l_n(3.0, 1.0, a, m)[0] for a in (1.0, 2.0, 4.0)]
         assert vals[0] >= vals[1] >= vals[2] > 0.0
 
     def test_validation(self):
@@ -238,9 +238,22 @@ class TestFluctuationStatistics:
         with pytest.raises(DomainError):
             l_n(3.5, 1.0, 1.0, m)
         with pytest.raises(CapabilityError):
-            l_n(3.0, 1.0, 1.0, SequentialMaps(spec("sequential_maps", 4)), mode="exact")
+            l_n(3.0, 1.0, 1.0, SequentialMaps(spec("sequential_maps", 4)))
         with pytest.raises(ConfigurationError):
             u_ln(2, 3.0, rademacher(4), mode="quadrature")
+        with pytest.raises(ConfigurationError):
+            l_n(3.0, 1.0, 1.0, asymmetric_chain(6), mode="exact")
+
+    def test_default_mode_never_falls_back_to_monte_carlo(self, monkeypatch):
+        # without u_exact the default mode raises at once: no prefix states
+        # are drawn for a Monte Carlo estimate that could not be formed
+        calls = []
+        monkeypatch.setattr(
+            SequentialMaps, "prefix_states_chunk", lambda self, *a, **k: calls.append(a)
+        )
+        with pytest.raises(CapabilityError):
+            l_n(3.0, 1.0, 1.0, SequentialMaps(spec("sequential_maps", 4)))
+        assert calls == []
 
 
 class TestMasterBound:
@@ -278,10 +291,10 @@ class TestMasterBound:
 
     def test_fluctuation_term_enters_for_chains(self):
         m = asymmetric_chain(6)
-        bd = theorem1_rhs(1.0, 3.0, 1.0, m, u_mode="exact")
+        bd = theorem1_rhs(1.0, 3.0, 1.0, m)
         lterm = bd.term("fluctuation_sum")
         assert lterm.exact and lterm.value > 0.0
-        assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m, mode="exact")[0]) <= 1e-12
+        assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m)[0]) <= 1e-12
         assert bd.total == combined(bd)
 
     def test_missing_oracle_raises_before_any_psi_path(self, monkeypatch):
@@ -378,7 +391,7 @@ class TestBerryEsseen:
 
     def test_chain_fluctuation_enters(self):
         m = asymmetric_chain(6)
-        bd = berry_esseen_bound(3.0, m, u_mode="exact")
+        bd = berry_esseen_bound(3.0, m)
         assert bd.term("fluctuation_sum").value > 0.0
         assert bd.total == combined(bd)
 

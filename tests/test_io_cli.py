@@ -52,7 +52,8 @@ from cltlab.io import (
     write_manifest,
     write_text,
 )
-from cltlab.models import KNOWN_FAMILIES, ModelSpec
+from cltlab.models import KNOWN_FAMILIES, ModelSpec, make_model
+from cltlab.models import base as models_base
 from cltlab.numerics import SeedLineage
 
 
@@ -695,6 +696,22 @@ class TestCliCommands:
         )
         assert len(row) == len(header) and row[0] == "64"
 
+    def test_verify_ce_config_writes_the_bytes_of_its_flags(self, tmp_path):
+        flags = ("--n-grid", "64,128", "--reps", "500", "--seed", "4")
+        rc = run_cli("verify-ce", *flags, "--out", str(tmp_path / "flags"))
+        doc = config_doc(
+            model={"family": "ce_lowerbound", "n": 64, "p": 3.0, "params": {}},
+            n_grid=[64, 128], replicates=500, master_seed=4, outputs=str(tmp_path / "unused"),
+        )
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("verify-ce", "--config", str(path), "--out", str(tmp_path / "cfg")) == rc
+        written = (tmp_path / "cfg" / "verify_ce.csv").read_bytes()
+        assert written == (tmp_path / "flags" / "verify_ce.csv").read_bytes()
+        # without --out verify-ce writes nothing, not even to the config's outputs
+        assert run_cli("verify-ce", "--config", str(path)) == rc
+        assert not (tmp_path / "unused").exists()
+
     @pytest.mark.parametrize(
         "argv,code",
         [
@@ -712,6 +729,15 @@ class TestCliCommands:
             (("distance", "--model", "cauchy_iid", "--reps", "100"), EXIT_CONFIG),
             # malformed a flag
             (("distance", "--model", "rademacher_iid", "--a", "few"), EXIT_CONFIG),
+            # verify-ce checks the lower-bound construction only
+            (("verify-ce", "--model", "gaussian_iid", "--n-grid", "64", "--reps", "200"), EXIT_CONFIG),
+            # verify-ce shares the config rules: replicates >= 100 and a
+            # strictly increasing grid
+            (("verify-ce", "--n-grid", "64", "--reps", "30"), EXIT_CONFIG),
+            (("verify-ce", "--n-grid", "64,64", "--reps", "200"), EXIT_CONFIG),
+            (("verify-ce", "--n-grid", "256,64", "--reps", "200"), EXIT_CONFIG),
+            # verify-ce reads --config like every other subcommand
+            (("verify-ce", "--config", "MISSING", "--n-grid", "64", "--reps", "200"), EXIT_IO),
         ],
     )
     def test_exit_codes(self, tmp_path, argv, code):
@@ -765,6 +791,23 @@ class TestCliCommands:
         self.forbid_draws(monkeypatch)
         with pytest.raises(AssertionError, match="drawn before"):
             run_cli("verify-ce", "--n-grid", "64", "--reps", "100", "--out", str(tmp_path / "ce"))
+
+    def test_oversized_tables_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # the largest table below is 100 x 16 doubles = 12800 bytes
+        monkeypatch.setattr(models_base, "MAX_TABLE_BYTES", 10_000)
+        self.forbid_draws(monkeypatch)
+        out = tmp_path / "sim"
+        rc = run_cli("simulate", "--model", "rademacher_iid", "--n-grid", "8,16",
+                     "--reps", "100", "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        rc = run_cli("verify-ce", "--n-grid", "20,32", "--reps", "100", "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert not out.exists() or not any(out.iterdir())
+        model = make_model(ModelSpec(family="rademacher_iid", n=16))
+        with pytest.raises(ConfigurationError, match="GiB cap"):
+            model.increment_matrix(0, 100)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_verify_ce_bad_seed_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys, seed):
