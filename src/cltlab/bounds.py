@@ -185,21 +185,14 @@ def psi_n(
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a real >= 0, got {t!r}")
-    if t == 0.0 and mode in ("closed_form", "monte_carlo"):
+    if mode not in ("closed_form", "monte_carlo"):
+        raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
+    if t == 0.0:
         return 0.0, 0.0, True
-    value, se = _psi_profile(model, mode, replicates, master_seed)(np.array([t]))
-    return float(value[0]), 0.0 if se is None else float(se[0]), se is None
-
-
-def _psi_profile(
-    model: Model, mode: str, replicates: int, master_seed: int
-) -> Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]:
-    """psi over an array of t, with its standard errors (None when exact)."""
     if mode == "closed_form":
-        return lambda t: (model.psi_closed_form(t), None)
-    if mode == "monte_carlo":
-        return _psi_mc_profile(model, replicates, master_seed)
-    raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
+        return float(model.psi_closed_form(np.array([t]))[0]), 0.0, True
+    value, se = _psi_mc_profile(model, replicates, master_seed)(np.array([t]))
+    return float(value[0]), float(se[0]), False
 
 
 def _psi_mc_profile(
@@ -317,26 +310,17 @@ def _validate_rp(r: float, p: float) -> None:
 # the master bound
 
 
-def theorem1_rhs(
-    r: float,
-    p: float,
-    a: float,
-    model: Model,
-    psi_mode: str = "closed_form",
-    u_mode: str = "auto",
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-) -> BoundBreakdown:
+def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
     """Four-term smoothing bound on the ideal metric of order r.
 
     term 1  delta^r * integral_a^X x^(r-3) dx                 (closed form)
     term 2  delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx (trapezoid)
-    term 3  the conditional-variance fluctuation sum           (l_n, u_mode)
+    term 3  the conditional-variance fluctuation sum           (l_n, exact)
     term 4  4*sqrt(2) * a^r * delta^r                          (closed form)
 
-    X = sqrt(v_n(a))/delta and kappa = 6.  psi_mode is closed_form or
-    monte_carlo; u_mode is auto (exact, CapabilityError without ``u_exact``)
-    or monte_carlo, as in ``l_n``.  The leading constant multiplying
+    X = sqrt(v_n(a))/delta and kappa = 6.  psi is the family's
+    ``psi_closed_form`` and the fluctuation sum its ``u_exact``; a family
+    without either raises CapabilityError.  The leading constant multiplying
     terms 1-3 is unknown and entered as 1; at r = 1, where the explicit
     smoothing constants are known, the breakdown is flagged ``explicit_r1``
     and records them in the metadata, and otherwise it is ``shape_only``.
@@ -350,13 +334,10 @@ def theorem1_rhs(
     t1 = delta**r * _power_integral(a, x_hi, r)
 
     # the fluctuation sum goes first: it raises CapabilityError for a family
-    # without a conditional-variance oracle before any psi path is drawn
-    # (the two terms draw from disjoint stream blocks)
-    lv, lse, lexact = l_n(
-        p, r, a, model, mode=u_mode, replicates=replicates, master_seed=master_seed
-    )
+    # without a fluctuation oracle before the psi profile is evaluated
+    lv, lse, lexact = l_n(p, r, a, model)
 
-    t2, t2_se, t2_exact = _psi_term(model, mo, r, a, x_hi, psi_mode, replicates, master_seed)
+    t2, t2_se = _psi_term(model, r, a, x_hi, delta)
 
     t4 = ADDITIVE_CONST * a**r * delta**r
 
@@ -372,7 +353,7 @@ def theorem1_rhs(
             name="psi_integral",
             value=float(t2),
             se=float(t2_se),
-            exact=t2_exact,
+            exact=False,
             formula="delta^(r-1) * integral_a^X psi(kappa*x) * x^(r-2) dx",
         ),
         BoundTerm(
@@ -400,8 +381,8 @@ def theorem1_rhs(
         "v_n_of_a": va,
         "delta_n": delta,
         "v_n": mo.v_n,
-        "psi_mode": psi_mode,
-        "u_mode": u_mode,
+        "psi_mode": "closed_form",
+        "u_mode": "auto",
     }
     constants_mode = "explicit_r1" if r == 1.0 else "shape_only"
     if constants_mode == "explicit_r1":
@@ -418,33 +399,21 @@ def theorem1_rhs(
 
 
 def _psi_term(
-    model: Model,
-    mo: PathMoments,
-    r: float,
-    a: float,
-    x_hi: float,
-    psi_mode: str,
-    replicates: int,
-    master_seed: int,
-) -> tuple[float, float, bool]:
-    """delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx on a log grid.
+    model: Model, r: float, a: float, x_hi: float, delta: float
+) -> tuple[float, float]:
+    """delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx on a log grid, with its se.
 
     Substituting u = log x turns the integrand into psi(kappa e^u) e^(u(r-1));
     the trapezoid on the uniform u-grid is paired with its half-resolution
     restriction for a Richardson error estimate.
     """
     u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
-    values, ses = _psi_profile(model, psi_mode, replicates, master_seed)(KAPPA_R1 * np.exp(u))
-    g = values * np.exp(u * (r - 1.0))
+    g = model.psi_closed_form(KAPPA_R1 * np.exp(u)) * np.exp(u * (r - 1.0))
     fine = float(_trapezoid(g, u))
     coarse = float(_trapezoid(g[::2], u[::2]))
     richardson = abs(fine - coarse) / 3.0
-    mc_se = 0.0
-    if ses is not None:
-        mc_se = float(_trapezoid(ses * np.exp(u * (r - 1.0)), u))
-    delta = mo.delta_n
     scale = delta ** (r - 1.0)
-    return scale * fine, scale * (richardson + mc_se), False
+    return scale * fine, scale * richardson
 
 
 def minimize_over_a(
@@ -466,15 +435,7 @@ def minimize_over_a(
 # corollary-level displays
 
 
-def corollary_w1_bound(
-    p: float,
-    a: float,
-    model: Model,
-    r: float = 1.0,
-    u_mode: str = "auto",
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-) -> BoundBreakdown:
+def corollary_w1_bound(p: float, a: float, model: Model, r: float = 1.0) -> BoundBreakdown:
     """The closed-form transport-distance display implied by the master bound.
 
     For (r, p) != (1, 3) the middle term is sup_k E|xi_k|^p/sigma_k^2 times
@@ -496,9 +457,7 @@ def corollary_w1_bound(
         factor = va ** ((2.0 + r - p) / 2.0)
         display = "power"
         mid_formula = "sup_k E|xi_k|^p/sigma_k^2 * v_n(a)^((2+r-p)/2)"
-    lv, lse, lexact = l_n(
-        p, r, a, model, mode=u_mode, replicates=replicates, master_seed=master_seed
-    )
+    lv, lse, lexact = l_n(p, r, a, model)
     terms = (
         BoundTerm(
             name="smoothing_floor",
@@ -547,13 +506,7 @@ def berry_esseen_target_exponent(p: float) -> float:
     return -(p - 2.0) / (2.0 * (p - 1.0))
 
 
-def berry_esseen_bound(
-    p: float,
-    model: Model,
-    u_mode: str = "auto",
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-) -> BoundBreakdown:
+def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
     """Shape of the uniform-distance rate for the normalized martingale.
 
     p < 3:  V^(-(p-2)/(2(p-1))) * (sup-ratio + fluctuation sum)^(1/(p-1))
@@ -577,9 +530,7 @@ def berry_esseen_bound(
         factor = math.log(math.sqrt(vn_of_a(1.0, mo)) / mo.delta_n)
         power = 0.5
         mid_formula = "sup_k E|xi_k|^3/sigma_k^2 * log(sqrt(v_n(1))/delta)"
-    lv, lse, lexact = l_n(
-        p, r, 1.0, model, mode=u_mode, replicates=replicates, master_seed=master_seed
-    )
+    lv, lse, lexact = l_n(p, r, 1.0, model)
     terms = (
         BoundTerm(
             name="variance_power",
@@ -835,17 +786,17 @@ def _at_a(
 
 
 # tag -> evaluator(model, p, master_seed, a), in the order a config's bound
-# requests are checked against; a = None picks a by minimize_over_a.  A tag
-# the family has no oracle for raises CapabilityError.
+# requests are checked against; a = None picks a by minimize_over_a.  Only
+# heyde_brown samples, so only it reads the seed.  A tag the family has no
+# oracle for raises CapabilityError.
 BOUNDS: dict[str, Callable[[Model, float, int, Optional[float]], BoundBreakdown]] = {
     "theorem1_rhs": lambda model, p, seed, a: _at_a(
-        lambda x: theorem1_rhs(1.0, p, x, model, master_seed=seed),
-        model, a,
+        lambda x: theorem1_rhs(1.0, p, x, model), model, a
     ),
     "w1_upper": lambda model, p, seed, a: _at_a(
-        lambda x: corollary_w1_bound(p, x, model, master_seed=seed), model, a
+        lambda x: corollary_w1_bound(p, x, model), model, a
     ),
-    "berry_esseen": lambda model, p, seed, a: berry_esseen_bound(p, model, master_seed=seed),
+    "berry_esseen": lambda model, p, seed, a: berry_esseen_bound(p, model),
     "heyde_brown": lambda model, p, seed, a: heyde_brown_bound(p, model, master_seed=seed),
     "linear_w1": lambda model, p, seed, a: linear_statistic_w1_bound(model),
     "rho_mixing": lambda model, p, seed, a: _rho_mixing(model),

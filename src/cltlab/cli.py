@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -91,17 +90,6 @@ MODEL_TAGS: dict[str, tuple[str, dict]] = {
         {"base": {"kind": "ma", "theta": [1.0, 0.5]}, "coefficients": {"rule": "constant", "kappa": 1.0}},
     ),
 }
-
-def worker_threads() -> int:
-    """Worker count for replicate batches; CLTLAB_THREADS overrides."""
-    raw = os.environ.get("CLTLAB_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"CLTLAB_THREADS must be an integer, got {raw!r}") from None
-    if t < 1:
-        raise ConfigurationError(f"CLTLAB_THREADS must be >= 1, got {t}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +209,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     check_table_size(cfg.replicates, cfg.n_grid[-1])
     out = _ensure_out(cfg)
     digest = cfg.digest()
-    threads = worker_threads()
     files: list[str] = []
     blocks: dict[str, int] = {}
     for i, n, model in _grid_models(cfg):
-        stats = model.statistic_values(cfg.master_seed, cfg.replicates, block=i, threads=threads)
+        stats = model.statistic_values(cfg.master_seed, cfg.replicates, block=i)
         stat_name = f"statistics_n{n}.bin"
         write_batch(out / stat_name, stats, digest)
         incs = model.increment_matrix(cfg.master_seed, cfg.replicates, block=i)
@@ -247,11 +234,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # distance
 
 
-def _measure(cfg: ExperimentConfig, master_seed: int, threads: int) -> list[DistanceReport]:
+def _measure(cfg: ExperimentConfig, master_seed: int) -> list[DistanceReport]:
     """Draw, sort and measure every grid point; one report (and line) per n."""
     reports = []
     for i, n, model in _grid_models(cfg):
-        values = model.statistic_values(master_seed, cfg.replicates, block=i, threads=threads)
+        values = model.statistic_values(master_seed, cfg.replicates, block=i)
         rep = compute_report(EmpiricalSample.from_values(values), model.model_id, n, cfg.model.p)
         reports.append(rep)
         print(
@@ -263,7 +250,7 @@ def _measure(cfg: ExperimentConfig, master_seed: int, threads: int) -> list[Dist
 
 def cmd_distance(cfg: ExperimentConfig) -> int:
     out = _ensure_out(cfg)
-    reports = _measure(cfg, cfg.master_seed, worker_threads())
+    reports = _measure(cfg, cfg.master_seed)
     write_text(out / "distances.csv", reports_to_csv(reports))
     blocks = {f"distances.csv:n={n}": i for i, n in enumerate(cfg.n_grid)}
     write_manifest(out, build_manifest(cfg, out, ["distances.csv"], blocks))
@@ -342,7 +329,6 @@ def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefi
 
 def cmd_ratefit(cfg: ExperimentConfig) -> int:
     out = _ensure_out(cfg)
-    threads = worker_threads()
     target = cfg.target_exponent if cfg.target_exponent is not None else _default_target(cfg)
     files = ["ratefit.csv", "distances.csv"]  # a refit's manifest attests the table it read
 
@@ -386,7 +372,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     else:
         series = []
         for j in range(cfg.fit_seeds):
-            reports = _measure(cfg, cfg.master_seed + j, threads)
+            reports = _measure(cfg, cfg.master_seed + j)
             if j == 0:
                 write_text(csv_path, reports_to_csv(reports))
             series.append(_series(cfg, reports))
@@ -444,7 +430,6 @@ def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
         raise ConfigurationError(f"p must lie in (2, 3], got {p!r}")
     m_reps = min(reps, VERIFY_MOMENT_REPLICATES)
     check_table_size(m_reps, cfg.n_grid[-1])
-    threads = worker_threads()
 
     # the whole grid must satisfy the construction's hypotheses before any work
     models = list(_grid_models(cfg))
@@ -454,7 +439,7 @@ def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
     rows = []
     all_pass = True
     for i, n, model in models:
-        values = model.statistic_values(seed, reps, block=i, threads=threads)
+        values = model.statistic_values(seed, reps, block=i)
         sample = EmpiricalSample.from_values(values)
 
         atom, atom_se = atom_fraction(values)

@@ -87,16 +87,16 @@ class ExperimentConfig:
             )
         last = 0
         for n in self.n_grid:
-            if not isinstance(n, int) or n <= last:
+            if not _is_int(n) or n <= last:
                 raise ConfigurationError(
                     f"n_grid must be strictly increasing positive integers, got {self.n_grid!r}"
                 )
             last = n
-        if not isinstance(self.replicates, int) or self.replicates < MIN_REPLICATES:
+        if not _is_int(self.replicates) or self.replicates < MIN_REPLICATES:
             raise ConfigurationError(
                 f"replicates must be an integer >= {MIN_REPLICATES}, got {self.replicates!r}"
             )
-        if not isinstance(self.master_seed, int) or not (0 <= self.master_seed < 2**64):
+        if not _is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
             raise ConfigurationError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
             )
@@ -117,7 +117,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"target_exponent must be a finite real, got {self.target_exponent!r}"
             )
-        if not isinstance(self.fit_seeds, int) or self.fit_seeds < 1:
+        if not _is_int(self.fit_seeds) or self.fit_seeds < 1:
             raise ConfigurationError(f"fit_seeds must be a positive integer, got {self.fit_seeds!r}")
         if self.master_seed + self.fit_seeds - 1 >= 2**64:
             raise ConfigurationError(
@@ -154,6 +154,11 @@ class ExperimentConfig:
 
 def _finite(x: Any) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _is_int(x: Any) -> bool:
+    """An integer that is not a bool: JSON's true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _plain(obj: Any) -> Any:
@@ -219,10 +224,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     raw_grid = doc.get("n_grid", [spec.n])
     if not isinstance(raw_grid, Sequence) or isinstance(raw_grid, (str, bytes)):
         raise ConfigurationError(f"n_grid must be a list of integers, got {raw_grid!r}")
-    try:
-        n_grid = tuple(int(n) for n in raw_grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"n_grid must be a list of integers: {exc}") from exc
+    n_grid = tuple(raw_grid)
 
     a = doc.get("a", 1.0)
     if a == "auto":
@@ -242,15 +244,15 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(
         model=spec,
         n_grid=n_grid,
-        replicates=int(doc.get("replicates", MIN_REPLICATES)),
-        master_seed=int(doc.get("master_seed", 0)),
+        replicates=doc.get("replicates", MIN_REPLICATES),
+        master_seed=doc.get("master_seed", 0),
         outputs=str(doc.get("outputs", "out")),
         bound_requests=tuple(doc.get("bound_requests", ())),
         a=a,
         distance_kind=str(doc.get("distance_kind", "kolmogorov")),
         target_exponent=target,
         tolerance=float(doc.get("tolerance", 0.05)),
-        fit_seeds=int(doc.get("fit_seeds", 1)),
+        fit_seeds=doc.get("fit_seeds", 1),
     )
 
 

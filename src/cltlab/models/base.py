@@ -2,9 +2,8 @@
 
 A model is a pure function of (spec, seed lineage): the same spec and the
 same (master_seed, stream_id) always reproduce the same path bit for bit.
-Replicate r of grid block b draws from stream_id = b * 2^40 + r, so replicate
-sets can be generated in any order or split across workers and merged by
-index without changing a single output byte.
+Replicate r of grid block b draws from stream_id = b * 2^40 + r, so it sees
+the same draws whichever replicate range it is drawn in.
 
 Each family implements one draw kernel and the maps over it:
 
@@ -50,8 +49,7 @@ from ..numerics import SeedLineage
 # Replicates are drawn in chunks so the family maps can vectorize across a
 # chunk.  Where a family's sums are one BLAS product per chunk
 # (linear_statistic), the chunk boundaries decide which rows share a kernel
-# and so reach the last bits of the output; worker ranges are therefore split
-# on chunk multiples, which keeps every worker's chunks the serial ones.
+# and so reach the last bits of the output.
 DEFAULT_CHUNK = 4096
 
 # Families whose maps work row by row cap one chunk's (chunk, width) draw
@@ -112,7 +110,7 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model family {self.family!r}; known: {', '.join(KNOWN_FAMILIES)}"
             )
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
             raise ConfigurationError(f"n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.p, (int, float)) and math.isfinite(self.p)) or self.p <= 2.0:
             raise ConfigurationError(f"p must be a finite real > 2, got {self.p!r}")
@@ -131,7 +129,7 @@ class ModelSpec:
             raise ConfigurationError("model spec needs at least 'family' and 'n'")
         return cls(
             family=d["family"],
-            n=int(d["n"]),
+            n=d["n"],
             p=float(d.get("p", 3.0)),
             params=dict(d.get("params", {})),
         )
@@ -310,32 +308,11 @@ class Model:
         out /= norm
         return out
 
-    def statistic_values(
-        self, master_seed: int, replicates: int, block: int = 0, threads: int = 1
-    ) -> np.ndarray:
-        """All replicates, optionally computed by a worker pool.
-
-        The split is by replicate range on chunk multiples and results are
-        merged by index, so the output is identical for every thread count.
-        """
+    def statistic_values(self, master_seed: int, replicates: int, block: int = 0) -> np.ndarray:
+        """The normalized statistic of replicates [0, replicates)."""
         if replicates < 1:
             raise DomainError("replicates must be positive")
-        chunk = self.chunk_size()
-        if threads <= 1 or replicates < 4 * chunk:
-            return self.statistic_range(master_seed, 0, replicates, block)
-        from concurrent.futures import ProcessPoolExecutor
-
-        ranges = _chunk_ranges(replicates, threads, chunk)
-        out = np.empty(replicates, dtype=float)
-        spec_dict = self.spec.to_dict()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_statistic_range_worker, spec_dict, master_seed, s, c, block)
-                for (s, c) in ranges
-            ]
-            for (s, c), fut in zip(ranges, futures):
-                out[s : s + c] = fut.result()
-        return out
+        return self.statistic_range(master_seed, 0, replicates, block)
 
     def increment_matrix(
         self, master_seed: int, replicates: int, block: int = 0
@@ -345,20 +322,3 @@ class Model:
         out = np.empty((replicates, self.spec.n))
         return self._map_chunks(self._increments, out, master_seed, 0, block)
 
-
-def _chunk_ranges(total: int, parts: int, chunk: int) -> list[tuple[int, int]]:
-    """At most `parts` (start, count) ranges covering [0, total), each
-    starting on a multiple of `chunk`, with whole chunks spread evenly."""
-    nc = -(-total // chunk)
-    cuts = [min(total, chunk * (nc * i // parts)) for i in range(parts + 1)]
-    return [(a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-def _statistic_range_worker(
-    spec_dict: dict, master_seed: int, start: int, count: int, block: int
-) -> np.ndarray:
-    # Imported lazily to keep worker pickling self-contained.
-    from . import make_model
-
-    model = make_model(ModelSpec.from_dict(spec_dict))
-    return model.statistic_range(master_seed, start, count, block)

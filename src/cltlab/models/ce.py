@@ -112,9 +112,8 @@ class CELowerBound(Model):
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
         if spec.params:
-            unknown = set(spec.params) - set()
             raise ConfigurationError(
-                f"lower-bound family takes no extra params, got {sorted(unknown)}"
+                f"lower-bound family takes no extra params, got {sorted(spec.params)}"
             )
         self.params = CEParams.from_np(spec.n, spec.p)
 

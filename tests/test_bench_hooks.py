@@ -88,7 +88,7 @@ def _traced_counters(tmp_path: Path, argv: tuple, tag: str) -> dict:
     grid = ",".join(str(n) for n in TRACED_GRID)
     cmd = [sys.executable, str(TRACED_CLI), str(trace), *argv, "--n-grid", grid,
            "--reps", str(TRACED_REPS), "--seed", "0", "--out", str(tmp_path / tag)]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CLTLAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(trace.read_text(encoding="utf-8"))["counters"]

@@ -310,7 +310,7 @@ class TestMasterBound:
 
         monkeypatch.setattr(m, "increment_matrix", counted)
         with pytest.raises(CapabilityError):
-            theorem1_rhs(1.0, 3.0, 1.0, m, psi_mode="monte_carlo", replicates=200)
+            theorem1_rhs(1.0, 3.0, 1.0, m)
         assert calls == []
 
     def test_grid_refinement_converges(self):

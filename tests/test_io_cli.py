@@ -24,7 +24,6 @@ from cltlab.cli import (
     build_parser,
     main,
     resolve_config,
-    worker_threads,
 )
 from cltlab.distances import (
     DISTANCE_CSV_COLUMNS,
@@ -55,11 +54,6 @@ from cltlab.io import (
 from cltlab.models import KNOWN_FAMILIES, ModelSpec, make_model
 from cltlab.models import base as models_base
 from cltlab.numerics import SeedLineage
-
-
-@pytest.fixture(autouse=True)
-def _default_threads(monkeypatch):
-    monkeypatch.delenv("CLTLAB_THREADS", raising=False)
 
 
 def config_doc(**overrides):
@@ -157,6 +151,17 @@ class TestParseConfig:
             pytest.param(config_doc(master_seed=2**64), id="seed_overflow-doc19"),
             pytest.param(config_doc(tolerance=0.0), id="tolerance_zero-doc20"),
             pytest.param(config_doc(zzz=1), id="unknown_key-doc21"),
+            pytest.param(
+                config_doc(model={"family": "rademacher_iid", "n": 8.7}), id="model_n_fraction"
+            ),
+            pytest.param(
+                config_doc(model={"family": "rademacher_iid", "n": True}), id="model_n_bool"
+            ),
+            pytest.param(config_doc(n_grid=[8.9, 16.2]), id="grid_fraction"),
+            pytest.param(config_doc(replicates=150.9), id="replicates_fraction"),
+            pytest.param(config_doc(master_seed=3.99), id="seed_fraction"),
+            pytest.param(config_doc(master_seed=True), id="seed_bool"),
+            pytest.param(config_doc(fit_seeds=1.5), id="fit_seeds_fraction"),
         ]
 
     @pytest.mark.parametrize("doc", bad_documents())
@@ -354,7 +359,7 @@ class TestDistanceCsvRoundTrip:
                 "--seed", "5", "--out", str(out)]
         assert run_cli(*argv) == EXIT_OK
         cfg = resolve_config(build_parser().parse_args(argv))
-        assert read_distance_csv(out / "distances.csv") == _measure(cfg, cfg.master_seed, 1)
+        assert read_distance_csv(out / "distances.csv") == _measure(cfg, cfg.master_seed)
 
     def test_header_must_match_schema(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -456,17 +461,6 @@ class TestCliParsing:
         with pytest.raises(ConfigurationError, match="unknown model tag"):
             resolve_config(args)
 
-    def test_worker_threads_env(self, monkeypatch):
-        assert worker_threads() == 1
-        monkeypatch.setenv("CLTLAB_THREADS", "4")
-        assert worker_threads() == 4
-        monkeypatch.setenv("CLTLAB_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            worker_threads()
-        monkeypatch.setenv("CLTLAB_THREADS", "0")
-        with pytest.raises(ConfigurationError):
-            worker_threads()
-
 
 def run_cli(*argv):
     return main(list(argv))
@@ -481,6 +475,35 @@ DEFAULT_BOUND_SETS = {
     "rho_mixing_chain": ("theorem1_rhs", "w1_upper", "berry_esseen", "rho_mixing"),
     "sequential_maps": ("seqdyn",),
 }
+
+
+# SHA-256 of (bounds.csv, bounds_meta.json) from `cltlab bounds --seed 0`.
+# benchmarks/reference.json pins the same bytes, but only the benchmark reads it.
+BOUND_ARTIFACT_DIGESTS = {
+    ("rho_mixing_chain", "64,128", "auto"): (
+        "7736f5040532c95322005cef6e8250de2f35e07e7834072020207bdf14394b9e",
+        "0d3154fe68e6c66c4af48fc05ed869198ed3b5c69cdf2df6ec8bfda8d461b8dd",
+    ),
+    ("rademacher_iid", "64,256", None): (
+        "6f626f6a09ce86435a8bc6ad030f159e66f6ed712fb8504696e35e5e13244698",
+        "146bcccc79e17ba75abaf19cbcf88428324bb7c3a933176cdefedba725f4259f",
+    ),
+    ("ce_lowerbound", "256,1024", None): (
+        "3dd2dfbe04695161b69b226e333ce0ab02fae548c0f133f6a09336df2db6fe32",
+        "04ebfe4e76e80c79ab9d655ab39c7cc141d69685477195ad89f5323eec15cf22",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_ARTIFACT_DIGESTS), ids=lambda case: case[0])
+def test_bound_artifacts_are_pinned(tmp_path, case):
+    family, grid, a = case
+    argv = ["bounds", "--model", family, "--n-grid", grid, "--seed", "0", "--out", str(tmp_path)]
+    if a is not None:
+        argv += ["--a", a]
+    assert run_cli(*argv) == EXIT_OK
+    got = tuple(sha256_file(tmp_path / name) for name in ("bounds.csv", "bounds_meta.json"))
+    assert got == BOUND_ARTIFACT_DIGESTS[case]
 
 
 class TestCliCommands:
@@ -765,12 +788,6 @@ class TestCliCommands:
         assert run_cli("distance", "--config", str(path)) == EXIT_CONFIG
         assert not (out / "distances.csv").exists()
 
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLTLAB_THREADS", "several")
-        rc = run_cli("distance", "--model", "rademacher_iid", "--n-grid", "8",
-                     "--reps", "100", "--out", str(tmp_path / "t"))
-        assert rc == EXIT_CONFIG
-
     @staticmethod
     def forbid_draws(monkeypatch):
         # every replicate stream comes from SeedLineage.generators
@@ -820,14 +837,3 @@ class TestCliCommands:
         # refused up front: not even the table header was printed
         assert capsys.readouterr().out == ""
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # 16384 replicates crosses the worker-pool threshold at 2 threads
-        base = ["distance", "--model", "rademacher_iid", "--n-grid", "8",
-                "--reps", "16384", "--seed", "5"]
-        monkeypatch.setenv("CLTLAB_THREADS", "1")
-        assert run_cli(*base, "--out", str(tmp_path / "serial")) == EXIT_OK
-        monkeypatch.setenv("CLTLAB_THREADS", "2")
-        assert run_cli(*base, "--out", str(tmp_path / "pooled")) == EXIT_OK
-        serial = (tmp_path / "serial" / "distances.csv").read_bytes()
-        pooled = (tmp_path / "pooled" / "distances.csv").read_bytes()
-        assert serial == pooled

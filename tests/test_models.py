@@ -944,18 +944,6 @@ class TestBatchPlumbing:
                 lin = SeedLineage(89, SeedLineage.stream_for(2, r))
                 np.testing.assert_array_equal(mat[r], m.sample_path(lin).increments)
 
-    def test_worker_pool_matches_serial(self):
-        m = GaussianIID(spec("gaussian_iid", 2))
-        serial = m.statistic_values(master_seed=97, replicates=16_384, threads=1)
-        pooled = m.statistic_values(master_seed=97, replicates=16_384, threads=2)
-        np.testing.assert_array_equal(serial, pooled)
-        # The chunk gemv rounds a chunk's trailing rows with another kernel,
-        # so the worker ranges must start on chunk multiples.
-        m = LinearStatistic(spec("linear_statistic", 64, base={"kind": "ar1", "phi": 0.5}))
-        serial = m.statistic_values(master_seed=3, replicates=16_387, threads=1)
-        pooled = m.statistic_values(master_seed=3, replicates=16_387, threads=2)
-        np.testing.assert_array_equal(serial, pooled)
-
     def test_statistic_is_normalized_path_sum(self):
         for s in ALL_FAMILIES:
             m = make_model(s)

@@ -362,3 +362,19 @@ def test_no_module_imports_scipy_at_module_level():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the config or a flag, so the manifest's config
+    # hash describes the run completely
+    hidden = {"environ", "environb", "getenv", "getenvb", "putenv"}
+    offenders = []
+    for path in sorted((SRC / "cltlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in hidden:
+                if isinstance(node.value, ast.Name) and node.value.id == "os":
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if any(alias.name in hidden for alias in node.names):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
