@@ -27,6 +27,7 @@ from .bounds import BOUNDS
 from .distances import DISTANCE_CSV_COLUMNS, DistanceReport
 from .errors import ConfigurationError, DataFormatError
 from .models import ModelSpec
+from .models.base import config_real
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -227,19 +228,11 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     n_grid = tuple(raw_grid)
 
     a = doc.get("a", 1.0)
-    if a == "auto":
-        a = None
-    elif isinstance(a, (int, float)) and not isinstance(a, bool):
-        a = float(a)
-    else:
-        raise ConfigurationError(f"a must be a real >= 1 or 'auto', got {a!r}")
+    a = None if a == "auto" else config_real("a", a)
 
     target = doc.get("target_exponent")
     if target is not None:
-        try:
-            target = float(target)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"target_exponent must be a real: {exc}") from exc
+        target = config_real("target_exponent", target)
 
     return ExperimentConfig(
         model=spec,
@@ -251,7 +244,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         a=a,
         distance_kind=str(doc.get("distance_kind", "kolmogorov")),
         target_exponent=target,
-        tolerance=float(doc.get("tolerance", 0.05)),
+        tolerance=config_real("tolerance", doc.get("tolerance", 0.05)),
         fit_seeds=doc.get("fit_seeds", 1),
     )
 

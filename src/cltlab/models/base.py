@@ -38,6 +38,7 @@ evaluators average into a value and its standard error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -47,16 +48,18 @@ from ..errors import CapabilityError, ConfigurationError, DomainError
 from ..numerics import SeedLineage
 
 # Replicates are drawn in chunks so the family maps can vectorize across a
-# chunk.  Where a family's sums are one BLAS product per chunk
-# (linear_statistic), the chunk boundaries decide which rows share a kernel
-# and so reach the last bits of the output.
+# chunk.  Every family's chunk (Model.chunk_size) is the largest power of two
+# c <= DEFAULT_CHUNK, and at least 64, whose (c, width) draw matrix fits its
+# draw budget.  linear_statistic sums a chunk with one BLAS gemv, whose bits
+# depend on which rows share a call; as c divides DEFAULT_CHUNK and is a
+# multiple of 4, the chunks split DEFAULT_CHUNK-row chunks at multiples of 4
+# rows, and the gemv groups rows in fours, so each row keeps its bits.
 DEFAULT_CHUNK = 4096
 
-# Families whose maps work row by row cap one chunk's (chunk, width) draw
-# matrix at this many doubles (2 MB) instead, so the draws and the maps'
-# temporaries stay small beside a caller's output.  At 16 MB the freed
-# buffers of a partial last chunk stayed resident and raised verify-ce's
-# peak memory by about 11 %.
+# The doubles one chunk's draw matrix may hold (2 MB), so the draws and the
+# maps' temporaries stay small beside a caller's output: 4096 rows of AR(1)
+# draws at n = 16384 took 537 MB.  At 16 MB the freed buffers of a partial
+# last chunk stayed resident and raised verify-ce's peak memory by about 11 %.
 DRAW_BUDGET = 1 << 18
 
 # Families whose maps loop over the n time steps in Python (the chain and
@@ -87,6 +90,13 @@ def check_table_size(replicates: int, n: int) -> None:
             f"a {replicates} x {n} table of float64 takes {size / 2**30:.1f} GiB, over the "
             f"{MAX_TABLE_BYTES / 2**30:g} GiB cap; lower the replicates or the largest n"
         )
+
+
+def config_real(key: str, x: Any) -> float:
+    """A config value as a float: a finite JSON number, not a bool or a string."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ConfigurationError(f"{key} must be a finite real, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ class ModelSpec:
         return cls(
             family=d["family"],
             n=d["n"],
-            p=float(d.get("p", 3.0)),
+            p=config_real("p", d.get("p", 3.0)),
             params=dict(d.get("params", {})),
         )
 
@@ -267,7 +277,8 @@ class Model:
         return math.sqrt(self.moments().v_n)
 
     def chunk_size(self) -> int:
-        return max(64, min(DEFAULT_CHUNK, self.draw_budget // self._draw_width()))
+        fit = max(1, self.draw_budget // self._draw_width())
+        return max(64, min(DEFAULT_CHUNK, 1 << (fit.bit_length() - 1)))
 
     def _draws(self, first: SeedLineage, count: int) -> np.ndarray:
         """The stacked (count, width) draw matrix of the streams from first on."""

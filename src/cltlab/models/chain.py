@@ -388,7 +388,14 @@ class RhoMixingChain(Model):
         return xi
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
-        return self.f[self._states(draws)].sum(axis=1)
+        # f gathered DRAW_BUDGET / 4 values at a time, not as one (chunk, n)
+        # copy; each row keeps numpy's pairwise sum, so the bits do not change
+        states = self._states(draws)
+        out = np.empty(states.shape[0])
+        step = max(1, DRAW_BUDGET // (4 * states.shape[1]))
+        for lo in range(0, out.size, step):
+            np.sum(self.f[states[lo : lo + step]], axis=1, out=out[lo : lo + step])
+        return out
 
     def prefix_states_chunk(
         self, master_seed: int, replicates: int, block: int = 0

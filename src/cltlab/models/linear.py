@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, quadrature
-from .base import DEFAULT_CHUNK, Model, ModelSpec, PathMoments
+from .base import Model, ModelSpec, PathMoments
 from .iid import gaussian_ladder_abs_sum, gaussian_ladder_psi, gaussian_ladder_sup_ratio
 
 
@@ -239,10 +239,6 @@ class LinearStatistic(Model):
 
     def _draw_width(self) -> int:
         return self._weights.size
-
-    def chunk_size(self) -> int:
-        # the chunk gemv's bits depend on where chunks start (see DEFAULT_CHUNK)
-        return DEFAULT_CHUNK
 
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
         g.standard_normal(out=row)

@@ -5,6 +5,8 @@ the adaptive quadrature routine (which is itself oracle-grade and has its own
 golden tests).  The W1 oracle integrates |F_hat - Phi| piece by piece; the
 finite-chain oracles work purely by exhaustive path enumeration, so they are
 algorithmically independent of the matrix-power machinery they check.
+``linear_chunk_routes`` replays the chunking an older release used, so a
+test can run it in a fresh interpreter under other BLAS thread settings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
-from cltlab.numerics import normal_cdf, quadrature
+from cltlab.models import ModelSpec, make_model
+from cltlab.models.base import DEFAULT_CHUNK
+from cltlab.numerics import SeedLineage, normal_cdf, quadrature
 
 
 def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1e-12) -> float:
@@ -34,6 +38,28 @@ def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1
         c = i / r  # empirical cdf level between knots i and i+1
         total += quadrature(lambda t, c=c: abs(c - normal_cdf(t)), a, b, tol=tol)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the linear family's statistic under its former fixed chunk
+
+LINEAR_BASES = {"ar1": {"kind": "ar1", "phi": 0.5}, "ma1": {"kind": "ma", "theta": [1.0, 0.5]}}
+
+
+def linear_chunk_routes(base: str, n: int, seed: int, start: int, count: int, block: int):
+    """(statistic_range, the DEFAULT_CHUNK route) of a linear_statistic model as bytes.
+
+    The second replays the route the family took while it drew DEFAULT_CHUNK
+    rows per chunk: one gemv over each DEFAULT_CHUNK rows of draws from start
+    on, then one division by the normalizer.
+    """
+    model = make_model(ModelSpec("linear_statistic", n, params={"base": LINEAR_BASES[base]}))
+    sums = []
+    for done in range(0, count, DEFAULT_CHUNK):
+        first = SeedLineage(seed, SeedLineage.stream_for(block, start + done))
+        sums.append(model._draws(first, min(DEFAULT_CHUNK, count - done)) @ model._weights)
+    want = np.concatenate(sums) / model.statistic_normalizer()
+    return model.statistic_range(seed, start, count, block).tobytes(), want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,26 @@ class TestParseConfig:
             pytest.param(config_doc(master_seed=3.99), id="seed_fraction"),
             pytest.param(config_doc(master_seed=True), id="seed_bool"),
             pytest.param(config_doc(fit_seeds=1.5), id="fit_seeds_fraction"),
+            pytest.param(config_doc(tolerance=True), id="tolerance_bool"),
+            pytest.param(config_doc(tolerance="0.1"), id="tolerance_string"),
+            pytest.param(config_doc(target_exponent=True), id="target_bool"),
+            pytest.param(config_doc(target_exponent="-0.5"), id="target_string"),
+            pytest.param(
+                config_doc(model={"family": "rademacher_iid", "n": 8, "p": "3"}),
+                id="model_p_string",
+            ),
+            pytest.param(
+                config_doc(model={"family": "rademacher_iid", "n": 8, "p": [3.0]}),
+                id="model_p_list",
+            ),
+            # integers past the float range, which float() cannot convert
+            pytest.param(config_doc(a=10**400), id="a_overflow"),
+            pytest.param(config_doc(tolerance=10**400), id="tolerance_overflow"),
+            pytest.param(config_doc(target_exponent=-(10**400)), id="target_overflow"),
+            pytest.param(
+                config_doc(model={"family": "rademacher_iid", "n": 8, "p": 10**400}),
+                id="model_p_overflow",
+            ),
         ]
 
     @pytest.mark.parametrize("doc", bad_documents())
@@ -182,6 +202,27 @@ class TestParseConfig:
     def test_nonfinite_values_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             parse_config(config_doc(**{key: value}))
+
+    # config_sha256 of valid documents, recorded before the real-valued keys
+    # stopped coercing strings and bools; a JSON integer still reads as its float
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            ({}, "c25e7d979f8796d5b4891af8c973791019a794ee73cd05aad996749440550320"),
+            (
+                {"tolerance": 1, "target_exponent": -1,
+                 "model": {"family": "rademacher_iid", "n": 8, "p": 3, "params": {}}},
+                "3c08ada0bebefc5487052ec1dcccbc8531900f2625edf30cc2f1ffea1b4afbe0",
+            ),
+            (
+                {"a": 2.0, "tolerance": 0.1, "target_exponent": -0.5, "fit_seeds": 3},
+                "ad7a475eb97c95d0528d4e5915555b17d3595b19ebef81ff1bafa6883b2f5e11",
+            ),
+        ],
+        ids=("defaults", "integer_reals", "float_reals"),
+    )
+    def test_valid_documents_keep_their_digest(self, overrides, digest):
+        assert parse_config(config_doc(**overrides)).digest() == digest
 
     def test_unknown_family_names_the_known_ones(self):
         with pytest.raises(ConfigurationError) as err:
@@ -576,6 +617,17 @@ class TestCliCommands:
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("bounds", "--config", str(cfg_path)) == EXIT_CONFIG
         assert not (tmp_path / "out" / "bounds.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"tolerance": True}, {"target_exponent": "-0.5"},
+         {"model": {"family": "rademacher_iid", "n": 8, "p": "3"}}],
+        ids=("tolerance_bool", "target_string", "model_p_string"),
+    )
+    def test_non_real_config_values_exit_2(self, tmp_path, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(**overrides)), encoding="utf-8")
+        assert run_cli("bounds", "--config", str(cfg_path)) == EXIT_CONFIG
 
     def prepared_ratefit_dir(self, tmp_path, distances):
         out = tmp_path / "fit"

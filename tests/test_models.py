@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import make_model
-from cltlab.models.base import ModelSpec, PathMoments
+from cltlab.models.base import DEFAULT_CHUNK, ModelSpec, PathMoments
 from cltlab.models.ce import CEParams, CELowerBound, atom_fraction, branch_abs_moment
 from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
@@ -18,7 +22,7 @@ from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
 from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf, quadrature
 
-from helpers import ChainEnumeration
+from helpers import ChainEnumeration, linear_chunk_routes
 
 
 def spec(family, n, p=3.0, **params):
@@ -1077,3 +1081,88 @@ def test_pinned_increment_and_statistic_bits(s, name):
     stats = m.statistic_range(PINNED_SEED, 37, 200, block=5)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (incs, stats))
     assert got == PINNED_DIGESTS[name]
+
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+CHUNK_RULE_SPECS = (
+    *ALL_FAMILIES,
+    *(spec("linear_statistic", n) for n in (1000, 1024, 16384, 40_000)),
+    spec("linear_statistic", 1024, base={"kind": "ma", "theta": [1.0, 0.5]}),
+    *(spec("rho_mixing_chain", n) for n in (192, 2048, 8192, 100_000)),
+    *(spec("rademacher_iid", n) for n in (64, 1000, 5000)),
+    spec("sequential_maps", 300),
+)
+
+
+class TestChunkRule:
+    """Every family draws the largest power-of-two chunk that fits its draw
+    budget; for linear_statistic that must keep the bits of the former fixed
+    DEFAULT_CHUNK-row chunk."""
+
+    @pytest.mark.parametrize("s", CHUNK_RULE_SPECS, ids=lambda s: make_model(s).model_id)
+    def test_chunk_is_the_largest_power_of_two_in_budget(self, s):
+        m = make_model(s)
+        chunk, width = m.chunk_size(), m._draw_width()
+        assert 64 <= chunk <= DEFAULT_CHUNK and DEFAULT_CHUNK % chunk == 0
+        assert chunk & (chunk - 1) == 0
+        if 64 * width <= m.draw_budget:
+            assert chunk * width <= m.draw_budget
+        if chunk < DEFAULT_CHUNK:
+            assert 2 * chunk * width > m.draw_budget
+
+    def test_long_linear_paths_draw_small_chunks(self):
+        # AR(1) at n = 16384: 64 rows (8 MB) per chunk instead of 4096 (537 MB)
+        assert LinearStatistic(spec("linear_statistic", 16384)).chunk_size() == 64
+
+    # at n = 1024 AR(1) draws 256 rows per chunk and MA(1), 1025 wide, 128
+    @pytest.mark.parametrize("base", ("ar1", "ma1"))
+    def test_linear_statistic_keeps_the_fixed_chunk_bits(self, base):
+        got, want = linear_chunk_routes(base, 1024, PINNED_SEED, 37, DEFAULT_CHUNK + 7, 5)
+        assert got == want
+
+    def test_linear_statistic_bits_with_one_blas_thread(self):
+        # the benchmark pins BLAS to one thread, the test suite does not;
+        # the variables are set for the child process only
+        code = (
+            "from helpers import linear_chunk_routes as r; "
+            f"print(all(a == b for a, b in (r(k, 1024, {PINNED_SEED}, 37, {DEFAULT_CHUNK + 7}, 5) "
+            "for k in ('ar1', 'ma1'))))"
+        )
+        env = {
+            **os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS))),
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True"]
+
+    def test_chain_sums_match_the_float_gather(self):
+        m = make_model(PINNED_CHAIN_S3)
+        count = m.chunk_size() + 5
+        draws = m._map_chunks(lambda d: d, np.empty((count, m.spec.n)), PINNED_SEED, 0, 5)
+        want = m.f[m._states(draws)].sum(axis=1)
+        assert m._sums(draws).tobytes() == want.tobytes()
+        got = m.statistic_range(PINNED_SEED, 0, count, block=5)
+        assert got.tobytes() == (want / m.statistic_normalizer()).tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+    def test_long_ar1_statistic_peak_memory(self):
+        # one chunk of 4096 rows at n = 16384 held 537 MB.  The child reports
+        # the peak of its own address space: its RUSAGE_SELF ru_maxrss would
+        # start from this test process's peak, which exec carries over, and
+        # RUSAGE_CHILDREN here spans every child of the session
+        code = (
+            "from cltlab.cli import MODEL_TAGS; "
+            "from cltlab.models import ModelSpec, make_model; "
+            "family, params = MODEL_TAGS['linear_ar1']; "
+            "make_model(ModelSpec(family, 16384, params=params)).statistic_values(0, 4100); "
+            "print(*[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True,
+        )
+        assert int(out.stdout.split()[-1]) < 200 * 1024  # VmHWM is in kB
