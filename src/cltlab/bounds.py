@@ -198,22 +198,30 @@ def psi_n(
 def _psi_mc_profile(
     model: Model, replicates: int, master_seed: int
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Shared-path psi estimator: one increment matrix serves every t."""
+    """Shared-path psi estimator: one increment matrix serves every t.
+
+    It holds three tables of the live columns: |xi|^2 and |xi|^3, both built
+    from one masked copy (the raw table is dropped), and one buffer for the
+    per-t values.
+    """
     mo = model.moments()
-    xi = model.increment_matrix(master_seed, replicates, PSI_BLOCK)
     sigma2 = mo.sigma2
     mask = sigma2 > 0.0
     if not np.any(mask):
         raise DomainError("all increment variances are zero")
-    xi2 = xi[:, mask] ** 2
-    xi3 = np.abs(xi[:, mask]) ** 3
+    xi2 = model.increment_matrix(master_seed, replicates, PSI_BLOCK)[:, mask]
+    np.abs(xi2, out=xi2)
+    xi3 = xi2**3
+    np.square(xi2, out=xi2)
+    vals = np.empty_like(xi2)
     s2 = sigma2[mask]
     delta = mo.delta_n
-    root_r = math.sqrt(xi.shape[0])
+    root_r = math.sqrt(replicates)
 
     def at(t: float) -> tuple[float, float]:
         """psi(t) and the SE of the attaining k's mean, from one table."""
-        vals = np.minimum(t * delta * xi2, xi3)
+        np.multiply(t * delta, xi2, out=vals)
+        np.minimum(vals, xi3, out=vals)
         ratios = vals.mean(axis=0) / s2
         k = int(np.argmax(ratios))
         return ratios[k], vals[:, k].std(ddof=1) / (root_r * s2[k])

@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import math
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,7 +57,7 @@ from .io import (
     write_manifest,
     write_text,
 )
-from .models import KNOWN_FAMILIES, ModelSpec, atom_fraction, check_table_size, make_model
+from .models import KNOWN_FAMILIES, Model, ModelSpec, atom_fraction, check_table_size, make_model
 from .numerics import csv_text
 
 EXIT_OK = 0
@@ -74,9 +75,10 @@ COMMAND_DEFAULTS: dict[str, tuple[str, tuple[int, ...]]] = {
     "verify-ce": ("ce_lowerbound", (64, 256, 1024)),
 }
 
-# replicate cap for the per-increment moment table of verify-ce; the table
-# is the full R x n increment matrix (8 R n bytes, raised to |.|^p in
-# place), so the cap bounds memory at the largest n
+# replicate cap for the per-increment moment table of verify-ce.  The table
+# is taken one chunk at a time and spilled to a temporary file (8 R n bytes
+# at the largest n), so the cap bounds the run time and the spill's size,
+# not memory
 VERIFY_MOMENT_REPLICATES = 20_000
 
 # CLI shorthand tags on top of the raw family names
@@ -215,15 +217,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stats = model.statistic_values(cfg.master_seed, cfg.replicates, block=i)
         stat_name = f"statistics_n{n}.bin"
         write_batch(out / stat_name, stats, digest)
-        incs = model.increment_matrix(cfg.master_seed, cfg.replicates, block=i)
         inc_name = f"increments_n{n}.bin"
-        write_batch(out / inc_name, incs, digest)
+        incs = model.increment_chunks(cfg.master_seed, cfg.replicates, block=i)
+        write_batch(out / inc_name, incs, digest, shape=(cfg.replicates, n))
         files += [stat_name, inc_name]
         blocks[stat_name] = i
         blocks[inc_name] = i
         print(
             f"n={n:>6}  {stat_name}: {stats.size} statistics   "
-            f"{inc_name}: {incs.shape[0]}x{incs.shape[1]} increments"
+            f"{inc_name}: {cfg.replicates}x{n} increments"
         )
     write_manifest(out, build_manifest(cfg, out, files, blocks))
     print(f"manifest.json  config_sha256={digest}")
@@ -421,6 +423,37 @@ VERIFY_CE_CSV_COLUMNS = (
 )
 
 
+def _largest_abs_moment(
+    model: Model, master_seed: int, replicates: int, block: int, p: float
+) -> tuple[float, float]:
+    """max_k mean |xi_k|^p over the paths, and the standard error of that mean.
+
+    The (replicates, n) table of |xi|^p is never held.  Each chunk is spilled
+    to a temporary file, then its column sums run on from the previous total:
+    the total is added into the chunk's first row and the chunk reduced along
+    its rows, which adds the rows in the order a mean over the whole table
+    does.  The attaining column is then read back one chunk at a time.
+    """
+    n, chunk = model.spec.n, model.chunk_size()
+    total = np.zeros(n)
+    with tempfile.TemporaryFile() as spill:
+        for rows in model.increment_chunks(master_seed, replicates, block):
+            np.abs(rows, out=rows)
+            rows **= p
+            spill.write(rows)
+            rows[0] += total
+            total = np.add.reduce(rows, axis=0)
+        means = total / replicates
+        k_star = int(np.argmax(means))
+        column = np.empty(replicates)
+        spill.seek(0)
+        for done in range(0, replicates, chunk):
+            rows = np.empty((min(chunk, replicates - done), n))
+            spill.readinto(rows)
+            column[done : done + rows.shape[0]] = rows[:, k_star]
+    return float(means[k_star]), float(np.std(column, ddof=1) / math.sqrt(replicates))
+
+
 def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
     """Check ce_lowerbound's constants; verify_ce.csv only when write_csv."""
     if cfg.model.family != "ce_lowerbound":
@@ -451,13 +484,7 @@ def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
         dist_thr = model.params.kolmogorov_lower_bound()
         dist_ok = dist >= dist_thr - 3.0 * dist_se
 
-        abs_p = model.increment_matrix(seed, m_reps, block=1000 + i)
-        np.abs(abs_p, out=abs_p)
-        abs_p **= p
-        means = abs_p.mean(axis=0)
-        k_star = int(np.argmax(means))
-        moment = float(means[k_star])
-        moment_se = float(np.std(abs_p[:, k_star], ddof=1) / math.sqrt(m_reps))
+        moment, moment_se = _largest_abs_moment(model, seed, m_reps, 1000 + i, p)
         cap = model.moment_cap(p)
         moment_ok = moment <= cap + 3.0 * moment_se
 

@@ -19,7 +19,7 @@ import platform
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -263,23 +263,54 @@ def load_config(path: Path) -> ExperimentConfig:
 # binary batch files
 
 
-def write_batch(path: Path, values: np.ndarray, config_sha256: str) -> None:
-    """Write a float64 batch (statistic vector or increment matrix)."""
-    arr = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
-    if arr.ndim == 1:
-        kind, rows, cols = BATCH_KIND_VECTOR, arr.size, 1
-    elif arr.ndim == 2:
-        kind, rows, cols = BATCH_KIND_MATRIX, arr.shape[0], arr.shape[1]
+def write_batch(
+    path: Path,
+    values: np.ndarray | Iterable[np.ndarray],
+    config_sha256: str,
+    shape: Optional[tuple[int, int]] = None,
+) -> None:
+    """Write a float64 batch (statistic vector or increment matrix).
+
+    values is the whole array, or, when shape = (rows, cols) is given, an
+    iterable of 2-D row blocks that together make that matrix; a stream is
+    written block by block, so only one block is held at a time.  A stream
+    that does not fill the header's rows x cols exactly raises
+    DataFormatError.  On any failure the file is removed, so no partial batch
+    is left behind.
+    """
+    if shape is None:
+        arr = np.asarray(values, dtype="<f8")
+        if arr.ndim not in (1, 2):
+            raise DataFormatError(f"batch payload must be 1-D or 2-D, got ndim={arr.ndim}")
+        kind = BATCH_KIND_VECTOR if arr.ndim == 1 else BATCH_KIND_MATRIX
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        (rows, cols), blocks = arr.shape, (arr,)
     else:
-        raise DataFormatError(f"batch payload must be 1-D or 2-D, got ndim={arr.ndim}")
+        kind, (rows, cols), blocks = BATCH_KIND_MATRIX, shape, values
     if len(config_sha256) != 64:
         raise DataFormatError("config_sha256 must be 64 hex characters")
     header = _BATCH_HEADER.pack(
         BATCH_MAGIC, BATCH_VERSION, kind, rows, cols, config_sha256.encode("ascii")
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(arr).cast("B"))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            done = 0
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype="<f8")
+                if block.ndim != 2 or block.shape[1] != cols or done + block.shape[0] > rows:
+                    raise DataFormatError(
+                        f"{path}: a {block.shape} block after {done} rows does not fit "
+                        f"the header's {rows} x {cols}"
+                    )
+                fh.write(block)
+                done += block.shape[0]
+            if done != rows:
+                raise DataFormatError(f"{path}: {done} rows written, the header says {rows}")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_batch(path: Path) -> tuple[np.ndarray, str]:

@@ -20,7 +20,8 @@ Each family implements one draw kernel and the maps over it:
 ``Model`` owns the only generator loop, ``_draws``: a chunk checks its seed
 and replicate range once and re-keys one Philox per replicate
 (``SeedLineage.generators``).  ``statistic_range`` and ``increment_matrix``
-apply the maps chunk by chunk, and ``sample_path`` is a chunk of one.
+apply the maps chunk by chunk, ``increment_chunks`` hands the increment rows
+out one chunk at a time, and ``sample_path`` is a chunk of one.
 ``statistic_values`` turns the sums into the normalized statistic samples
 the distance pipeline consumes.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -67,9 +68,11 @@ DRAW_BUDGET = 1 << 18
 # keep it small next to the work.
 STEP_LOOP_DRAW_BUDGET = 8 * DRAW_BUDGET
 
-# The largest (replicates, n) float64 table one call may allocate: 1 GiB.
-# The default simulate grid would need 26 GB at n = 16384, more than most
-# machines hold; check_table_size refuses such a request before any draw.
+# The largest (replicates, n) float64 table one call may allocate or one
+# command may stream: 1 GiB.  simulate and verify-ce take their tables one
+# chunk at a time, so for them the cap bounds simulate's increment file and
+# verify-ce's spill file, not memory.  The default simulate grid would write
+# 26 GB at n = 16384; check_table_size refuses such a request before any draw.
 MAX_TABLE_BYTES = 1 << 30
 
 KNOWN_FAMILIES = (
@@ -326,10 +329,20 @@ class Model:
         return self.statistic_range(master_seed, 0, replicates, block)
 
     def increment_matrix(
-        self, master_seed: int, replicates: int, block: int = 0
+        self, master_seed: int, replicates: int, block: int = 0, start: int = 0
     ) -> np.ndarray:
-        """(replicates, n) matrix of raw increments, one path per row."""
+        """(replicates, n) raw increments of replicates [start, start+replicates), one per row."""
+        if replicates < 0 or start < 0:
+            raise DomainError("start and replicates must be nonnegative")
         check_table_size(replicates, self.spec.n)
         out = np.empty((replicates, self.spec.n))
-        return self._map_chunks(self._increments, out, master_seed, 0, block)
+        return self._map_chunks(self._increments, out, master_seed, start, block)
+
+    def increment_chunks(
+        self, master_seed: int, replicates: int, block: int = 0
+    ) -> Iterator[np.ndarray]:
+        """increment_matrix(master_seed, replicates, block), one chunk of rows at a time."""
+        chunk = self.chunk_size()
+        for start in range(0, replicates, chunk):
+            yield self.increment_matrix(master_seed, min(chunk, replicates - start), block, start)
 

@@ -97,8 +97,8 @@ class _IIDBase(Model):
         return self.sigma * draws
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
-        sig = self.sigma
-        return np.array([float(sig @ row) for row in draws])
+        # one ddot per row, so a row's sum never depends on its chunk
+        return np.fromiter(map(self.sigma.dot, draws), float, len(draws))
 
 
 class GaussianIID(_IIDBase):
@@ -121,8 +121,13 @@ class RademacherIID(_IIDBase):
     """xi_k = sigma_k eps_k with fair signs; the canonical lattice example."""
 
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        # integers has no out=; its last uint32 stays buffered in the stream
-        row[:] = 2.0 * g.integers(0, 2, self.spec.n) - 1.0
+        # The signs integers(0, 2, n) would give, read from the raw Philox
+        # words: it takes one uint32 per sign, the low half of each 64-bit word
+        # first, and keeps the top bit.  Decoded per row, while it is in cache.
+        n = self.spec.n
+        words = g.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
+        np.multiply(words.view("<u4")[:n] >> 31, 2.0, out=row)
+        row -= 1.0
 
     def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),

@@ -1,6 +1,8 @@
 """Term-by-term bound evaluators: closed forms, quadrature, Monte Carlo."""
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,48 @@ class TestPsiN:
             k = int(np.argmax(vals.mean(axis=0) / s2))
             assert value[i] == float(np.max(vals.mean(axis=0) / s2))
             assert se[i] == float(vals[:, k].std(ddof=1) / (math.sqrt(xi.shape[0]) * s2[k]))
+
+    # SHA-256 of the (value, se) bytes of _psi_mc_profile(model, 5000, 5) on
+    # KAPPA_R1 * MC_PSI_GRID, recorded while the profile held the raw table
+    # and separate |xi|^2 and |xi|^3 copies
+    MC_PSI_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 1e2, 17)))
+    MC_PSI_DIGESTS = {
+        "gaussian_iid": (
+            spec("gaussian_iid", 8),
+            "5e2f6de22ca54973ebd6fff2152670086f301eec03890d641199c858d8451329",
+        ),
+        "ce_lowerbound": (
+            spec("ce_lowerbound", 64),
+            "e9dcf1127303cf3b9282315e585ff7e8450393cb3ef8a045f37091d943ee48f3",
+        ),
+        "periodic_chain": (  # one live column of seven
+            spec("rho_mixing_chain", 7, transition=[[0.0, 1.0], [1.0, 0.0]]),
+            "7ff87a1cd369d22af54e521f1602d6c3553405ab5b570d76f3ab5066c80608be",
+        ),
+        "rademacher_affine": (
+            spec("rademacher_iid", 33, sigma={"rule": "affine", "intercept": 0.5, "slope": 1.0}),
+            "d1e63e0522ce3e15c5861d3546cea1ffdb74bcc9154b7bed37e8cc37e4af388e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(MC_PSI_DIGESTS))
+    def test_monte_carlo_profile_bits_are_pinned(self, name):
+        s, digest = self.MC_PSI_DIGESTS[name]
+        value, se = _psi_mc_profile(make_model(s), 5000, 5)(KAPPA_R1 * self.MC_PSI_GRID)
+        assert hashlib.sha256(value.tobytes() + se.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", ["gaussian_iid", "ce_lowerbound"])
+    def test_monte_carlo_profile_holds_three_tables(self, family):
+        model, reps = make_model(spec(family, 64)), 40_000
+        _psi_mc_profile(model, 200, 5)(np.array([1.0]))  # imports outside the trace
+        table = 8 * reps * model.spec.n
+        tracemalloc.start()
+        try:
+            _psi_mc_profile(model, reps, 5)(np.geomspace(1e-3, 1e2, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * table
 
     def test_missing_closed_form_is_loud(self):
         m = SequentialMaps(spec("sequential_maps", 4))

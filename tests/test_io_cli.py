@@ -6,7 +6,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,8 @@ from cltlab.io import (
 from cltlab.models import KNOWN_FAMILIES, ModelSpec, make_model
 from cltlab.models import base as models_base
 from cltlab.numerics import SeedLineage
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def config_doc(**overrides):
@@ -362,6 +368,62 @@ class TestBatchFormat:
                 read_batch(bad)
 
 
+# One spec per family at an odd n; the MA(1) statistic draws n + 1 wide.
+STREAMED_SPECS = {
+    "gaussian_iid": ("gaussian_iid", {"sigma": {"rule": "affine"}}),
+    "rademacher_iid": ("rademacher_iid", {}),
+    "ce_lowerbound": ("ce_lowerbound", {}),
+    "linear_ar1": MODEL_TAGS["linear_ar1"],
+    "linear_ma": MODEL_TAGS["linear_ma"],
+    "rho_mixing_chain": ("rho_mixing_chain", {}),
+    "sequential_maps": ("sequential_maps", {}),
+}
+
+
+class TestStreamedBatch:
+    """write_batch fed one chunk of increment rows at a time."""
+
+    DIGEST = "cd" * 32
+
+    @pytest.mark.parametrize("name", list(STREAMED_SPECS))
+    def test_blocks_write_the_bytes_of_the_whole_matrix(self, tmp_path, name):
+        family, params = STREAMED_SPECS[name]
+        model = make_model(ModelSpec(family, 257, params=params))
+        reps = model.chunk_size() + 37  # a full chunk and a partial one
+        whole, streamed = tmp_path / "whole.bin", tmp_path / "streamed.bin"
+        write_batch(whole, model.increment_matrix(11, reps, block=3), self.DIGEST)
+        chunks = model.increment_chunks(11, reps, block=3)
+        write_batch(streamed, chunks, self.DIGEST, shape=(reps, 257))
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [np.ones((4, 3)), np.ones((1, 3))],  # too few rows
+            [np.ones((4, 3)), np.ones((3, 3))],  # too many rows
+            [np.ones((4, 3)), np.ones((2, 4))],  # the wrong width
+            [np.ones(6)],  # not a row block
+        ],
+        ids=("short", "long", "wide", "flat"),
+    )
+    def test_a_stream_of_the_wrong_size_leaves_no_batch(self, tmp_path, blocks):
+        path = tmp_path / "bad.bin"
+        write_batch(path, np.zeros((6, 3)), self.DIGEST)  # an older, complete batch
+        with pytest.raises(DataFormatError, match="header"):
+            write_batch(path, iter(blocks), self.DIGEST, shape=(6, 3))
+        assert not path.exists()
+
+    def test_a_failing_stream_leaves_no_batch(self, tmp_path):
+        def rows():
+            yield np.ones((2, 3))
+            raise OSError("disk gone")
+
+        path = tmp_path / "bad.bin"
+        with pytest.raises(OSError, match="disk gone"):
+            write_batch(path, rows(), self.DIGEST, shape=(6, 3))
+        assert not path.exists()
+
+
 class TestDistanceCsvRoundTrip:
     def make_reports(self):
         rng = np.random.default_rng(5)
@@ -545,6 +607,64 @@ def test_bound_artifacts_are_pinned(tmp_path, case):
     assert run_cli(*argv) == EXIT_OK
     got = tuple(sha256_file(tmp_path / name) for name in ("bounds.csv", "bounds_meta.json"))
     assert got == BOUND_ARTIFACT_DIGESTS[case]
+
+
+# SHA-256 of verify_ce.csv from `cltlab verify-ce`, recorded while the moment
+# table was still one (replicates, n) array.  At n = 1024 the moment table
+# spans three chunks (256, 256 and 88 rows), at n = 333 two.
+VERIFY_CE_DIGESTS = {
+    ("64,1024", "600", "4", "3"): "85fe881995f2be9b805e11ef94b9ae706e9dd380ad7d7aa07563949c84a300c5",
+    ("20,333", "1000", "9", "2.5"): "1e2e165ba1128b3768d4b2683353a7f7e9a844c94f970692f5484ffce2ec650d",
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_CE_DIGESTS), ids=lambda case: case[0])
+def test_verify_ce_table_is_pinned(tmp_path, case):
+    grid, reps, seed, p = case
+    argv = ["verify-ce", "--n-grid", grid, "--reps", reps, "--seed", seed, "--p", p]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    assert sha256_file(tmp_path / "verify_ce.csv") == VERIFY_CE_DIGESTS[case]
+
+
+def peak_memory_kb(argv: list[str]) -> int:
+    """The VmHWM of a fresh interpreter that ran `cltlab argv`.
+
+    The child reads its own peak resident set: its RUSAGE_SELF ru_maxrss
+    would start from this test process's peak, which exec carries over.
+    """
+    code = (
+        "import contextlib, io, sys; from cltlab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
+        "print(rc, *[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    rc, peak = out.stdout.split()
+    assert int(rc) in (EXIT_OK, EXIT_CHECK)
+    return int(peak)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+class TestStreamedMemory:
+    """simulate and verify-ce take their (replicates, n) tables one chunk at a
+    time: a 164 MB table costs at most 40 MB more than a tenth of it."""
+
+    N = 4096
+    REPS = 5000  # 8 * 5000 * 4096 bytes = 164 MB
+
+    def peak_growth_kb(self, tmp_path, argv):
+        grid = ["--n-grid", str(self.N), "--seed", "2"]
+        small = peak_memory_kb([*argv, *grid, "--reps", str(self.REPS // 10)])
+        return peak_memory_kb([*argv, *grid, "--reps", str(self.REPS)]) - small
+
+    def test_simulate_streams_its_increments(self, tmp_path):
+        argv = ["simulate", "--model", "rademacher_iid", "--out", str(tmp_path / "sim")]
+        assert self.peak_growth_kb(tmp_path, argv) < 40 * 1024
+
+    def test_verify_ce_streams_its_moment_table(self, tmp_path):
+        assert self.peak_growth_kb(tmp_path, ["verify-ce"]) < 40 * 1024
 
 
 class TestCliCommands:

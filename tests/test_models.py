@@ -948,6 +948,14 @@ class TestBatchPlumbing:
                 lin = SeedLineage(89, SeedLineage.stream_for(2, r))
                 np.testing.assert_array_equal(mat[r], m.sample_path(lin).increments)
 
+    def test_increment_matrix_from_an_offset(self):
+        m = make_model(spec("ce_lowerbound", 33))
+        full = m.increment_matrix(master_seed=5, replicates=300, block=2)
+        part = m.increment_matrix(master_seed=5, replicates=40, block=2, start=250)
+        assert part.tobytes() == full[250:290].tobytes()
+        with pytest.raises(DomainError):
+            m.increment_matrix(master_seed=5, replicates=40, start=-1)
+
     def test_statistic_is_normalized_path_sum(self):
         for s in ALL_FAMILIES:
             m = make_model(s)
@@ -1008,6 +1016,15 @@ class TestReplicateStreams:
         m = RademacherIID(spec("rademacher_iid", 7))
         got = m._draws(SeedLineage(5, 0), 6)
         assert got.tobytes() == reference_rows(m, 5, 0, range(6)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+    def test_rademacher_signs_are_the_integer_draws(self, n):
+        # the documented draw: integers(0, 2, n) from the replicate's generator
+        m = RademacherIID(spec("rademacher_iid", n))
+        for r in range(4):
+            lineage = SeedLineage(5, SeedLineage.stream_for(2, r))
+            want = 2.0 * lineage.generator().integers(0, 2, n) - 1.0
+            assert reference_row(m, lineage).tobytes() == want.tobytes()
 
     def test_runs_stay_inside_their_block(self):
         m = GaussianIID(spec("gaussian_iid", 4))
