@@ -11,7 +11,6 @@ from .base import (
     Model,
     ModelSpec,
     PathMoments,
-    PathSample,
     check_table_size,
 )
 from .ce import CELowerBound, CEParams, atom_fraction, branch_abs_moment
@@ -46,7 +45,6 @@ __all__ = [
     "ModelSpec",
     "OBSERVABLES",
     "PathMoments",
-    "PathSample",
     "RademacherIID",
     "RhoMixingChain",
     "SequentialMaps",

@@ -9,7 +9,8 @@ Each family implements one draw kernel and the maps over it:
 
 * ``_draw_row(g, row)`` spends one replicate's generator in the family's
                          documented draw order, writing its draws into
-                         ``row`` (width ``_draw_width()``) in place,
+                         ``row`` (width ``_draw_width()``) in place; it may
+                         run on any thread,
 * ``_increments(D)``    (chunk, n) martingale increments from the stacked
                          (chunk, width) draw matrix D,
 * ``_sums(D)``          (chunk,) raw path sums from D, with the family's own
@@ -19,11 +20,19 @@ Each family implements one draw kernel and the maps over it:
 
 ``Model`` owns the only generator loop, ``_draws``: a chunk checks its seed
 and replicate range once and re-keys one Philox per replicate
-(``SeedLineage.generators``).  ``statistic_range`` and ``increment_matrix``
-apply the maps chunk by chunk, ``increment_chunks`` hands the increment rows
-out one chunk at a time, and ``sample_path`` is a chunk of one.
-``statistic_values`` turns the sums into the normalized statistic samples
-the distance pipeline consumes.
+(``SeedLineage.generators``).  Rows at least ``parallel_draw_width`` draws
+wide are drawn in contiguous blocks of rows, one per CPU the process may
+use: the calling thread draws the first block and a module-level thread pool
+the others, each block from its own ``SeedLineage.generators`` call, so each
+re-keys its own Philox.  Replicate r's stream is keyed by r alone, so its
+row holds the same bits whichever block or thread draws it, and the CPU
+count never reaches an artifact.  That holds because ``_draw_row`` writes
+only ``row``, spends only ``g`` and keeps no scratch on ``self``; numpy's
+fills release the GIL, which is where the blocks run at once.
+``statistic_range`` and ``increment_matrix`` apply the maps chunk by chunk
+on the calling thread, and ``increment_chunks`` hands the increment rows out
+one chunk at a time.  ``statistic_values`` turns the sums into the
+normalized statistic samples the distance pipeline consumes.
 
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
@@ -39,14 +48,19 @@ evaluators average into a value and its standard error.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from ..errors import CapabilityError, ConfigurationError, DomainError
 from ..numerics import SeedLineage
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Replicates are drawn in chunks so the family maps can vectorize across a
 # chunk.  Every family's chunk (Model.chunk_size) is the largest power of two
@@ -67,6 +81,34 @@ DRAW_BUDGET = 1 << 18
 # sequential_maps) pay that loop once per chunk; eight draw budgets (16 MB)
 # keep it small next to the work.
 STEP_LOOP_DRAW_BUDGET = 8 * DRAW_BUDGET
+
+# Rows at least this many draws wide are drawn in contiguous blocks, one per
+# CPU.  Narrower rows fill too fast to pay for handing a block to another
+# thread: at n = 512 every family drew its rows 1.1-3.0x slower split, and at
+# n = 1024 the chain and sequential_maps still did.
+PARALLEL_DRAW_WIDTH = 2048
+
+# The CPUs this process may run on.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_draw_pool_instance: Optional[ThreadPoolExecutor] = None
+_draw_pool_lock = threading.Lock()
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The threads that draw every block of a wide chunk but the first.
+
+    concurrent.futures is imported here, on the first wide draw: it takes
+    about 16 ms, which a command that draws no wide row never pays.
+    """
+    global _draw_pool_instance
+    with _draw_pool_lock:
+        if _draw_pool_instance is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _draw_pool_instance = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="cltlab-draw")
+        return _draw_pool_instance
+
 
 # The largest (replicates, n) float64 table one call may allocate or one
 # command may stream: 1 GiB.  simulate and verify-ce take their tables one
@@ -182,24 +224,13 @@ class PathMoments:
             raise DomainError("delta_n must equal max_k sigma_k")
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path: its increments and its raw path sum.
-
-    path_sum is the family's own sum of the draws (``_sums``), not a float
-    sum of the increments: the lower-bound family's atom at zero is an exact
-    0.0 only in the former.
-    """
-
-    increments: np.ndarray
-    path_sum: float
-
-
 class Model:
     """Base class: deterministic path generation and batch statistics."""
 
     # doubles one chunk's draw matrix may hold (see DRAW_BUDGET)
     draw_budget = DRAW_BUDGET
+    # the row width from which a chunk's rows are drawn on every CPU
+    parallel_draw_width = PARALLEL_DRAW_WIDTH
 
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
@@ -220,7 +251,11 @@ class Model:
         return self.spec.n
 
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        """Write one replicate's draws into row, in the family's documented order."""
+        """Write one replicate's draws into row, in the family's documented order.
+
+        It writes only row, spends only g and keeps no scratch on self, so
+        rows of one chunk may be drawn on several threads at once.
+        """
         raise NotImplementedError
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
@@ -284,11 +319,44 @@ class Model:
         return max(64, min(DEFAULT_CHUNK, 1 << (fit.bit_length() - 1)))
 
     def _draws(self, first: SeedLineage, count: int) -> np.ndarray:
-        """The stacked (count, width) draw matrix of the streams from first on."""
+        """The stacked (count, width) draw matrix of the streams from first on.
+
+        Wide rows are split into min(CPUS, count) contiguous blocks; the
+        calling thread draws the first and the draw pool the others.
+        """
         draws = np.empty((count, self._draw_width()))
-        for row, g in zip(draws, first.generators(count)):
-            self._draw_row(g, row)
+        blocks = min(CPUS, count) if draws.shape[1] >= self.parallel_draw_width else 1
+        if blocks < 2:
+            self._draw_block(first.generators(count), draws)
+            return draws
+        cuts = [count * k // blocks for k in range(blocks + 1)]
+        pool = _draw_pool()
+        futures = [
+            pool.submit(
+                self._draw_block,
+                SeedLineage(first.master_seed, first.stream_id + lo).generators(hi - lo),
+                draws[lo:hi],
+            )
+            for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
+        try:
+            self._draw_block(first.generators(cuts[1]), draws[: cuts[1]])
+        finally:
+            for f in futures:
+                f.exception()  # waits for the block, even when the first failed
+        for f in futures:
+            f.result()
         return draws
+
+    def _draw_block(self, generators: Iterator[np.random.Generator], rows: np.ndarray) -> None:
+        """Draw each row from the next generator of one generators() call.
+
+        The call is made on the calling thread and runs lazily on whichever
+        thread draws the block, so that thread calls nothing but _draw_row
+        and the generators.
+        """
+        for row, g in zip(rows, generators):
+            self._draw_row(g, row)
 
     def _map_chunks(
         self,
@@ -305,11 +373,6 @@ class Model:
             first = SeedLineage(master_seed, SeedLineage.stream_for(block, start + done))
             out[done : done + c] = fn(self._draws(first, c))
         return out
-
-    def sample_path(self, lineage: SeedLineage) -> PathSample:
-        """One path: the maps applied to a chunk of one."""
-        draws = self._draws(lineage, 1)
-        return PathSample(self._increments(draws)[0], float(self._sums(draws)[0]))
 
     def statistic_range(
         self, master_seed: int, start: int, count: int, block: int = 0

@@ -233,7 +233,8 @@ class SeedLineage:
 
         One Philox is re-keyed per stream to the state generator() starts in:
         the key, a zero counter, an empty buffer and no held uint32.  Each
-        yielded generator is valid until the next is taken.
+        yielded generator is valid until the next is taken, so the one
+        Philox must not be shared: each thread that draws needs its own call.
         """
         if self.stream_id % BLOCK_STRIDE + count > BLOCK_STRIDE:
             raise DomainError("block and replicate must be nonnegative, replicate < 2^40")

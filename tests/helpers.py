@@ -7,11 +7,13 @@ finite-chain oracles work purely by exhaustive path enumeration, so they are
 algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
 test can run it in a fresh interpreter under other BLAS thread settings.
+``sample_path`` draws one path through a model's maps as a chunk of one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +40,29 @@ def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1
         c = i / r  # empirical cdf level between knots i and i+1
         total += quadrature(lambda t, c=c: abs(c - normal_cdf(t)), a, b, tol=tol)
     return total
+
+
+# ---------------------------------------------------------------------------
+# one path through a model's maps
+
+
+@dataclass(frozen=True)
+class PathSample:
+    """One simulated path: its increments and its raw path sum.
+
+    path_sum is the family's own sum of the draws (``_sums``), not a float
+    sum of the increments: the lower-bound family's atom at zero is an exact
+    0.0 only in the former.
+    """
+
+    increments: np.ndarray
+    path_sum: float
+
+
+def sample_path(model, lineage: SeedLineage) -> PathSample:
+    """The path of one stream: the model's maps applied to a chunk of one."""
+    draws = model._draws(lineage, 1)
+    return PathSample(model._increments(draws)[0], float(model._sums(draws)[0]))
 
 
 # ---------------------------------------------------------------------------

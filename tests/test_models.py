@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
-from cltlab.models import make_model
-from cltlab.models.base import DEFAULT_CHUNK, ModelSpec, PathMoments
+from cltlab.models import base, make_model
+from cltlab.models.base import DEFAULT_CHUNK, PARALLEL_DRAW_WIDTH, ModelSpec, PathMoments
 from cltlab.models.ce import CEParams, CELowerBound, atom_fraction, branch_abs_moment
 from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
@@ -22,7 +23,7 @@ from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
 from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf, quadrature
 
-from helpers import ChainEnumeration, linear_chunk_routes
+from helpers import ChainEnumeration, linear_chunk_routes, sample_path
 
 
 def spec(family, n, p=3.0, **params):
@@ -208,7 +209,7 @@ class TestCELowerBound:
         seen_zero = seen_partial = seen_off = False
         for r in range(400):
             lin = SeedLineage(7, r)
-            path = m.sample_path(lin)
+            path = sample_path(m, lin)
             assert path.increments.shape == (100,)
             draws = reference_row(m, lin)
             s_m = float(np.sum(draws[: cp.m]))
@@ -338,7 +339,7 @@ class TestLinearStatistic:
         vals = m.statistic_values(master_seed=31, replicates=50)
         norm = m.statistic_normalizer()
         for r in (0, 7, 49):
-            path = m.sample_path(SeedLineage(31, SeedLineage.stream_for(0, r)))
+            path = sample_path(m, SeedLineage(31, SeedLineage.stream_for(0, r)))
             assert abs(path.path_sum / norm - vals[r]) <= 1e-10
             assert abs(float(np.sum(path.increments)) / norm - vals[r]) <= 1e-10
 
@@ -598,7 +599,7 @@ class TestRhoMixingChain:
         oracle = ChainEnumeration(model.P, model.f, model.pi, 6)
         for r in range(5):
             lin = SeedLineage(107, r)
-            path = model.sample_path(lin)
+            path = sample_path(model, lin)
             states = tuple(int(s) for s in reference_states(model, reference_row(model, lin)[None])[0])
             want = [oracle.xi(states, k) for k in range(1, 7)]
             np.testing.assert_allclose(path.increments, want, atol=1e-12)
@@ -903,7 +904,7 @@ class TestSequentialMaps:
                                 multipliers={"rule": "cycle", "values": [2, 3, 5]}))
         lin = SeedLineage(71, 0)
         xs = m._points(reference_row(m, lin)[None])[0]
-        np.testing.assert_array_equal(m.sample_path(lin).increments, m._observe(xs))
+        np.testing.assert_array_equal(sample_path(m, lin).increments, m._observe(xs))
         for k in range(11):
             fwd = math.fmod(xs[k] * m.m[k + 1], 1.0)
             assert abs(fwd - xs[k + 1]) <= 1e-9
@@ -946,7 +947,7 @@ class TestBatchPlumbing:
             assert mat.shape == (reps, s.n)
             for r in (0, reps - 4, reps - 3, reps - 1):
                 lin = SeedLineage(89, SeedLineage.stream_for(2, r))
-                np.testing.assert_array_equal(mat[r], m.sample_path(lin).increments)
+                np.testing.assert_array_equal(mat[r], sample_path(m, lin).increments)
 
     def test_increment_matrix_from_an_offset(self):
         m = make_model(spec("ce_lowerbound", 33))
@@ -963,7 +964,7 @@ class TestBatchPlumbing:
             norm = m.statistic_normalizer()
             for r in range(8):
                 lin = SeedLineage(101, SeedLineage.stream_for(0, r))
-                path = m.sample_path(lin)
+                path = sample_path(m, lin)
                 # the increments map must add up to the sums map
                 assert abs(float(np.sum(path.increments)) / norm - vals[r]) <= 1e-10
                 got = path.path_sum / norm
@@ -981,12 +982,31 @@ class TestBatchPlumbing:
             m.u_exact(3.0)
 
 
+# Rows PARALLEL_DRAW_WIDTH draws wide: every family at that n, and linear
+# AR(1) and MA(1), whose MA row holds one more draw.
+WIDE_SPECS = (
+    spec("gaussian_iid", PARALLEL_DRAW_WIDTH),
+    spec("rademacher_iid", PARALLEL_DRAW_WIDTH),
+    spec("ce_lowerbound", PARALLEL_DRAW_WIDTH),
+    spec("linear_statistic", PARALLEL_DRAW_WIDTH, base={"kind": "ar1", "phi": 0.5}),
+    spec("linear_statistic", PARALLEL_DRAW_WIDTH, base={"kind": "ma", "theta": [1.0, 0.5]}),
+    spec("rho_mixing_chain", PARALLEL_DRAW_WIDTH),
+    spec("sequential_maps", PARALLEL_DRAW_WIDTH, observable="cos12"),
+)
+WIDE_IDS = (
+    "gaussian_iid", "rademacher_iid", "ce_lowerbound", "linear_ar1", "linear_ma1",
+    "rho_mixing_chain", "sequential_maps",
+)
+
+
 class TestReplicateStreams:
     """Each chunk re-keys one Philox per replicate; every row must equal the
-    row drawn from that replicate's own SeedLineage.generator()."""
+    row drawn from that replicate's own SeedLineage.generator(), however many
+    CPUs draw the chunk's rows."""
 
     SEEDS = (0, 2**64 - 1, 0x5DEECE66D)
     BLOCKS = (0, 103, 1063)
+    CPU_COUNTS = (1, 2, 3)
 
     @pytest.mark.parametrize("s", ALL_FAMILIES, ids=FAMILY_IDS)
     def test_chunk_rows_match_one_generator_per_replicate(self, s):
@@ -1010,6 +1030,60 @@ class TestReplicateStreams:
         want = reference_rows(m, 2**64 - 1, 1063, range(start, start + count))
         assert out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("s", WIDE_SPECS, ids=WIDE_IDS)
+    def test_wide_rows_do_not_depend_on_the_cpu_count(self, s, monkeypatch):
+        # 67 rows end at replicate 2^40 - 1, the last of the block, so the
+        # blocks are uneven and the last one ends at the block boundary
+        m = make_model(s)
+        start, count = BLOCK_STRIDE - 67, 67
+        first = SeedLineage(2**64 - 1, SeedLineage.stream_for(1063, start))
+        want = reference_rows(m, 2**64 - 1, 1063, range(start, start + count)).tobytes()
+        outputs = set()
+        for cpus in self.CPU_COUNTS:
+            monkeypatch.setattr(base, "CPUS", cpus)
+            assert m._draws(first, count).tobytes() == want
+            outputs.add((
+                m.statistic_range(PINNED_SEED, start, count, block=5).tobytes(),
+                m.increment_matrix(PINNED_SEED, count, block=5, start=start).tobytes(),
+            ))
+        assert len(outputs) == 1
+
+    def test_more_blocks_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # eight blocks on a fresh seven-thread pool, with the interpreter
+        # switching threads every microsecond: a row written by the wrong
+        # block or lost to a race would change the bytes
+        monkeypatch.setattr(base, "CPUS", 8)
+        monkeypatch.setattr(base, "_draw_pool_instance", None)
+        m = make_model(spec("gaussian_iid", PARALLEL_DRAW_WIDTH))
+        first = SeedLineage(7, SeedLineage.stream_for(4, 1000))
+        want = reference_rows(m, 7, 4, range(1000, 1067)).tobytes()
+        got = []
+        drawer = threading.Thread(target=lambda: got.extend(m._draws(first, 67) for _ in range(20)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            drawer.start()
+            drawer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            base._draw_pool().shutdown(wait=False)
+        assert not drawer.is_alive()
+        assert len(got) == 20 and all(d.tobytes() == want for d in got)
+
+    def test_narrow_and_rademacher_rows_stay_serial(self, monkeypatch):
+        def no_pool():
+            raise RuntimeError("the draw pool was asked for")
+
+        monkeypatch.setattr(base, "CPUS", 2)
+        monkeypatch.setattr(base, "_draw_pool", no_pool)
+        first = SeedLineage(3, SeedLineage.stream_for(2, 0))
+        for s in (spec("gaussian_iid", PARALLEL_DRAW_WIDTH - 1), spec("rademacher_iid", 8192)):
+            m = make_model(s)
+            got = m._draws(first, 5)
+            assert got.tobytes() == reference_rows(m, 3, 2, range(5)).tobytes()
+        with pytest.raises(RuntimeError, match="draw pool"):
+            make_model(spec("gaussian_iid", PARALLEL_DRAW_WIDTH))._draws(first, 5)
+
     def test_rademacher_rows_do_not_inherit_a_buffered_uint32(self):
         # integers(0, 2, n) draws 32-bit words, so an odd n leaves half of
         # the last 64-bit output buffered in the stream
@@ -1026,7 +1100,7 @@ class TestReplicateStreams:
             want = 2.0 * lineage.generator().integers(0, 2, n) - 1.0
             assert reference_row(m, lineage).tobytes() == want.tobytes()
 
-    def test_runs_stay_inside_their_block(self):
+    def test_runs_stay_inside_their_block(self, monkeypatch):
         m = GaussianIID(spec("gaussian_iid", 4))
         with pytest.raises(DomainError):
             m.statistic_range(master_seed=1, start=BLOCK_STRIDE - 2, count=3)
@@ -1036,6 +1110,13 @@ class TestReplicateStreams:
             next(SeedLineage(1, SeedLineage.stream_for(2, BLOCK_STRIDE - 1)).generators(2))
         last = m.statistic_range(master_seed=1, start=BLOCK_STRIDE - 2, count=2, block=7)
         assert last.shape == (2,)
+        # wide rows: the block that crosses the end is drawn on a pool thread
+        monkeypatch.setattr(base, "CPUS", 3)
+        wide = GaussianIID(spec("gaussian_iid", PARALLEL_DRAW_WIDTH))
+        with pytest.raises(DomainError):
+            wide.statistic_range(master_seed=1, start=BLOCK_STRIDE - 5, count=6)
+        last = wide.statistic_range(master_seed=1, start=BLOCK_STRIDE - 6, count=6, block=7)
+        assert last.shape == (6,)
 
 
 # SHA-256 of increment_matrix(PINNED_SEED, 200, block=5) and of
