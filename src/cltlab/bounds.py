@@ -1,10 +1,10 @@
 """Theoretical bound evaluators, itemized term by term.
 
 Every bound on the Gaussian approximation error that the experiment suite
-compares against is computed here: exactly where a closed form exists, by
-Monte Carlo with a reported standard error otherwise.  Results come back as
-a BoundBreakdown whose terms can be re-assembled into the total, so nothing
-is ever a single opaque number.
+compares against is computed here, from the family's exact oracles; only
+heyde_brown's quadratic-variation term is a Monte Carlo mean, reported with
+its standard error.  Results come back as a BoundBreakdown whose terms can
+be re-assembled into the total, so nothing is ever a single opaque number.
 
 Unknown absolute constants are never invented: totals are computed with the
 leading constant set to 1 and the breakdown flagged ``shape_only``.  The
@@ -34,12 +34,10 @@ C_R1_QUARTIC = 8.0 / 5.0
 # Additive smoothing constant 4*sqrt(2) in front of (a*delta)^r.
 ADDITIVE_CONST = 4.0 * math.sqrt(2.0)
 
-# Monte Carlo defaults.  Blocks keep bound-estimation streams disjoint from
-# the distance pipeline's replicate streams under the same master seed.
-PSI_REPLICATES = 10_000
+# heyde_brown's Monte Carlo default.  Its block keeps the bracket paths
+# disjoint from the distance pipeline's replicate streams under the same
+# master seed.
 U_REPLICATES = 10_000
-PSI_BLOCK = 101
-U_BLOCK = 102
 HB_BLOCK = 103
 
 # The psi integral uses a trapezoid rule on a log-spaced grid; 513 points so
@@ -168,143 +166,28 @@ def _power_integral(a: float, x_hi: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# psi_n
+# the conditional-variance fluctuation sum
 
 
-def psi_n(
-    t: float,
-    model: Model,
-    mode: str = "closed_form",
-    replicates: int = PSI_REPLICATES,
-    master_seed: int = 0,
-) -> tuple[float, float, bool]:
-    """sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2  as (value, se, exact).
+def l_n(p: float, r: float, a: float, model: Model) -> float:
+    """sum_{ell=2}^n U_ell(p) / (V_n - V_{ell-1} + a^2 delta^2)^((p-r)/2), exact.
 
-    closed_form delegates to the family's exact profile; monte_carlo draws
-    ``replicates`` paths and reports the standard error of the attaining k.
-    """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be a real >= 0, got {t!r}")
-    if mode not in ("closed_form", "monte_carlo"):
-        raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
-    if t == 0.0:
-        return 0.0, 0.0, True
-    if mode == "closed_form":
-        return float(model.psi_closed_form(np.array([t]))[0]), 0.0, True
-    value, se = _psi_mc_profile(model, replicates, master_seed)(np.array([t]))
-    return float(value[0]), float(se[0]), False
-
-
-def _psi_mc_profile(
-    model: Model, replicates: int, master_seed: int
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Shared-path psi estimator: one increment matrix serves every t.
-
-    It holds three tables of the live columns: |xi|^2 and |xi|^3, both built
-    from one masked copy (the raw table is dropped), and one buffer for the
-    per-t values.
-    """
-    mo = model.moments()
-    sigma2 = mo.sigma2
-    mask = sigma2 > 0.0
-    if not np.any(mask):
-        raise DomainError("all increment variances are zero")
-    xi2 = model.increment_matrix(master_seed, replicates, PSI_BLOCK)[:, mask]
-    np.abs(xi2, out=xi2)
-    xi3 = xi2**3
-    np.square(xi2, out=xi2)
-    vals = np.empty_like(xi2)
-    s2 = sigma2[mask]
-    delta = mo.delta_n
-    root_r = math.sqrt(replicates)
-
-    def at(t: float) -> tuple[float, float]:
-        """psi(t) and the SE of the attaining k's mean, from one table."""
-        np.multiply(t * delta, xi2, out=vals)
-        np.minimum(vals, xi3, out=vals)
-        ratios = vals.mean(axis=0) / s2
-        k = int(np.argmax(ratios))
-        return ratios[k], vals[:, k].std(ddof=1) / (root_r * s2[k])
-
-    return lambda t: tuple(np.array([at(x) for x in t]).T)
-
-
-# ---------------------------------------------------------------------------
-# conditional-variance fluctuation statistics
-
-
-def u_ln(
-    ell: int,
-    p: float,
-    model: Model,
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-    mode: str = "auto",
-) -> tuple[float, float, bool]:
-    """E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1} xi_k^2 - sigma_k^2)|].
-
-    Exactly 0 (no sampling) for models with constant conditional variances;
-    otherwise by ``l_n``'s modes: auto (the family's exact ``u_exact``) or
-    monte_carlo (over path prefixes).
-    """
-    n = model.spec.n
-    if not (2 <= ell <= n):
-        raise DomainError(f"ell must be in [2, {n}], got {ell!r}")
-    return _fluctuation_sum(
-        model, model.moments(), p, (ell,), (1.0,), mode, replicates, master_seed
-    )
-
-
-def l_n(
-    p: float,
-    r: float,
-    a: float,
-    model: Model,
-    mode: str = "auto",
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-) -> tuple[float, float, bool]:
-    """sum_{ell=2}^n U_ell(p) / (V_n - V_{ell-1} + a^2 delta^2)^((p-r)/2).
-
-    mode: auto reads the family's exact ``u_exact`` and raises
-    CapabilityError for a family that does not declare it; monte_carlo
-    averages ``u_samples`` over ``prefix_states_chunk``.  The Monte Carlo
-    path draws one prefix set and reuses it across every ell, so the
-    reported SE accounts for the cross-ell correlation exactly.
+    U_ell(p) = E[(|xi_{ell-1}| v sigma_{ell-1})^{p-2} |sum_{k>=ell}(E_{ell-1} xi_k^2 - sigma_k^2)|]
+    is exactly 0 for models with constant conditional variances; otherwise
+    it is read from the family's ``u_exact``, and a family that does not
+    declare it raises CapabilityError.
     """
     _validate_rp(r, p)
     if not (math.isfinite(a) and a >= 1.0):
         raise DomainError(f"a must be a real >= 1, got {a!r}")
     mo = model.moments()
+    if mo.conditional_variance_constant:
+        return 0.0
     # V_n - V_{ell-1} for ell = 2..n as the tail sums of the ladder, added
     # from the last increment back: one pass and no cancellation
     tails = np.cumsum(mo.sigma2[:0:-1])[::-1]
     denoms = (tails + a * a * mo.delta_n**2) ** ((p - r) / 2.0)
-    return _fluctuation_sum(
-        model, mo, p, range(2, model.spec.n + 1), denoms, mode, replicates, master_seed
-    )
-
-
-def _fluctuation_sum(
-    model: Model, mo: PathMoments, p: float, ells: Sequence[int],
-    denoms: Sequence[float], mode: str, replicates: int, master_seed: int,
-) -> tuple[float, float, bool]:
-    """sum over ells of U_ell(p) / denoms as (value, se, exact).
-
-    Exactly 0 when the conditional variances are constant (mo says so).
-    """
-    if mode not in ("auto", "monte_carlo"):
-        raise ConfigurationError(f"unknown fluctuation mode {mode!r}")
-    if mo.conditional_variance_constant:
-        return 0.0, 0.0, True
-    if mode == "auto":
-        u = model.u_exact(p)
-        return float(sum(u[ell - 2] / d for ell, d in zip(ells, denoms))), 0.0, True
-    states = model.prefix_states_chunk(master_seed, replicates, U_BLOCK)
-    acc = np.zeros(states.shape[0])
-    for ell, d in zip(ells, denoms):
-        acc += model.u_samples(states, ell, p) / d
-    return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(acc.size)), False
+    return float(sum(u / d for u, d in zip(model.u_exact(p), denoms)))
 
 
 def _validate_rp(r: float, p: float) -> None:
@@ -343,7 +226,7 @@ def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
 
     # the fluctuation sum goes first: it raises CapabilityError for a family
     # without a fluctuation oracle before the psi profile is evaluated
-    lv, lse, lexact = l_n(p, r, a, model)
+    lv = l_n(p, r, a, model)
 
     t2, t2_se = _psi_term(model, r, a, x_hi, delta)
 
@@ -366,9 +249,9 @@ def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
         ),
         BoundTerm(
             name="fluctuation_sum",
-            value=float(lv),
-            se=float(lse),
-            exact=lexact,
+            value=lv,
+            se=0.0,
+            exact=True,
             formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         ),
         BoundTerm(
@@ -465,7 +348,7 @@ def corollary_w1_bound(p: float, a: float, model: Model, r: float = 1.0) -> Boun
         factor = va ** ((2.0 + r - p) / 2.0)
         display = "power"
         mid_formula = "sup_k E|xi_k|^p/sigma_k^2 * v_n(a)^((2+r-p)/2)"
-    lv, lse, lexact = l_n(p, r, a, model)
+    lv = l_n(p, r, a, model)
     terms = (
         BoundTerm(
             name="smoothing_floor",
@@ -483,9 +366,9 @@ def corollary_w1_bound(p: float, a: float, model: Model, r: float = 1.0) -> Boun
         ),
         BoundTerm(
             name="fluctuation_sum",
-            value=float(lv),
-            se=float(lse),
-            exact=lexact,
+            value=lv,
+            se=0.0,
+            exact=True,
             formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         ),
     )
@@ -538,7 +421,7 @@ def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
         factor = math.log(math.sqrt(vn_of_a(1.0, mo)) / mo.delta_n)
         power = 0.5
         mid_formula = "sup_k E|xi_k|^3/sigma_k^2 * log(sqrt(v_n(1))/delta)"
-    lv, lse, lexact = l_n(p, r, 1.0, model)
+    lv = l_n(p, r, 1.0, model)
     terms = (
         BoundTerm(
             name="variance_power",
@@ -556,9 +439,9 @@ def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
         ),
         BoundTerm(
             name="fluctuation_sum",
-            value=float(lv),
-            se=float(lse),
-            exact=lexact,
+            value=lv,
+            se=0.0,
+            exact=True,
             formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + delta^2)^((p-r)/2)",
         ),
     )
@@ -685,13 +568,14 @@ def bnp(
     return float(value)
 
 
-def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> BoundBreakdown:
+def linear_statistic_w1_bound(model: Model) -> BoundBreakdown:
     """Transport bound for a weighted stationary-base sum, itemized.
 
     term 1  m_n * sum_k ||E(Y_k | past at 0)||_2   (projection decay)
     term 2  the projection-norm block B(n, p)
-    term 3  (optional) coefficient-increment term when no spectral floor
-            is assumed.
+
+    The base is assumed to have a spectral floor, so no coefficient-increment
+    term enters.
     """
     p = model.spec.p
     lam, eta_p = model.projection_norms(p)
@@ -701,7 +585,7 @@ def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> Boun
     m_n = float(np.max(np.abs(alphas)))
     t1 = m_n * float(np.sum(eta_2))
     t2 = bnp(n, p, alphas, lam, eta_p)
-    terms = [
+    terms = (
         BoundTerm(
             name="projection_l2",
             value=float(t1),
@@ -716,21 +600,10 @@ def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> Boun
             exact=True,
             formula="B(n,p) from the projection norms",
         ),
-    ]
-    if not spectral_floor:
-        padded = np.concatenate(([0.0], np.asarray(alphas, dtype=float), [0.0]))
-        terms.append(
-            BoundTerm(
-                name="coefficient_increments",
-                value=float(math.sqrt(float(np.sum(np.diff(padded) ** 2)))),
-                se=0.0,
-                exact=True,
-                formula="(sum_{k=1}^{n+1} (alpha_k - alpha_{k-1})^2)^(1/2)",
-            )
-        )
+    )
     return BoundBreakdown(
         bound_id="linear_w1",
-        terms=tuple(terms),
+        terms=terms,
         constants_mode="shape_only",
         combination="sum",
         meta={
@@ -738,7 +611,7 @@ def linear_statistic_w1_bound(model: Model, spectral_floor: bool = True) -> Boun
             "p": p,
             "n": n,
             "m_n": m_n,
-            "spectral_floor": spectral_floor,
+            "spectral_floor": True,
         },
     )
 

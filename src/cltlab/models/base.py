@@ -36,13 +36,13 @@ normalized statistic samples the distance pipeline consumes.
 
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
-index at once, ``u_samples`` over ``prefix_states_chunk``,
-``bracket_samples``, ``projection_norms``, ``k_n``, ``c_n``) is defined once
-on ``Model`` and raises CapabilityError there; a family declares a
-capability by overriding it.  ψ (array of t in, array out), the two moment
-sums (plain floats) and ``u_exact`` (an array over ell) are exact;
-``u_samples`` and ``bracket_samples`` return per-path samples that the bound
-evaluators average into a value and its standard error.
+index at once, ``bracket_samples`` over ``prefix_states_chunk``,
+``projection_norms``, ``k_n``, ``c_n``) is defined once on ``Model`` and
+raises CapabilityError there; a family declares a capability by overriding
+it.  ψ (array of t in, array out), the two moment sums (plain floats) and
+``u_exact`` (an array over ell) are exact; ``bracket_samples`` returns
+per-path samples that heyde_brown averages into a value and its standard
+error.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ class Model:
 
     def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         """psi_n(t) = sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2 per t >= 0, exact."""
-        raise CapabilityError(f"{self.model_id} has no closed-form psi profile; use monte_carlo")
+        raise CapabilityError(f"{self.model_id} has no closed-form psi profile")
 
     def sup_moment_ratio(self, p: float) -> float:
         """sup_k E|xi_k|^p / sigma_k^2, exact."""
@@ -285,11 +285,7 @@ class Model:
         raise CapabilityError(f"{self.model_id} has no exact fluctuation statistics")
 
     def prefix_states_chunk(self, master_seed: int, replicates: int, block: int = 0) -> np.ndarray:
-        """Per-replicate path states that u_samples and bracket_samples read."""
-        raise CapabilityError(f"{self.model_id} has no conditional-variance oracle for Monte Carlo")
-
-    def u_samples(self, states: np.ndarray, ell: int, p: float) -> np.ndarray:
-        """Per-path integrand of U_ell(p) over prefix_states_chunk's states."""
+        """Per-replicate path states that bracket_samples reads."""
         raise CapabilityError(f"{self.model_id} has no conditional-variance oracle for Monte Carlo")
 
     def bracket_samples(self, states: np.ndarray) -> np.ndarray:

@@ -17,12 +17,10 @@ expression, built once as three (n, S) stacks: h_{n-k}, P h_{n-k} and the
 conditional variance E(xi_k^2 | Y_{k-1}).  The draw, the variance ladder,
 the conditional-variance gap tables, the per-increment laws (each xi_k takes
 at most S^2 values) and the bound oracles built on them all read those
-stacks.  Every oracle but the Monte Carlo integrand ``u_samples`` is exact,
-and ``u_exact`` gives U_2..U_n at once.
+stacks.  Every oracle is exact, and ``u_exact`` gives U_2..U_n at once.
 
-Everything second-order (autocovariances gamma_k, Var(S_n), the window
-variance-ratio statistic and its spectral bound) is computed from the
-transition matrix directly.
+Everything second-order (autocovariances gamma_k, Var(S_n) and the window
+variance-ratio statistic) is computed from the transition matrix directly.
 
 The state paths follow the inverse-cdf rule of the stream contract,
 Y_t = #{j < S-1 : u_t >= cumsum(P[Y_{t-1}])_j}, and Y_1 the same way from
@@ -41,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, DomainError
+from ..errors import ConfigurationError
 from .base import DRAW_BUDGET, STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
 
 
@@ -115,26 +113,9 @@ class RhoMixingChain(Model):
         pi = np.clip(pi, 0.0, None)
         return pi / np.sum(pi)
 
-    def spectral_gap_rho(self) -> float:
-        """Second-largest eigenvalue modulus of the transition matrix."""
-        vals = np.sort(np.abs(np.linalg.eigvals(self.P)))[::-1]
-        return float(vals[1])
-
-    def c_n_bound(self) -> float:
-        """Spectral bound (1 + rho) / (1 - rho) for the window variance ratio."""
-        rho = self.spectral_gap_rho()
-        if rho >= 1.0 - 1e-12:
-            raise ConfigurationError("chain is not geometrically mixing (rho = 1)")
-        return (1.0 + rho) / (1.0 - rho)
-
     def k_n(self) -> float:
         """Sup norm of the centered observable."""
         return float(np.max(np.abs(self.f)))
-
-    def autocovariance(self, lag: int) -> float:
-        """gamma_lag = E f(Y_0) f(Y_lag), exact."""
-        g = np.linalg.matrix_power(self.P, abs(int(lag))) @ self.f
-        return float(self.pi @ (self.f * g))
 
     def _gammas(self, upto: int) -> np.ndarray:
         out = np.empty(upto + 1)
@@ -313,24 +294,6 @@ class RhoMixingChain(Model):
         gaps = np.tile(np.abs(self._gap_tables()), self.n_states)
         return np.cumsum(probs[: n - 1] * weights * gaps, axis=1)[:, -1]
 
-    def u_samples(self, states: np.ndarray, ell: int, p: float) -> np.ndarray:
-        """Per-path integrand of the fluctuation statistic at split index ell.
-
-        states is a (replicates, n) matrix of state indices; column t-1 holds
-        Y_t.  Used by the bound evaluators' Monte Carlo path, sharing one
-        path set across all ell.
-        """
-        n = self.spec.n
-        if not (2 <= ell <= n):
-            raise DomainError(f"ell must be in [2, {n}]")
-        h, ph, _ = self._stacks()
-        sigma = math.sqrt(self.sigma2_ladder()[ell - 2])
-        gap = self._gap_tables()[ell - 2][states[:, ell - 2]]
-        xi = h[ell - 2][states[:, ell - 2]]
-        if ell > 2:
-            xi = xi - ph[ell - 2][states[:, ell - 3]]
-        return np.maximum(np.abs(xi), sigma) ** (p - 2.0) * np.abs(gap)
-
     def bracket_samples(self, states: np.ndarray) -> np.ndarray:
         """Predictable quadratic variation <M>_n per path (exact given the path).
 
@@ -400,6 +363,6 @@ class RhoMixingChain(Model):
     def prefix_states_chunk(
         self, master_seed: int, replicates: int, block: int = 0
     ) -> np.ndarray:
-        """(replicates, n) state paths for the fluctuation-statistic MC."""
+        """(replicates, n) state paths Y_1..Y_n; column t-1 holds Y_t."""
         out = np.empty((replicates, self.spec.n), dtype=self._step_table.dtype)
         return self._map_chunks(self._states, out, master_seed, 0, block)

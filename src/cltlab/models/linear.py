@@ -178,33 +178,9 @@ class LinearStatistic(Model):
             w[q - j : q - j + n] += th * a
         return w
 
-    def autocovariance(self, lag: int) -> float:
-        """gamma_|lag| of the base sequence, exact."""
-        lag = abs(int(lag))
-        if self.kind == "ar1":
-            return self.phi**lag * self.gamma0
-        if lag >= self.theta.size:
-            return 0.0
-        return float(np.sum(self.theta[: self.theta.size - lag] * self.theta[lag:]))
-
     def exact_vn(self) -> float:
         """Var(S_n), exact (sum of squared innovation weights)."""
         return self._v_n
-
-    def covariance_vn(self) -> float:
-        """Var(S_n) recomputed from the autocovariance double sum (cross-check)."""
-        n = self.spec.n
-        a = self.alpha
-        total = self.autocovariance(0) * float(np.sum(a * a))
-        max_lag = n - 1 if self.kind == "ma" else min(n - 1, _geometric_cutoff(self.phi))
-        if self.kind == "ma":
-            max_lag = min(max_lag, self.theta.size - 1)
-        for d in range(1, max_lag + 1):
-            g = self.autocovariance(d)
-            if g == 0.0:
-                continue
-            total += 2.0 * g * float(np.sum(a[: n - d] * a[d:]))
-        return total
 
     def limit_sigma2(self) -> float:
         """Long-run variance sum_{k in Z} gamma_k of the base sequence."""
@@ -329,10 +305,3 @@ class LinearStatistic(Model):
                     )
             lam[k - 1] = max(first, second)
         return lam, eta
-
-
-def _geometric_cutoff(phi: float, tol: float = 1e-18) -> int:
-    """Lag beyond which |phi|^lag is numerically negligible."""
-    if phi == 0.0:
-        return 0
-    return max(1, int(math.ceil(math.log(tol) / math.log(abs(phi)))))

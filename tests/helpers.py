@@ -1,23 +1,32 @@
-"""Independent oracles shared across the test suite.
+"""Independent oracles and Monte Carlo cross-checks shared across the test suite.
 
-Nothing here reuses the package's closed forms beyond the Gaussian cdf and
-the adaptive quadrature routine (which is itself oracle-grade and has its own
-golden tests).  The W1 oracle integrates |F_hat - Phi| piece by piece; the
+The oracles reuse none of the package's closed forms beyond the Gaussian cdf
+and the adaptive quadrature routine (which is itself oracle-grade and has its
+own golden tests).  The W1 oracle integrates |F_hat - Phi| piece by piece; the
 finite-chain oracles work purely by exhaustive path enumeration, so they are
 algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
 test can run it in a fresh interpreter under other BLAS thread settings.
 ``sample_path`` draws one path through a model's maps as a chunk of one.
+
+The Monte Carlo estimators of psi_n and of the fluctuation statistics
+U_ell(p) and l_n, the autocovariance routes to V_n, and the chain's spectral
+bound on its window constant live here too: they exist only to cross-check
+the package's exact oracles, and no command reaches them.  Tests pin the
+Monte Carlo estimators' outputs bit for bit, so their arithmetic must not
+be reordered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from cltlab.bounds import U_REPLICATES
+from cltlab.errors import ConfigurationError, DomainError
 from cltlab.models import ModelSpec, make_model
 from cltlab.models.base import DEFAULT_CHUNK
 from cltlab.numerics import SeedLineage, normal_cdf, quadrature
@@ -85,6 +94,202 @@ def linear_chunk_routes(base: str, n: int, seed: int, start: int, count: int, bl
         sums.append(model._draws(first, min(DEFAULT_CHUNK, count - done)) @ model._weights)
     want = np.concatenate(sums) / model.statistic_normalizer()
     return model.statistic_range(seed, start, count, block).tobytes(), want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo cross-checks of the exact bound oracles
+
+# Blocks keep these streams disjoint from the distance pipeline's replicate
+# streams, and from heyde_brown's block 103, under the same master seed.
+PSI_REPLICATES = 10_000
+PSI_BLOCK = 101
+U_BLOCK = 102
+
+
+def psi_n(
+    t: float,
+    model,
+    mode: str = "closed_form",
+    replicates: int = PSI_REPLICATES,
+    master_seed: int = 0,
+) -> tuple[float, float, bool]:
+    """sup_k E min(t delta_n xi_k^2, |xi_k|^3) / sigma_k^2  as (value, se, exact).
+
+    closed_form delegates to the family's exact profile; monte_carlo draws
+    ``replicates`` paths and reports the standard error of the attaining k.
+    """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be a real >= 0, got {t!r}")
+    if mode not in ("closed_form", "monte_carlo"):
+        raise ConfigurationError(f"psi mode must be closed_form or monte_carlo, got {mode!r}")
+    if t == 0.0:
+        return 0.0, 0.0, True
+    if mode == "closed_form":
+        return float(model.psi_closed_form(np.array([t]))[0]), 0.0, True
+    value, se = psi_mc_profile(model, replicates, master_seed)(np.array([t]))
+    return float(value[0]), float(se[0]), False
+
+
+def psi_mc_profile(
+    model, replicates: int, master_seed: int
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Shared-path psi estimator: one increment matrix serves every t.
+
+    It holds three tables of the live columns: |xi|^2 and |xi|^3, both built
+    from one masked copy (the raw table is dropped), and one buffer for the
+    per-t values.
+    """
+    mo = model.moments()
+    sigma2 = mo.sigma2
+    mask = sigma2 > 0.0
+    if not np.any(mask):
+        raise DomainError("all increment variances are zero")
+    xi2 = model.increment_matrix(master_seed, replicates, PSI_BLOCK)[:, mask]
+    np.abs(xi2, out=xi2)
+    xi3 = xi2**3
+    np.square(xi2, out=xi2)
+    vals = np.empty_like(xi2)
+    s2 = sigma2[mask]
+    delta = mo.delta_n
+    root_r = math.sqrt(replicates)
+
+    def at(t: float) -> tuple[float, float]:
+        """psi(t) and the SE of the attaining k's mean, from one table."""
+        np.multiply(t * delta, xi2, out=vals)
+        np.minimum(vals, xi3, out=vals)
+        ratios = vals.mean(axis=0) / s2
+        k = int(np.argmax(ratios))
+        return ratios[k], vals[:, k].std(ddof=1) / (root_r * s2[k])
+
+    return lambda t: tuple(np.array([at(x) for x in t]).T)
+
+
+def chain_u_samples(model, states: np.ndarray, ell: int, p: float) -> np.ndarray:
+    """Per-path integrand of the chain's fluctuation statistic at split index ell.
+
+    states is a (replicates, n) matrix of state indices from
+    prefix_states_chunk; column t-1 holds Y_t.  The integrand reads the
+    chain's conditional stacks and gap tables.
+    """
+    n = model.spec.n
+    if not (2 <= ell <= n):
+        raise DomainError(f"ell must be in [2, {n}]")
+    h, ph, _ = model._stacks()
+    sigma = math.sqrt(model.sigma2_ladder()[ell - 2])
+    gap = model._gap_tables()[ell - 2][states[:, ell - 2]]
+    xi = h[ell - 2][states[:, ell - 2]]
+    if ell > 2:
+        xi = xi - ph[ell - 2][states[:, ell - 3]]
+    return np.maximum(np.abs(xi), sigma) ** (p - 2.0) * np.abs(gap)
+
+
+def u_ln(ell: int, p: float, model) -> float:
+    """U_ell(p) from the exact oracles, as bounds.l_n reads it.
+
+    Exactly 0 for models with constant conditional variances; otherwise the
+    family's ``u_exact`` at index ell-2.
+    """
+    n = model.spec.n
+    if not (2 <= ell <= n):
+        raise DomainError(f"ell must be in [2, {n}], got {ell!r}")
+    if model.moments().conditional_variance_constant:
+        return 0.0
+    return float(model.u_exact(p)[ell - 2])
+
+
+def u_ln_mc(
+    ell: int, p: float, model, replicates: int = U_REPLICATES, master_seed: int = 0
+) -> tuple[float, float]:
+    """U_ell(p) of a chain by Monte Carlo over path prefixes, as (value, se)."""
+    return _fluctuation_sum_mc(model, p, (ell,), (1.0,), replicates, master_seed)
+
+
+def l_n_mc(
+    p: float, r: float, a: float, model, replicates: int = U_REPLICATES, master_seed: int = 0
+) -> tuple[float, float]:
+    """bounds.l_n of a chain by Monte Carlo over path prefixes, as (value, se).
+
+    The denominators are formed as bounds.l_n forms them.
+    """
+    mo = model.moments()
+    tails = np.cumsum(mo.sigma2[:0:-1])[::-1]
+    denoms = (tails + a * a * mo.delta_n**2) ** ((p - r) / 2.0)
+    return _fluctuation_sum_mc(
+        model, p, range(2, model.spec.n + 1), denoms, replicates, master_seed
+    )
+
+
+def _fluctuation_sum_mc(
+    model, p: float, ells: Sequence[int], denoms: Sequence[float],
+    replicates: int, master_seed: int,
+) -> tuple[float, float]:
+    """sum over ells of U_ell(p) / denoms, averaged over prefix states under U_BLOCK.
+
+    One prefix set serves every ell, so the reported SE accounts for the
+    cross-ell correlation exactly.
+    """
+    states = model.prefix_states_chunk(master_seed, replicates, U_BLOCK)
+    acc = np.zeros(states.shape[0])
+    for ell, d in zip(ells, denoms):
+        acc += chain_u_samples(model, states, ell, p) / d
+    return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(acc.size))
+
+
+# ---------------------------------------------------------------------------
+# second-order cross-checks: autocovariances and the chain's spectral bound
+
+
+def chain_autocovariance(model, lag: int) -> float:
+    """gamma_lag = E f(Y_0) f(Y_lag) of a rho_mixing_chain, by one matrix power."""
+    g = np.linalg.matrix_power(model.P, abs(int(lag))) @ model.f
+    return float(model.pi @ (model.f * g))
+
+
+def chain_spectral_gap_rho(model) -> float:
+    """Second-largest eigenvalue modulus of a chain's transition matrix."""
+    vals = np.sort(np.abs(np.linalg.eigvals(model.P)))[::-1]
+    return float(vals[1])
+
+
+def chain_c_n_bound(model) -> float:
+    """Spectral bound (1 + rho) / (1 - rho) for a chain's window variance ratio."""
+    rho = chain_spectral_gap_rho(model)
+    if rho >= 1.0 - 1e-12:
+        raise ConfigurationError("chain is not geometrically mixing (rho = 1)")
+    return (1.0 + rho) / (1.0 - rho)
+
+
+def linear_autocovariance(model, lag: int) -> float:
+    """gamma_|lag| of a linear_statistic's base sequence, exact."""
+    lag = abs(int(lag))
+    if model.kind == "ar1":
+        return model.phi**lag * model.gamma0
+    if lag >= model.theta.size:
+        return 0.0
+    return float(np.sum(model.theta[: model.theta.size - lag] * model.theta[lag:]))
+
+
+def _geometric_cutoff(phi: float, tol: float = 1e-18) -> int:
+    """Lag beyond which |phi|^lag is numerically negligible."""
+    if phi == 0.0:
+        return 0
+    return max(1, int(math.ceil(math.log(tol) / math.log(abs(phi)))))
+
+
+def linear_covariance_vn(model) -> float:
+    """Var(S_n) of a linear_statistic from the autocovariance double sum."""
+    n = model.spec.n
+    a = model.alpha
+    total = linear_autocovariance(model, 0) * float(np.sum(a * a))
+    max_lag = n - 1 if model.kind == "ma" else min(n - 1, _geometric_cutoff(model.phi))
+    if model.kind == "ma":
+        max_lag = min(max_lag, model.theta.size - 1)
+    for d in range(1, max_lag + 1):
+        g = linear_autocovariance(model, d)
+        if g == 0.0:
+            continue
+        total += 2.0 * g * float(np.sum(a[: n - d] * a[d:]))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cltlab.bounds import (
     BOUNDS,
     DEFAULT_BOUNDS,
     KAPPA_R1,
-    PSI_BLOCK,
     BoundBreakdown,
     BoundTerm,
     berry_esseen_bound,
@@ -26,14 +25,11 @@ from cltlab.bounds import (
     l_n,
     linear_statistic_w1_bound,
     minimize_over_a,
-    psi_n,
     rho_mixing_bound,
     seqdyn_bound,
     theorem1_rhs,
-    u_ln,
     vn_of_a,
     _power_integral,
-    _psi_mc_profile,
 )
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import KNOWN_FAMILIES, make_model
@@ -43,7 +39,15 @@ from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
 from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
 
-from helpers import ChainEnumeration
+from helpers import (
+    PSI_BLOCK,
+    ChainEnumeration,
+    l_n_mc,
+    psi_mc_profile,
+    psi_n,
+    u_ln,
+    u_ln_mc,
+)
 
 
 def spec(family, n, p=3.0, **params):
@@ -133,7 +137,7 @@ class TestPsiN:
     @pytest.mark.parametrize("model", [GaussianIID(spec("gaussian_iid", 8)), asymmetric_chain(6)])
     def test_monte_carlo_profile_is_the_per_t_loop(self, model):
         grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e2, 17)))
-        value, se = _psi_mc_profile(model, 2_000, 5)(KAPPA_R1 * grid)
+        value, se = psi_mc_profile(model, 2_000, 5)(KAPPA_R1 * grid)
         mo = model.moments()
         live = mo.sigma2 > 0.0
         xi = model.increment_matrix(5, 2_000, PSI_BLOCK)[:, live]
@@ -145,7 +149,7 @@ class TestPsiN:
             assert value[i] == float(np.max(vals.mean(axis=0) / s2))
             assert se[i] == float(vals[:, k].std(ddof=1) / (math.sqrt(xi.shape[0]) * s2[k]))
 
-    # SHA-256 of the (value, se) bytes of _psi_mc_profile(model, 5000, 5) on
+    # SHA-256 of the (value, se) bytes of psi_mc_profile(model, 5000, 5) on
     # KAPPA_R1 * MC_PSI_GRID, recorded while the profile held the raw table
     # and separate |xi|^2 and |xi|^3 copies
     MC_PSI_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 1e2, 17)))
@@ -171,17 +175,17 @@ class TestPsiN:
     @pytest.mark.parametrize("name", list(MC_PSI_DIGESTS))
     def test_monte_carlo_profile_bits_are_pinned(self, name):
         s, digest = self.MC_PSI_DIGESTS[name]
-        value, se = _psi_mc_profile(make_model(s), 5000, 5)(KAPPA_R1 * self.MC_PSI_GRID)
+        value, se = psi_mc_profile(make_model(s), 5000, 5)(KAPPA_R1 * self.MC_PSI_GRID)
         assert hashlib.sha256(value.tobytes() + se.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("family", ["gaussian_iid", "ce_lowerbound"])
     def test_monte_carlo_profile_holds_three_tables(self, family):
         model, reps = make_model(spec(family, 64)), 40_000
-        _psi_mc_profile(model, 200, 5)(np.array([1.0]))  # imports outside the trace
+        psi_mc_profile(model, 200, 5)(np.array([1.0]))  # imports outside the trace
         table = 8 * reps * model.spec.n
         tracemalloc.start()
         try:
-            _psi_mc_profile(model, reps, 5)(np.geomspace(1e-3, 1e2, 5))
+            psi_mc_profile(model, reps, 5)(np.geomspace(1e-3, 1e2, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,46 +205,42 @@ class TestPsiN:
 
 class TestFluctuationStatistics:
     def test_constant_conditional_variance_short_circuits(self):
-        assert u_ln(2, 3.0, rademacher(8)) == (0.0, 0.0, True)
-        assert l_n(3.0, 1.0, 1.0, rademacher(8)) == (0.0, 0.0, True)
+        assert u_ln(2, 3.0, rademacher(8)) == 0.0
+        assert l_n(3.0, 1.0, 1.0, rademacher(8)) == 0.0
         lin = LinearStatistic(spec("linear_statistic", 8, base={"kind": "ar1", "phi": 0.5}))
-        assert l_n(3.0, 1.0, 1.0, lin) == (0.0, 0.0, True)
+        assert l_n(3.0, 1.0, 1.0, lin) == 0.0
 
     def test_symmetric_chain_fluctuations_vanish_exactly(self):
         m = RhoMixingChain(spec("rho_mixing_chain", 8))
         for ell in (2, 5, 8):
-            assert u_ln(ell, 3.0, m) == (0.0, 0.0, True)
-        assert l_n(3.0, 1.0, 1.0, m)[0] == 0.0
+            assert u_ln(ell, 3.0, m) == 0.0
+        assert l_n(3.0, 1.0, 1.0, m) == 0.0
 
     def test_u_ln_exact_matches_path_enumeration(self):
         m = asymmetric_chain(6)
         oracle = ChainEnumeration(m.P, m.f, m.pi, 6)
         for ell in (2, 4, 6):
-            val, se, exact = u_ln(ell, 2.5, m)
-            assert exact and se == 0.0
-            assert abs(val - oracle.u_ell(ell, 2.5)) <= 1e-12
+            assert abs(u_ln(ell, 2.5, m) - oracle.u_ell(ell, 2.5)) <= 1e-12
 
     def test_u_ln_monte_carlo_agrees_with_exact(self):
         m = asymmetric_chain(6)
         for ell in (2, 4):
-            exact_val = u_ln(ell, 3.0, m)[0]
-            val, se, exact = u_ln(ell, 3.0, m, mode="monte_carlo", replicates=4000, master_seed=3)
-            assert not exact and se > 0.0
+            exact_val = u_ln(ell, 3.0, m)
+            val, se = u_ln_mc(ell, 3.0, m, replicates=4000, master_seed=3)
+            assert se > 0.0
             assert abs(val - exact_val) <= 3.0 * se
 
     def test_l_n_exact_matches_path_enumeration(self):
         m = asymmetric_chain(6)
         oracle = ChainEnumeration(m.P, m.f, m.pi, 6)
         for (p, r, a) in ((3.0, 1.0, 1.0), (2.5, 0.5, 2.0)):
-            val, se, exact = l_n(p, r, a, m)
-            assert exact and se == 0.0
-            assert abs(val - oracle.l_n(p, r, a)) <= 1e-10
+            assert abs(l_n(p, r, a, m) - oracle.l_n(p, r, a)) <= 1e-10
 
     def test_l_n_monte_carlo_agrees_with_exact(self):
         m = asymmetric_chain(6)
-        exact_val = l_n(3.0, 1.0, 1.0, m)[0]
-        val, se, exact = l_n(3.0, 1.0, 1.0, m, mode="monte_carlo", replicates=4000, master_seed=5)
-        assert not exact and se > 0.0
+        exact_val = l_n(3.0, 1.0, 1.0, m)
+        val, se = l_n_mc(3.0, 1.0, 1.0, m, replicates=4000, master_seed=5)
+        assert se > 0.0
         assert abs(val - exact_val) <= 3.0 * se
 
     @pytest.mark.parametrize("a", (1.0, 1.5))
@@ -262,13 +262,13 @@ class TestFluctuationStatistics:
             tail += Fraction(float(mo.sigma2[ell - 1]))
             terms.append(float(Fraction(float(u[ell - 2])) / (tail + floor)))
         reference = math.fsum(terms)
-        value = l_n(3.0, 1.0, a, m)[0]
+        value = l_n(3.0, 1.0, a, m)
         assert reference > 0.0
         assert abs(value - reference) <= 1e-13 * reference
 
     def test_l_n_nonincreasing_in_a(self):
         m = asymmetric_chain(8)
-        vals = [l_n(3.0, 1.0, a, m)[0] for a in (1.0, 2.0, 4.0)]
+        vals = [l_n(3.0, 1.0, a, m) for a in (1.0, 2.0, 4.0)]
         assert vals[0] >= vals[1] >= vals[2] > 0.0
 
     def test_validation(self):
@@ -283,14 +283,10 @@ class TestFluctuationStatistics:
             l_n(3.5, 1.0, 1.0, m)
         with pytest.raises(CapabilityError):
             l_n(3.0, 1.0, 1.0, SequentialMaps(spec("sequential_maps", 4)))
-        with pytest.raises(ConfigurationError):
-            u_ln(2, 3.0, rademacher(4), mode="quadrature")
-        with pytest.raises(ConfigurationError):
-            l_n(3.0, 1.0, 1.0, asymmetric_chain(6), mode="exact")
 
-    def test_default_mode_never_falls_back_to_monte_carlo(self, monkeypatch):
-        # without u_exact the default mode raises at once: no prefix states
-        # are drawn for a Monte Carlo estimate that could not be formed
+    def test_l_n_never_samples(self, monkeypatch):
+        # without u_exact l_n raises at once: no prefix states are drawn for
+        # a Monte Carlo estimate that could not be formed
         calls = []
         monkeypatch.setattr(
             SequentialMaps, "prefix_states_chunk", lambda self, *a, **k: calls.append(a)
@@ -338,7 +334,7 @@ class TestMasterBound:
         bd = theorem1_rhs(1.0, 3.0, 1.0, m)
         lterm = bd.term("fluctuation_sum")
         assert lterm.exact and lterm.value > 0.0
-        assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m)[0]) <= 1e-12
+        assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m)) <= 1e-12
         assert bd.total == combined(bd)
 
     def test_missing_oracle_raises_before_any_psi_path(self, monkeypatch):
@@ -482,10 +478,8 @@ class TestChainMonteCarloBits:
 
     def test_fluctuation_sum(self):
         # 5000 replicates at n = 300 span two chunks of prefix states
-        val, se, exact = l_n(2.7, 1.0, 1.5, self.chain(), mode="monte_carlo",
-                             replicates=5000, master_seed=17)
-        assert (val.hex(), se.hex(), exact) == (
-            "0x1.7cbd87c01e68cp+0", "0x1.a0e40cb660deap-10", False)
+        val, se = l_n_mc(2.7, 1.0, 1.5, self.chain(), replicates=5000, master_seed=17)
+        assert (val.hex(), se.hex()) == ("0x1.7cbd87c01e68cp+0", "0x1.a0e40cb660deap-10")
 
     def test_heyde_brown(self):
         bd = heyde_brown_bound(3.0, self.chain(), replicates=5000, master_seed=19)
@@ -507,21 +501,6 @@ class TestDependentSumBound:
         want = 1.75 * (1.0 + 1.75 ** 2) * math.log(2.0)
         assert abs(val - want) <= 1e-12
 
-    def test_bnp_coefficient_increment_term(self):
-        # Without a spectral floor the linear display adds the coefficient
-        # increments: alphas (1, 3, 2) zero-padded at both ends step by
-        # (1, 2, -1, -2), so the term is sqrt(1 + 4 + 1 + 4) = sqrt(10).
-        m = LinearStatistic(
-            spec("linear_statistic", 3, base={"kind": "ar1", "phi": 0.5},
-                 coefficients=[1.0, 3.0, 2.0])
-        )
-        relaxed = linear_statistic_w1_bound(m, spectral_floor=False)
-        term = relaxed.term("coefficient_increments")
-        assert abs(term.value - math.sqrt(10.0)) <= 1e-12 and term.exact
-        base = linear_statistic_w1_bound(m)
-        assert abs(relaxed.total - base.total - math.sqrt(10.0)) <= 1e-12
-        assert relaxed.meta["spectral_floor"] is False
-
     def test_bnp_validation(self):
         with pytest.raises(DomainError):
             bnp(2, 3.0, [1.0], [0.5, 0.25], [1.0, 0.5, 0.25])
@@ -538,9 +517,6 @@ class TestDependentSumBound:
         assert {t.name for t in bd.terms} == {"projection_l2", "bnp"}
         assert all(t.value > 0.0 and t.exact for t in bd.terms)
         assert bd.total == combined(bd)
-        relaxed = linear_statistic_w1_bound(m, spectral_floor=False)
-        assert relaxed.term("coefficient_increments").value > 0.0
-        assert relaxed.total > bd.total
 
     def test_linear_bound_needs_projection_norms(self):
         with pytest.raises(CapabilityError):

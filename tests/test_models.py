@@ -23,7 +23,16 @@ from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
 from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf, quadrature
 
-from helpers import ChainEnumeration, linear_chunk_routes, sample_path
+from helpers import (
+    ChainEnumeration,
+    chain_autocovariance,
+    chain_c_n_bound,
+    chain_spectral_gap_rho,
+    chain_u_samples,
+    linear_chunk_routes,
+    linear_covariance_vn,
+    sample_path,
+)
 
 
 def spec(family, n, p=3.0, **params):
@@ -298,14 +307,14 @@ class TestLinearStatistic:
         # gamma_0 = 4/3, gamma_1 = 2/3: V_2 = 2 gamma_0 + 2 gamma_1 = 4.
         m = LinearStatistic(spec("linear_statistic", 2, base={"kind": "ar1", "phi": 0.5}))
         assert abs(m.exact_vn() - 4.0) <= 1e-12
-        assert abs(m.covariance_vn() - 4.0) <= 1e-12
+        assert abs(linear_covariance_vn(m) - 4.0) <= 1e-12
         assert abs(m.limit_sigma2() - 4.0) <= 1e-15
 
     def test_ma_variance_n2(self):
         # theta = (1, 1/2): gamma_0 = 5/4, gamma_1 = 1/2, V_2 = 7/2.
         m = LinearStatistic(spec("linear_statistic", 2, base={"kind": "ma", "theta": [1.0, 0.5]}))
         assert abs(m.exact_vn() - 3.5) <= 1e-12
-        assert abs(m.covariance_vn() - 3.5) <= 1e-12
+        assert abs(linear_covariance_vn(m) - 3.5) <= 1e-12
         assert abs(m.limit_sigma2() - 2.25) <= 1e-15
 
     def test_weight_and_covariance_routes_agree(self):
@@ -318,7 +327,7 @@ class TestLinearStatistic:
         ]
         for s in cases:
             m = LinearStatistic(s)
-            assert abs(m.exact_vn() - m.covariance_vn()) <= 1e-9 * max(1.0, m.exact_vn())
+            assert abs(m.exact_vn() - linear_covariance_vn(m)) <= 1e-9 * max(1.0, m.exact_vn())
 
     def test_ladder_is_constant_conditional_variance(self):
         m = LinearStatistic(spec("linear_statistic", 6, base={"kind": "ar1", "phi": 0.5}))
@@ -526,23 +535,23 @@ class TestRhoMixingChain:
 
     def test_symmetric_second_order_structure(self):
         m = self.two_state(4)
-        assert abs(m.spectral_gap_rho() - 0.5) <= 1e-12
-        assert abs(m.c_n_bound() - 3.0) <= 1e-12
+        assert abs(chain_spectral_gap_rho(m) - 0.5) <= 1e-12
+        assert abs(chain_c_n_bound(m) - 3.0) <= 1e-12
         assert m.k_n() == 1.0
         for lag in range(5):
-            assert abs(m.autocovariance(lag) - 0.5**lag) <= 1e-12
+            assert abs(chain_autocovariance(m, lag) - 0.5**lag) <= 1e-12
         # V_4 = 4 + 2( 3*0.5 + 2*0.25 + 0.125 ) = 8.25
         assert abs(m.var_sn() - 8.25) <= 1e-12
 
     def test_window_ratio_stays_under_spectral_bound(self):
         for stay in (0.75, 0.25, 0.6):
             m = self.two_state(512, stay=stay)
-            assert m.c_n() <= m.c_n_bound() + 1e-9
+            assert m.c_n() <= chain_c_n_bound(m) + 1e-9
 
     def test_window_ratio_agrees_with_direct_variances(self):
         # c_n's incremental window variance must match var_sn window by window.
         m = self.asymmetric(24)
-        direct = max((w * m.autocovariance(0)) / m.var_sn(w) for w in range(1, 25))
+        direct = max((w * chain_autocovariance(m, 0)) / m.var_sn(w) for w in range(1, 25))
         assert abs(m.c_n(24) - direct) <= 1e-12
 
     def test_negative_correlation_pushes_ratio_up(self):
@@ -609,7 +618,7 @@ class TestRhoMixingChain:
         model = self.asymmetric(6)
         states = model.prefix_states_chunk(master_seed=41, replicates=4000)
         for ell in (2, 4):
-            samples = model.u_samples(states, ell, 3.0)
+            samples = chain_u_samples(model, states, ell, 3.0)
             se = float(np.std(samples) / math.sqrt(samples.size))
             assert abs(float(np.mean(samples)) - model.u_exact(3.0)[ell - 2]) <= 3.0 * se + 1e-12
 
@@ -749,7 +758,7 @@ class TestRhoMixingChain:
         m = self.random_chain(8, 4, 7)
         g = m.f.copy()
         for lag in range(200):
-            assert abs(m.autocovariance(lag) - float(m.pi @ (m.f * g))) <= 1e-12
+            assert abs(chain_autocovariance(m, lag) - float(m.pi @ (m.f * g))) <= 1e-12
             g = m.P @ g
 
     def test_moments_and_draws_build_no_increment_law_table(self, monkeypatch):
