@@ -124,12 +124,6 @@ class BoundBreakdown:
             return 0.0
         return prefactor * abs(self.power) * s ** (self.power - 1.0) * spread
 
-    def term(self, name: str) -> BoundTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 def breakdowns_to_csv(breakdowns: Sequence[BoundBreakdown]) -> str:
     """The bound table: one row per term plus a closing total row per breakdown."""
@@ -183,9 +177,8 @@ def l_n(p: float, r: float, a: float, model: Model) -> float:
     mo = model.moments()
     if mo.conditional_variance_constant:
         return 0.0
-    # V_n - V_{ell-1} for ell = 2..n as the tail sums of the ladder, added
-    # from the last increment back: one pass and no cancellation
-    tails = np.cumsum(mo.sigma2[:0:-1])[::-1]
+    # V_n - V_{ell-1} for ell = 2..n as the tail sums of the ladder
+    tails = mo.tail_sums()[1:]
     denoms = (tails + a * a * mo.delta_n**2) ** ((p - r) / 2.0)
     return float(sum(u / d for u, d in zip(model.u_exact(p), denoms)))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +38,9 @@ TRANSFER_CONSTANT = 1.0 + 1.0 / math.sqrt(2.0 * math.pi)
 DKW_ALPHA = 0.05
 
 W1_SE_BATCHES = 10
+
+# Standard errors of slack the transfer check allows on top of the inequality.
+TRANSFER_SLACK_SE = 3.0
 
 
 @dataclass(frozen=True)
@@ -145,27 +148,28 @@ def be_transfer(wr_value: float, p: float) -> float:
     return TRANSFER_CONSTANT * wr_value ** (1.0 / (p - 1.0))
 
 
-def kolmogorov_se(replicates: int, alpha: float = DKW_ALPHA) -> float:
-    """Dvoretzky–Kiefer–Wolfowitz envelope half-width at confidence 1-alpha."""
+def kolmogorov_se(replicates: int) -> float:
+    """Dvoretzky–Kiefer–Wolfowitz envelope half-width at confidence 1-DKW_ALPHA."""
     if replicates <= 0:
         raise DomainError("replicates must be positive")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * replicates))
+    return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * replicates))
 
 
-def w1_se_batch_means(sample: EmpiricalSample, batches: int = W1_SE_BATCHES) -> float:
+def w1_se_batch_means(sample: EmpiricalSample) -> float:
     """Batch-means SE for w1_vs_normal over round-robin sample splits.
 
-    The sorted sample is split into `batches` interleaved subsequences (index
-    mod `batches`); each is itself a sorted sample of the same law.  The SE is
-    the sample standard deviation of their W1 values divided by sqrt(batches).
+    The sorted sample is split into W1_SE_BATCHES interleaved subsequences
+    (index mod W1_SE_BATCHES); each is itself a sorted sample of the same
+    law.  The SE is the sample standard deviation of their W1 values divided
+    by sqrt(W1_SE_BATCHES).
     """
     x = sample.values
-    if x.size < 2 * batches:
+    if x.size < 2 * W1_SE_BATCHES:
         return float("nan")
     vals = [
-        w1_vs_normal(EmpiricalSample(x[k::batches])) for k in range(batches)
+        w1_vs_normal(EmpiricalSample(x[k::W1_SE_BATCHES])) for k in range(W1_SE_BATCHES)
     ]
-    return float(np.std(vals, ddof=1) / math.sqrt(batches))
+    return float(np.std(vals, ddof=1) / math.sqrt(W1_SE_BATCHES))
 
 
 @dataclass(frozen=True)
@@ -188,31 +192,24 @@ class DistanceReport:
         """Kolmogorov bound implied by the measured coupling distance."""
         return be_transfer(self.wr_value, self.p)
 
-    def transfer_holds(self, slack_se: float = 3.0) -> bool:
-        """Check kolmogorov <= be_transfer(w1, 3) + slack (p = 3 only)."""
+    def transfer_holds(self) -> bool:
+        """Check kolmogorov <= be_transfer(w1, 3) + TRANSFER_SLACK_SE SEs (p = 3 only)."""
         if self.p != 3.0:
             raise DomainError("the transfer check is defined for p = 3 reports")
         return self.kolmogorov <= (
-            be_transfer(self.w1, 3.0) + slack_se * (self.kolmogorov_se + self.w1_se)
+            be_transfer(self.w1, 3.0) + TRANSFER_SLACK_SE * (self.kolmogorov_se + self.w1_se)
         )
 
 
-def compute_report(
-    sample: EmpiricalSample,
-    model_id: str,
-    n: int,
-    p: float,
-    wr_r: Optional[float] = None,
-) -> DistanceReport:
+def compute_report(sample: EmpiricalSample, model_id: str, n: int, p: float) -> DistanceReport:
     """Measure every distance column of the standard report for one sample.
 
-    The coupling order defaults to the one the theory pairs with p: r = p - 2
-    for p < 3 and r = 1 at p = 3.
+    The coupling order is the one the theory pairs with p: r = p - 2 for
+    p < 3 and r = 1 at p = 3.
     """
     if not (2.0 < p <= 3.0):
         raise DomainError(f"p must lie in (2, 3], got {p!r}")
-    if wr_r is None:
-        wr_r = 1.0 if p == 3.0 else p - 2.0
+    wr_r = 1.0 if p == 3.0 else p - 2.0
     wr_value, upper = wr_quantile_coupling(sample, wr_r)
     return DistanceReport(
         model_id=model_id,

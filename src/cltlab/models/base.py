@@ -16,7 +16,8 @@ Each family implements one draw kernel and the maps over it:
 * ``_sums(D)``          (chunk,) raw path sums from D, with the family's own
                          reduction order (and exact bookkeeping where float
                          addition of the increments would lose it),
-* ``moments()``         the exact per-increment variance ladder.
+* ``moments()``         the exact per-increment variance ladder, its sum
+                         V_n = Var(S_n) and its tail sums.
 
 ``Model`` owns the only generator loop, ``_draws``: a chunk checks its seed
 and replicate range once and re-keys one Philox per replicate
@@ -37,12 +38,13 @@ normalized statistic samples the distance pipeline consumes.
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
 index at once, ``bracket_samples`` over ``prefix_states_chunk``,
-``projection_norms``, ``k_n``, ``c_n``) is defined once on ``Model`` and
-raises CapabilityError there; a family declares a capability by overriding
-it.  ψ (array of t in, array out), the two moment sums (plain floats) and
-``u_exact`` (an array over ell) are exact; ``bracket_samples`` returns
-per-path samples that heyde_brown averages into a value and its standard
-error.
+``projection_norms``, and the mixing display's ``k_n`` and ``c_n``) is
+defined once on ``Model`` and raises CapabilityError there; a family
+declares a capability by overriding it.  ψ (array of t in, array out), the
+two moment sums and ``c_n`` (plain floats) and ``u_exact`` (an array over
+ell) are exact; the chain reads ``c_n``'s window variances off its
+``moments()`` ladder.  ``bracket_samples`` returns per-path samples that
+heyde_brown averages into a value and its standard error.
 """
 
 from __future__ import annotations
@@ -223,6 +225,13 @@ class PathMoments:
         if abs(self.delta_n - expected_delta) > 1e-9 * max(1.0, expected_delta):
             raise DomainError("delta_n must equal max_k sigma_k")
 
+    def tail_sums(self) -> np.ndarray:
+        """sum_{k >= ell} sigma_k^2 for ell = 1..n at index ell-1, in a new array.
+
+        Added from the last increment back: one pass and no cancellation.
+        """
+        return np.cumsum(self.sigma2[::-1])[::-1]
+
 
 class Model:
     """Base class: deterministic path generation and batch statistics."""
@@ -300,7 +309,7 @@ class Model:
         """Sup norm of the observable (the mixing display's K_n)."""
         raise CapabilityError(f"{self.model_id} has no mixing-coefficient oracle")
 
-    def c_n(self, n: Optional[int] = None) -> float:
+    def c_n(self) -> float:
         """The window variance ratio C_n of the mixing display."""
         raise CapabilityError(f"{self.model_id} has no mixing-coefficient oracle")
 

@@ -19,8 +19,10 @@ the conditional-variance gap tables, the per-increment laws (each xi_k takes
 at most S^2 values) and the bound oracles built on them all read those
 stacks.  Every oracle is exact, and ``u_exact`` gives U_2..U_n at once.
 
-Everything second-order (autocovariances gamma_k, Var(S_n) and the window
-variance-ratio statistic) is computed from the transition matrix directly.
+The second-order quantities read the same ladder: V_n = Var(S_n) is the sum
+of the sigma_k^2, and each window variance Var(S_n - S_{l-1}) behind the
+mixing constant C_n is the tail sum_{k>=l} sigma_k^2 plus the pi-variance of
+E(S_n - S_{l-1} | Y_{l-1}) = (P h_{n-l})(Y_{l-1}).
 
 The state paths follow the inverse-cdf rule of the stream contract,
 Y_t = #{j < S-1 : u_t >= cumsum(P[Y_{t-1}])_j}, and Y_1 the same way from
@@ -117,38 +119,6 @@ class RhoMixingChain(Model):
         """Sup norm of the centered observable."""
         return float(np.max(np.abs(self.f)))
 
-    def _gammas(self, upto: int) -> np.ndarray:
-        out = np.empty(upto + 1)
-        g = self.f.copy()
-        out[0] = float(self.pi @ (self.f * g))
-        for d in range(1, upto + 1):
-            g = self.P @ g
-            out[d] = float(self.pi @ (self.f * g))
-        return out
-
-    def var_sn(self, n: Optional[int] = None) -> float:
-        """Var(S_n) from the exact autocovariances."""
-        if n is None:
-            n = self.spec.n
-        gam = self._gammas(n - 1)
-        d = np.arange(1, n, dtype=float)
-        return float(n * gam[0] + 2.0 * np.sum((n - d) * gam[1:]))
-
-    def c_n(self, n: Optional[int] = None) -> float:
-        """max_l (sum_{i=l}^n E X_i^2) / Var(S_n - S_{l-1}), exact.
-
-        With a stationary start this is a maximum over window lengths.
-        """
-        if n is None:
-            n = self.spec.n
-        gam = self._gammas(n - 1)
-        # Var over window length w: w*g0 + 2*sum_{d=1}^{w-1} (w-d) g_d, built
-        # by running sums: adding one step adds g0 + 2*sum_{d=1}^{w-1} g_d.
-        cum_g = np.concatenate(([0.0], np.cumsum(gam[1:])))
-        var_w = np.cumsum(gam[0] + 2.0 * cum_g)
-        ratios = (np.arange(1, n + 1) * gam[0]) / var_w
-        return float(np.max(ratios))
-
     # -- projection martingale ladder -----------------------------------------
 
     def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,40 +144,56 @@ class RhoMixingChain(Model):
         """sigma_k^2 = pi h_{n-k}^2 - pi (P h_{n-k})^2; sigma_1^2 = pi h_{n-1}^2."""
         if self._sigma2 is None:
             h, ph, _ = self._stacks()
-            # pi-weighted row sums, each rounded as the vector product pi @ v
-            pi = self.pi[:, None]
-            sigma2 = np.matmul((h**2)[:, None, :], pi)[:, 0, 0]
-            sigma2[1:] -= np.matmul((ph[1:] ** 2)[:, None, :], pi)[:, 0, 0]
+            sigma2 = self._pi_sums(h**2)
+            sigma2[1:] -= self._pi_sums(ph[1:] ** 2)
             self._sigma2 = sigma2
         return self._sigma2
+
+    def _pi_sums(self, rows: np.ndarray) -> np.ndarray:
+        """pi-weighted row sums, each rounded as the vector product pi @ v."""
+        return np.matmul(rows[:, None, :], self.pi[:, None])[:, 0, 0]
 
     def moments(self) -> PathMoments:
         if self._moments is None:
             sigma2 = self.sigma2_ladder()
             self._moments = PathMoments(
                 sigma2=sigma2,
-                v_n=self.var_sn(),
+                v_n=float(np.sum(sigma2)),
                 delta_n=float(math.sqrt(np.max(sigma2))),
                 conditional_variance_constant=False,
                 exact=True,
             )
         return self._moments
 
+    def c_n(self) -> float:
+        """max_ell (sum_{i=ell}^n E X_i^2) / Var(S_n - S_{ell-1}), exact."""
+        second = float(self.pi @ self.f**2)
+        return float(np.max(np.arange(self.spec.n, 0, -1) * second / self._window_variances()))
+
+    def _window_variances(self) -> np.ndarray:
+        """Var(S_n - S_{ell-1}) for ell = 1..n at index ell-1.
+
+        The ladder's tail sum_{k>=ell} sigma_k^2 plus, for ell >= 2, the
+        pi-variance of E(S_n - S_{ell-1} | Y_{ell-1}), row ell-1 of P h, whose
+        pi-mean is 0.
+        """
+        var_w = self.moments().tail_sums()
+        var_w[1:] += self._pi_sums(self._stacks()[1][1:] ** 2)
+        return var_w
+
     def _gap_tables(self) -> np.ndarray:
         """Row ell-2 gives sum_{k>=ell}(E(xi_k^2 | Y_{ell-1}) - sigma_k^2) per state."""
         if self._gap is None:
             n = self.spec.n
             w = self._stacks()[2]
-            sigma2 = self.sigma2_ladder()
+            tails = self.moments().tail_sums()
             # G_ell(y) = sum_{k >= ell} E(xi_k^2 | Y_{ell-1}=y), backward:
             # G_ell = w_ell + P G_{ell+1}
             tables = np.empty((n - 1, self.n_states))
             g_next = np.zeros(self.n_states)
-            tail_sigma = 0.0
             for ell in range(n, 1, -1):
                 g_next = w[ell - 1] + self.P @ g_next
-                tail_sigma += sigma2[ell - 1]
-                tables[ell - 2] = g_next - tail_sigma
+                tables[ell - 2] = g_next - tails[ell - 1]
             self._gap = tables
         return self._gap
 

@@ -178,10 +178,6 @@ class LinearStatistic(Model):
             w[q - j : q - j + n] += th * a
         return w
 
-    def exact_vn(self) -> float:
-        """Var(S_n), exact (sum of squared innovation weights)."""
-        return self._v_n
-
     def limit_sigma2(self) -> float:
         """Long-run variance sum_{k in Z} gamma_k of the base sequence."""
         if self.kind == "ar1":

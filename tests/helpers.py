@@ -7,7 +7,8 @@ finite-chain oracles work purely by exhaustive path enumeration, so they are
 algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
 test can run it in a fresh interpreter under other BLAS thread settings.
-``sample_path`` draws one path through a model's maps as a chunk of one.
+``sample_path`` draws one path through a model's maps as a chunk of one,
+and ``term`` looks up one term of a bound breakdown by name.
 
 The Monte Carlo estimators of psi_n and of the fluctuation statistics
 U_ell(p) and l_n, the autocovariance routes to V_n, and the chain's spectral
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from cltlab.bounds import U_REPLICATES
+from cltlab.bounds import U_REPLICATES, BoundBreakdown, BoundTerm
 from cltlab.errors import ConfigurationError, DomainError
 from cltlab.models import ModelSpec, make_model
 from cltlab.models.base import DEFAULT_CHUNK
@@ -49,6 +50,14 @@ def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1
         c = i / r  # empirical cdf level between knots i and i+1
         total += quadrature(lambda t, c=c: abs(c - normal_cdf(t)), a, b, tol=tol)
     return total
+
+
+def term(breakdown: BoundBreakdown, name: str) -> BoundTerm:
+    """The term of a bound breakdown called name; KeyError when it has none."""
+    for t in breakdown.terms:
+        if t.name == name:
+            return t
+    raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +370,17 @@ class ChainEnumeration:
 
     def sigma2(self, k: int) -> float:
         return float(sum(p * self.xi(s, k) ** 2 for p, s in self.paths))
+
+    def window_variance(self, ell: int) -> float:
+        """Var(S_n - S_{ell-1}) = Var(f(Y_ell) + .. + f(Y_n)), brute force."""
+        tails = [(p, float(sum(self.f[x] for x in s[ell - 1 :]))) for p, s in self.paths]
+        mean = sum(p * t for p, t in tails)
+        return sum(p * t * t for p, t in tails) - mean * mean
+
+    def c_n(self) -> float:
+        """max_ell sum_{i>=ell} E f(Y_i)^2 / Var(S_n - S_{ell-1}), brute force."""
+        second = [sum(p * self.f[s[i]] ** 2 for p, s in self.paths) for i in range(self.n)]
+        return max(sum(second[ell - 1 :]) / self.window_variance(ell) for ell in range(1, self.n + 1))
 
     def cond_var_gap(self, prefix: tuple[int, ...]) -> float:
         """sum_{k > len(prefix)} (E(xi_k^2 | prefix) - sigma_k^2)."""

@@ -298,8 +298,8 @@ def test_criterion_07_chain_window_constant_and_bound_ratio(chain_runs):
 
     normalized = []
     for n, m, rep in chain_runs:
-        w1_unnormalized = rep.w1 * math.sqrt(m.var_sn())
-        bound = _bounds.rho_mixing_bound(m.k_n(), m.c_n(), m.var_sn())
+        w1_unnormalized = rep.w1 * math.sqrt(m.moments().v_n)
+        bound = _bounds.rho_mixing_bound(m.k_n(), m.c_n(), m.moments().v_n)
         normalized.append(w1_unnormalized / bound)
     band = max(normalized) / min(normalized)
     assert band <= 5.0, f"W1/bound series spans a factor {band:.2f} > 5"

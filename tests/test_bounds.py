@@ -45,6 +45,7 @@ from helpers import (
     l_n_mc,
     psi_mc_profile,
     psi_n,
+    term,
     u_ln,
     u_ln_mc,
 )
@@ -300,17 +301,17 @@ class TestMasterBound:
     def test_rademacher_n100_explicit_terms(self):
         # delta = 1, V = 100, a = 1: v_n(a) = 201, X = sqrt(201).
         bd = theorem1_rhs(1.0, 3.0, 1.0, rademacher(100))
-        assert abs(bd.term("variance_tail_integral").value - (1.0 - 1.0 / math.sqrt(201.0))) <= 1e-12
+        assert abs(term(bd, "variance_tail_integral").value - (1.0 - 1.0 / math.sqrt(201.0))) <= 1e-12
         # psi(6x) = 1 on the whole grid, so the log-grid trapezoid is exact:
         # integral of dx/x from 1 to sqrt(201) = log(201)/2.
-        psi_term = bd.term("psi_integral")
+        psi_term = term(bd, "psi_integral")
         assert abs(psi_term.value - 0.5 * math.log(201.0)) <= 1e-12
         assert psi_term.se <= 1e-12
-        assert bd.term("fluctuation_sum") == BoundTerm(
+        assert term(bd, "fluctuation_sum") == BoundTerm(
             "fluctuation_sum", 0.0, 0.0, True,
             "sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         )
-        assert abs(bd.term("smoothing_floor").value - ADDITIVE_CONST) <= 1e-15
+        assert abs(term(bd, "smoothing_floor").value - ADDITIVE_CONST) <= 1e-15
         assert bd.total == combined(bd)
         assert bd.meta["kappa"] == KAPPA_R1
         assert abs(bd.meta["x_upper"] - math.sqrt(201.0)) <= 1e-12
@@ -332,7 +333,7 @@ class TestMasterBound:
     def test_fluctuation_term_enters_for_chains(self):
         m = asymmetric_chain(6)
         bd = theorem1_rhs(1.0, 3.0, 1.0, m)
-        lterm = bd.term("fluctuation_sum")
+        lterm = term(bd, "fluctuation_sum")
         assert lterm.exact and lterm.value > 0.0
         assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m)) <= 1e-12
         assert bd.total == combined(bd)
@@ -358,7 +359,7 @@ class TestMasterBound:
         # for a smooth profile (Gaussian family): the Richardson estimate of
         # the fine grid's error is what the psi term reports as its se.
         bd = theorem1_rhs(1.0, 3.0, 1.0, GaussianIID(spec("gaussian_iid", 64)))
-        psi = bd.term("psi_integral")
+        psi = term(bd, "psi_integral")
         assert psi.value > 0.0
         assert psi.se <= 1e-6 * bd.total
 
@@ -389,8 +390,8 @@ class TestTransportDisplays:
         bd = corollary_w1_bound(2.5, 1.0, rademacher(100), r=0.5)
         assert bd.meta["display"] == "power"
         # moment term: sup * v_n(a)^((2+r-p)/2) = 1 * 201^0
-        assert abs(bd.term("moment_ratio_term").value - 1.0) <= 1e-12
-        assert abs(bd.term("smoothing_floor").value - ADDITIVE_CONST) <= 1e-12
+        assert abs(term(bd, "moment_ratio_term").value - 1.0) <= 1e-12
+        assert abs(term(bd, "smoothing_floor").value - ADDITIVE_CONST) <= 1e-12
 
     def test_transport_needs_small_r(self):
         with pytest.raises(DomainError):
@@ -432,7 +433,7 @@ class TestBerryEsseen:
     def test_chain_fluctuation_enters(self):
         m = asymmetric_chain(6)
         bd = berry_esseen_bound(3.0, m)
-        assert bd.term("fluctuation_sum").value > 0.0
+        assert term(bd, "fluctuation_sum").value > 0.0
         assert bd.total == combined(bd)
 
 
@@ -442,8 +443,8 @@ class TestHeydeBrown:
         # n = 256 that is exactly 1/2.
         bd = heyde_brown_bound(3.0, rademacher(256))
         assert abs(bd.total - 0.5) <= 1e-12
-        assert bd.term("bracket_deviation").value == 0.0
-        assert abs(bd.term("lyapunov_sum").value - 256.0 ** -0.5) <= 1e-15
+        assert term(bd, "bracket_deviation").value == 0.0
+        assert abs(term(bd, "lyapunov_sum").value - 256.0 ** -0.5) <= 1e-15
 
     def test_rademacher_p25_shape(self):
         # total = (n * n^{-5/4})^{2/7} = n^{-1/14}; exactly 1/2 at n = 2^14.
@@ -458,7 +459,7 @@ class TestHeydeBrown:
     def test_chain_bracket_deviation_positive(self):
         m = asymmetric_chain(6)
         bd = heyde_brown_bound(3.0, m, replicates=2000, master_seed=13)
-        first = bd.term("bracket_deviation")
+        first = term(bd, "bracket_deviation")
         assert not first.exact and first.value > 0.0 and first.se > 0.0
         assert bd.total == combined(bd)
 
@@ -483,7 +484,7 @@ class TestChainMonteCarloBits:
 
     def test_heyde_brown(self):
         bd = heyde_brown_bound(3.0, self.chain(), replicates=5000, master_seed=19)
-        first = bd.term("bracket_deviation")
+        first = term(bd, "bracket_deviation")
         assert (first.value.hex(), first.se.hex(), bd.total.hex()) == (
             "0x1.0682b701b11f7p-10", "0x1.08bee9adaee91p-16", "0x1.0bf200ab940b4p-1")
 
@@ -548,9 +549,9 @@ class TestBreakdownPlumbing:
 
     def test_term_lookup(self):
         bd = berry_esseen_bound(3.0, rademacher(16))
-        assert bd.term("variance_power").exact
+        assert term(bd, "variance_power").exact
         with pytest.raises(KeyError):
-            bd.term("nonexistent")
+            term(bd, "nonexistent")
 
     def test_csv_round_trip(self):
         bds = [

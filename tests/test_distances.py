@@ -10,9 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from cltlab.distances import (
     DISTANCE_CSV_COLUMNS,
-    DKW_ALPHA,
     TRANSFER_CONSTANT,
-    DistanceReport,
     EmpiricalSample,
     be_transfer,
     compute_report,
@@ -201,7 +199,7 @@ class TestStandardErrors:
     def test_dkw_golden(self):
         # sqrt(ln(2/0.05) / (2 R)) at R = 40: ln(40)/80.
         assert abs(kolmogorov_se(40) - math.sqrt(math.log(40.0) / 80.0)) <= 1e-15
-        assert kolmogorov_se(100, alpha=0.05) > kolmogorov_se(400, alpha=0.05)
+        assert kolmogorov_se(100) > kolmogorov_se(400)
         with pytest.raises(DomainError):
             kolmogorov_se(0)
 

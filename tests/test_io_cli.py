@@ -42,7 +42,6 @@ from cltlab.io import (
     KNOWN_BOUND_TAGS,
     MAX_GRID_POINTS,
     MIN_REPLICATES,
-    ExperimentConfig,
     build_manifest,
     canonical_json,
     load_config,

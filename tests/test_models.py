@@ -306,14 +306,14 @@ class TestLinearStatistic:
     def test_ar1_variance_n2(self):
         # gamma_0 = 4/3, gamma_1 = 2/3: V_2 = 2 gamma_0 + 2 gamma_1 = 4.
         m = LinearStatistic(spec("linear_statistic", 2, base={"kind": "ar1", "phi": 0.5}))
-        assert abs(m.exact_vn() - 4.0) <= 1e-12
+        assert abs(m.moments().v_n - 4.0) <= 1e-12
         assert abs(linear_covariance_vn(m) - 4.0) <= 1e-12
         assert abs(m.limit_sigma2() - 4.0) <= 1e-15
 
     def test_ma_variance_n2(self):
         # theta = (1, 1/2): gamma_0 = 5/4, gamma_1 = 1/2, V_2 = 7/2.
         m = LinearStatistic(spec("linear_statistic", 2, base={"kind": "ma", "theta": [1.0, 0.5]}))
-        assert abs(m.exact_vn() - 3.5) <= 1e-12
+        assert abs(m.moments().v_n - 3.5) <= 1e-12
         assert abs(linear_covariance_vn(m) - 3.5) <= 1e-12
         assert abs(m.limit_sigma2() - 2.25) <= 1e-15
 
@@ -327,13 +327,14 @@ class TestLinearStatistic:
         ]
         for s in cases:
             m = LinearStatistic(s)
-            assert abs(m.exact_vn() - linear_covariance_vn(m)) <= 1e-9 * max(1.0, m.exact_vn())
+            v_n = m.moments().v_n
+            assert abs(v_n - linear_covariance_vn(m)) <= 1e-9 * max(1.0, v_n)
 
     def test_ladder_is_constant_conditional_variance(self):
         m = LinearStatistic(spec("linear_statistic", 6, base={"kind": "ar1", "phi": 0.5}))
         mom = m.moments()
         assert mom.conditional_variance_constant
-        assert abs(mom.v_n - m.exact_vn()) <= 1e-12
+        assert abs(mom.v_n - float(np.sum(mom.sigma2))) <= 1e-12
 
     def test_statistic_variance_monte_carlo(self):
         for base in ({"kind": "ar1", "phi": 0.5}, {"kind": "ma", "theta": [1.0, 0.5]}):
@@ -541,18 +542,23 @@ class TestRhoMixingChain:
         for lag in range(5):
             assert abs(chain_autocovariance(m, lag) - 0.5**lag) <= 1e-12
         # V_4 = 4 + 2( 3*0.5 + 2*0.25 + 0.125 ) = 8.25
-        assert abs(m.var_sn() - 8.25) <= 1e-12
+        assert abs(m.moments().v_n - 8.25) <= 1e-12
 
     def test_window_ratio_stays_under_spectral_bound(self):
         for stay in (0.75, 0.25, 0.6):
             m = self.two_state(512, stay=stay)
             assert m.c_n() <= chain_c_n_bound(m) + 1e-9
 
-    def test_window_ratio_agrees_with_direct_variances(self):
-        # c_n's incremental window variance must match var_sn window by window.
-        m = self.asymmetric(24)
-        direct = max((w * chain_autocovariance(m, 0)) / m.var_sn(w) for w in range(1, 25))
-        assert abs(m.c_n(24) - direct) <= 1e-12
+    def test_window_ratio_agrees_with_autocovariance_route(self):
+        # stay = 0.25: gamma_1 < 0, so C_n > 1 and is attained at a long window
+        m = self.two_state(300, stay=0.25)
+        gam = np.array([chain_autocovariance(m, d) for d in range(300)])
+        w = np.arange(1, 301)
+        cum_g = np.concatenate(([0.0], np.cumsum(gam[1:])))
+        var_w = np.cumsum(gam[0] + 2.0 * cum_g)
+        direct = float(np.max(w * gam[0] / var_w))
+        assert direct > 2.9
+        assert abs(m.c_n() - direct) <= 1e-12 * direct
 
     def test_negative_correlation_pushes_ratio_up(self):
         fast = self.two_state(256, stay=0.25)  # gamma_1 < 0 shrinks Var(S_n)
@@ -560,10 +566,12 @@ class TestRhoMixingChain:
         slow = self.two_state(256, stay=0.75)
         assert abs(slow.c_n() - 1.0) <= 1e-12
 
-    def test_ladder_sums_to_variance(self):
+    def test_ladder_sum_matches_autocovariance_route(self):
         for model in (self.two_state(16), self.asymmetric(16)):
-            mom = model.moments()
-            assert abs(float(np.sum(mom.sigma2)) - model.var_sn()) <= 1e-9
+            n = model.spec.n
+            gam = [chain_autocovariance(model, d) for d in range(n)]
+            direct = n * gam[0] + 2.0 * sum((n - d) * gam[d] for d in range(1, n))
+            assert abs(model.moments().v_n - direct) <= 1e-9
 
     def test_symmetric_chain_has_constant_conditional_variance(self):
         m = self.two_state(8)
@@ -574,7 +582,7 @@ class TestRhoMixingChain:
     def test_increments_match_path_enumeration(self):
         model = self.asymmetric(6)
         oracle = ChainEnumeration(model.P, model.f, model.pi, 6)
-        assert abs(model.var_sn() - sum(p * oracle.path_sum(s) ** 2 for p, s in oracle.paths)) <= 1e-12
+        assert abs(model.moments().v_n - sum(p * oracle.path_sum(s) ** 2 for p, s in oracle.paths)) <= 1e-12
         ladder = model.sigma2_ladder()
         moments = model.increment_abs_moments(2.5)
         for k in range(1, 7):
@@ -627,7 +635,7 @@ class TestRhoMixingChain:
         states = model.prefix_states_chunk(master_seed=43, replicates=4000)
         br = model.bracket_samples(states)
         se = float(np.std(br) / math.sqrt(br.size))
-        assert abs(float(np.mean(br)) - model.var_sn()) <= 3.0 * se
+        assert abs(float(np.mean(br)) - model.moments().v_n) <= 3.0 * se
 
     def test_statistic_variance_monte_carlo(self):
         m = self.two_state(32)
@@ -743,16 +751,15 @@ class TestRhoMixingChain:
         assert m.psi_closed_form(np.array([0.5])).tolist() == [0.5]
         assert m.sup_moment_ratio(3.0) == 1.0
 
-    def test_window_ratio_matches_running_sum_loop(self):
-        for model in (*self.law_chains()[:3], self.two_state(300, stay=0.25)):
+    def test_window_variances_match_path_enumeration(self):
+        s3 = RhoMixingChain(spec("rho_mixing_chain", 7, **S3_CHAIN))
+        for model in (self.asymmetric(8), s3, self.two_state(8, stay=0.25)):
             n = model.spec.n
-            gam = model._gammas(n - 1)
-            best, var_w, cum_g = 0.0, 0.0, 0.0
-            for w in range(1, n + 1):
-                var_w += gam[0] + 2.0 * cum_g
-                cum_g += gam[w] if w < n else 0.0
-                best = max(best, (w * gam[0]) / var_w)
-            assert model.c_n() == best
+            oracle = ChainEnumeration(model.P, model.f, model.pi, n)
+            want = [oracle.window_variance(ell) for ell in range(1, n + 1)]
+            np.testing.assert_allclose(model._window_variances(), want, rtol=0.0, atol=1e-12)
+            assert abs(model.moments().v_n - want[0]) <= 1e-12
+            assert abs(model.c_n() - oracle.c_n()) <= 1e-12
 
     def test_autocovariance_by_matrix_power_matches_stepping(self):
         m = self.random_chain(8, 4, 7)
@@ -767,10 +774,7 @@ class TestRhoMixingChain:
 
         monkeypatch.setattr(RhoMixingChain, "_increment_laws", no_table)
         m = self.two_state(64)
-        calls = []
-        monkeypatch.setattr(m, "var_sn", lambda: calls.append(1) or RhoMixingChain.var_sn(m))
         assert m.moments() is m.moments()
-        assert len(calls) == 1
         m.statistic_values(master_seed=3, replicates=50)
 
     def test_validation(self):
@@ -1172,7 +1176,7 @@ PINNED_DIGESTS = {
     ),
     "rho_mixing_chain_s3": (
         "c797d2ad5ec84990cfbda019ae107862bb1c64a6cff3d95a6c99f52d5c87eff1",
-        "70cf12806f0f7019272339d97511dbbae112bdf150cc9daf68ce4708cc2f4a40",
+        "ec16ec89e230f0678805f10151b70326a0767a62cd0dc673cd4e678bb3968e22",
     ),
 }
 
@@ -1188,6 +1192,20 @@ def test_pinned_increment_and_statistic_bits(s, name):
     stats = m.statistic_range(PINNED_SEED, 37, 200, block=5)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (incs, stats))
     assert got == PINNED_DIGESTS[name]
+
+
+# SHA-256 of the S3 chain's raw path sums (_sums through _map_chunks) for the
+# statistic digest's seed, start and block.  The sums do not read V_n, so a
+# change in V_n's rounding moves only the statistic digest.
+PINNED_CHAIN_S3_SUMS = "d3f806c85e3b1e6725813a0a3395fe026809a0a92ccc4042735b34ccc3062904"
+
+
+def test_pinned_chain_s3_raw_sums():
+    m = make_model(PINNED_CHAIN_S3)
+    sums = m._map_chunks(m._sums, np.empty(200), PINNED_SEED, 37, 5)
+    assert hashlib.sha256(sums.tobytes()).hexdigest() == PINNED_CHAIN_S3_SUMS
+    stats = m.statistic_range(PINNED_SEED, 37, 200, block=5)
+    assert stats.tobytes() == (sums / math.sqrt(m.moments().v_n)).tobytes()
 
 
 TESTS = Path(__file__).resolve().parent

@@ -1,9 +1,11 @@
 """Every public definition in the package has a caller inside the package.
 
 Code that only tests call lives in tests/helpers.py, not in src/.  The scan
-is by name: a module-level function or class, or a method, counts as reached
-when some module under src/cltlab names it as a Name, an attribute, an
-imported name, or a key of the CLI command table.
+is by name: a module-level function or class counts as reached when some
+module under src/cltlab names it as a Name, an attribute, an imported name,
+or a key of the CLI command table.  A method counts only through an
+attribute or an imported name, so a local variable that shares its name
+does not reach it.
 """
 
 from __future__ import annotations
@@ -63,28 +65,29 @@ def _command_keys(tree: ast.Module) -> set[str]:
     return keys
 
 
-def _references(trees: dict[str, ast.Module]) -> set[str]:
-    names = set()
+def _references(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
+    """(bare names, names reached through an attribute, an import or the CLI table)."""
+    bare, qualified = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                qualified.add(node.attr)
             elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-    return names | _command_keys(trees["cli.py"])
+                qualified.add(node.name.rsplit(".", 1)[-1])
+    return bare, qualified | _command_keys(trees["cli.py"])
 
 
 def unreached() -> list[str]:
     """module:qualified name of each public definition no package module names."""
     trees = _trees()
-    seen = _references(trees)
+    bare, qualified = _references(trees)
     return [
-        f"{module}:{qualified}"
+        f"{module}:{dotted}"
         for module, tree in trees.items()
-        for qualified, name in _definitions(tree)
-        if name not in seen
+        for dotted, name in _definitions(tree)
+        if name not in qualified and ("." in dotted or name not in bare)
     ]
 
 
