@@ -9,10 +9,11 @@ be re-assembled into the total, so nothing is ever a single opaque number.
 Unknown absolute constants are never invented: totals are computed with the
 leading constant set to 1 and the breakdown flagged ``shape_only``.  The
 one place explicit constants are known (r = 1: kappa = 6, the two cubic /
-quartic smoothing constants 1 and 8/5) is the master bound at r = 1, which
-is flagged ``explicit_r1`` and records them in the breakdown metadata; the
-leading constant still enters as 1, so both modes produce shape values
-suitable for rate comparisons, not certified numerical bounds.
+quartic smoothing constants 1 and 8/5) is the master bound, which is only
+evaluated at r = 1, flagged ``explicit_r1`` and records them in the
+breakdown metadata; the leading constant still enters as 1, so both modes
+produce shape values suitable for rate comparisons, not certified numerical
+bounds.
 """
 
 from __future__ import annotations
@@ -151,12 +152,9 @@ def vn_of_a(a: float, moments: PathMoments) -> float:
     return a * a * moments.delta_n**2 + alpha * moments.v_n
 
 
-def _power_integral(a: float, x_hi: float, r: float) -> float:
-    """integral_a^{x_hi} x^(r-3) dx, closed form."""
-    if r == 2.0:
-        return math.log(x_hi / a)
-    q = r - 2.0
-    return (x_hi**q - a**q) / q
+def _power_integral(a: float, x_hi: float) -> float:
+    """integral_a^{x_hi} x^(-2) dx, closed form."""
+    return a**-1.0 - x_hi**-1.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,9 @@ def l_n(p: float, r: float, a: float, model: Model) -> float:
     it is read from the family's ``u_exact``, and a family that does not
     declare it raises CapabilityError.
     """
-    _validate_rp(r, p)
+    _validate_p(p)
+    if not (isinstance(r, (int, float)) and 0.0 < r <= p):
+        raise DomainError(f"r must lie in (0, p], got {r!r}")
     if not (math.isfinite(a) and a >= 1.0):
         raise DomainError(f"a must be a real >= 1, got {a!r}")
     mo = model.moments()
@@ -183,19 +183,17 @@ def l_n(p: float, r: float, a: float, model: Model) -> float:
     return float(sum(u / d for u, d in zip(model.u_exact(p), denoms)))
 
 
-def _validate_rp(r: float, p: float) -> None:
+def _validate_p(p: float) -> None:
     if not (isinstance(p, (int, float)) and 2.0 < p <= 3.0):
         raise DomainError(f"p must lie in (2, 3], got {p!r}")
-    if not (isinstance(r, (int, float)) and 0.0 < r <= p):
-        raise DomainError(f"r must lie in (0, p], got {r!r}")
 
 
 # ---------------------------------------------------------------------------
 # the master bound
 
 
-def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
-    """Four-term smoothing bound on the ideal metric of order r.
+def theorem1_rhs(p: float, a: float, model: Model) -> BoundBreakdown:
+    """Four-term smoothing bound on the ideal metric of order r = 1.
 
     term 1  delta^r * integral_a^X x^(r-3) dx                 (closed form)
     term 2  delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx (trapezoid)
@@ -205,25 +203,26 @@ def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
     X = sqrt(v_n(a))/delta and kappa = 6.  psi is the family's
     ``psi_closed_form`` and the fluctuation sum its ``u_exact``; a family
     without either raises CapabilityError.  The leading constant multiplying
-    terms 1-3 is unknown and entered as 1; at r = 1, where the explicit
-    smoothing constants are known, the breakdown is flagged ``explicit_r1``
-    and records them in the metadata, and otherwise it is ``shape_only``.
+    terms 1-3 is unknown and entered as 1; the explicit smoothing constants
+    known at r = 1 are recorded in the metadata, and the breakdown is flagged
+    ``explicit_r1``.  The formulas keep the general-r form the table prints;
+    each factor with exponent r - 1 is exactly 1.
     """
-    _validate_rp(r, p)
+    _validate_p(p)
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
     x_hi = math.sqrt(va) / delta
 
-    t1 = delta**r * _power_integral(a, x_hi, r)
+    t1 = delta * _power_integral(a, x_hi)
 
     # the fluctuation sum goes first: it raises CapabilityError for a family
     # without a fluctuation oracle before the psi profile is evaluated
-    lv = l_n(p, r, a, model)
+    lv = l_n(p, 1.0, a, model)
 
-    t2, t2_se = _psi_term(model, r, a, x_hi, delta)
+    t2, t2_se = _psi_term(model, a, x_hi)
 
-    t4 = ADDITIVE_CONST * a**r * delta**r
+    t4 = ADDITIVE_CONST * a * delta
 
     terms = (
         BoundTerm(
@@ -255,49 +254,42 @@ def theorem1_rhs(r: float, p: float, a: float, model: Model) -> BoundBreakdown:
             formula="4*sqrt(2) * a^r * delta^r",
         ),
     )
-    meta: dict[str, object] = {
-        "model_id": model.model_id,
-        "r": r,
-        "p": p,
-        "a": a,
-        "kappa": KAPPA_R1,
-        "x_upper": x_hi,
-        "v_n_of_a": va,
-        "delta_n": delta,
-        "v_n": mo.v_n,
-        "psi_mode": "closed_form",
-        "u_mode": "auto",
-    }
-    constants_mode = "explicit_r1" if r == 1.0 else "shape_only"
-    if constants_mode == "explicit_r1":
-        meta["kappa_explicit"] = KAPPA_R1
-        meta["cubic_constant"] = C_R1_CUBIC
-        meta["quartic_constant"] = C_R1_QUARTIC
     return BoundBreakdown(
         bound_id="theorem1_rhs",
         terms=terms,
-        constants_mode=constants_mode,
+        constants_mode="explicit_r1",
         combination="sum",
-        meta=meta,
+        meta={
+            "model_id": model.model_id,
+            "r": 1.0,
+            "p": p,
+            "a": a,
+            "kappa": KAPPA_R1,
+            "x_upper": x_hi,
+            "v_n_of_a": va,
+            "delta_n": delta,
+            "v_n": mo.v_n,
+            "psi_mode": "closed_form",
+            "u_mode": "auto",
+            "kappa_explicit": KAPPA_R1,
+            "cubic_constant": C_R1_CUBIC,
+            "quartic_constant": C_R1_QUARTIC,
+        },
     )
 
 
-def _psi_term(
-    model: Model, r: float, a: float, x_hi: float, delta: float
-) -> tuple[float, float]:
-    """delta^(r-1) * integral_a^X psi(kappa x) x^(r-2) dx on a log grid, with its se.
+def _psi_term(model: Model, a: float, x_hi: float) -> tuple[float, float]:
+    """integral_a^X psi(kappa x) dx/x on a log grid, with its se.
 
-    Substituting u = log x turns the integrand into psi(kappa e^u) e^(u(r-1));
-    the trapezoid on the uniform u-grid is paired with its half-resolution
+    Substituting u = log x turns the integrand into psi(kappa e^u); the
+    trapezoid on the uniform u-grid is paired with its half-resolution
     restriction for a Richardson error estimate.
     """
     u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
-    g = model.psi_closed_form(KAPPA_R1 * np.exp(u)) * np.exp(u * (r - 1.0))
+    g = model.psi_closed_form(KAPPA_R1 * np.exp(u))
     fine = float(_trapezoid(g, u))
     coarse = float(_trapezoid(g[::2], u[::2]))
-    richardson = abs(fine - coarse) / 3.0
-    scale = delta ** (r - 1.0)
-    return scale * fine, scale * richardson
+    return fine, abs(fine - coarse) / 3.0
 
 
 def minimize_over_a(
@@ -319,33 +311,31 @@ def minimize_over_a(
 # corollary-level displays
 
 
-def corollary_w1_bound(p: float, a: float, model: Model, r: float = 1.0) -> BoundBreakdown:
-    """The closed-form transport-distance display implied by the master bound.
+def corollary_w1_bound(p: float, a: float, model: Model) -> BoundBreakdown:
+    """The closed-form W1 display implied by the master bound at r = 1.
 
-    For (r, p) != (1, 3) the middle term is sup_k E|xi_k|^p/sigma_k^2 times
-    v_n(a)^((2+r-p)/2); at (r, p) = (1, 3) the power degenerates and is
-    replaced by log(sqrt(v_n(a))/delta).
+    For p < 3 the middle term is sup_k E|xi_k|^p/sigma_k^2 times
+    v_n(a)^((2+r-p)/2); at p = 3 the power degenerates and is replaced by
+    log(sqrt(v_n(a))/delta).
     """
-    _validate_rp(r, p)
-    if r > 1.0:
-        raise DomainError(f"the transport display needs r in (0, 1], got {r!r}")
+    _validate_p(p)
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
     sup = model.sup_moment_ratio(p)
-    if p == 3.0 and r == 1.0:
+    if p == 3.0:
         factor = math.log(math.sqrt(va) / delta)
         display = "log"
         mid_formula = "sup_k E|xi_k|^p/sigma_k^2 * log(sqrt(v_n(a))/delta)"
     else:
-        factor = va ** ((2.0 + r - p) / 2.0)
+        factor = va ** ((3.0 - p) / 2.0)
         display = "power"
         mid_formula = "sup_k E|xi_k|^p/sigma_k^2 * v_n(a)^((2+r-p)/2)"
-    lv = l_n(p, r, a, model)
+    lv = l_n(p, 1.0, a, model)
     terms = (
         BoundTerm(
             name="smoothing_floor",
-            value=float(ADDITIVE_CONST * (a * delta) ** r),
+            value=float(ADDITIVE_CONST * (a * delta)),
             se=0.0,
             exact=True,
             formula="4*sqrt(2) * (a*delta)^r",
@@ -372,7 +362,7 @@ def corollary_w1_bound(p: float, a: float, model: Model, r: float = 1.0) -> Boun
         combination="sum",
         meta={
             "model_id": model.model_id,
-            "r": r,
+            "r": 1.0,
             "p": p,
             "a": a,
             "display": display,
@@ -665,7 +655,7 @@ def _at_a(
 # oracle for raises CapabilityError.
 BOUNDS: dict[str, Callable[[Model, float, int, Optional[float]], BoundBreakdown]] = {
     "theorem1_rhs": lambda model, p, seed, a: _at_a(
-        lambda x: theorem1_rhs(1.0, p, x, model), model, a
+        lambda x: theorem1_rhs(p, x, model), model, a
     ),
     "w1_upper": lambda model, p, seed, a: _at_a(
         lambda x: corollary_w1_bound(p, x, model), model, a

@@ -162,13 +162,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         tag = default_tag if tag is None else tag
         if tag is None:
             raise ConfigurationError("provide --config PATH or --model TAG")
-        fields = {
-            "n_grid": default_grid,
-            "replicates": DEFAULT_REPLICATES,
-            "master_seed": 0,
-            "outputs": "out",
-            "bound_requests": (),
-        }
+        fields = {"n_grid": default_grid, "replicates": DEFAULT_REPLICATES}
 
     if args.n_grid is not None:
         fields["n_grid"] = _parse_grid(args.n_grid)

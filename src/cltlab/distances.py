@@ -114,7 +114,6 @@ def w1_vs_normal(sample: EmpiricalSample) -> float:
     if np.any(mid):
         jq = integral_of_phi(q[mid])
         pieces_mid = c[mid] * (2.0 * q[mid] - u[mid] - v[mid]) + ju[mid] + jv[mid] - 2.0 * jq
-        pieces = np.where(mid, 0.0, pieces)
         pieces[mid] = pieces_mid
     total += float(np.sum(pieces))
     return max(total, 0.0)

@@ -19,7 +19,7 @@ import platform
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -69,10 +69,10 @@ class ExperimentConfig:
 
     model: ModelSpec
     n_grid: tuple[int, ...]
-    replicates: int
-    master_seed: int
-    outputs: str
-    bound_requests: tuple[str, ...]
+    replicates: int = MIN_REPLICATES
+    master_seed: int = 0
+    outputs: str = "out"
+    bound_requests: tuple[str, ...] = ()
     a: Optional[float] = 1.0
     distance_kind: str = "kolmogorov"
     target_exponent: Optional[float] = None
@@ -100,6 +100,12 @@ class ExperimentConfig:
         if not _is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
             raise ConfigurationError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
+            )
+        if not isinstance(self.outputs, str):
+            raise ConfigurationError(f"outputs must be a directory name, got {self.outputs!r}")
+        if not isinstance(self.bound_requests, tuple):
+            raise ConfigurationError(
+                f"bound_requests must be a list of bound tags, got {self.bound_requests!r}"
             )
         for tag in self.bound_requests:
             if tag not in KNOWN_BOUND_TAGS:
@@ -195,6 +201,15 @@ def sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # config documents
 
+# document key -> how parse_config reads its value into the config field.  The
+# other keys pass as they are; ExperimentConfig checks every field.
+_DOCUMENT_READERS: dict[str, Callable[[Any], Any]] = {
+    "bound_requests": lambda v: tuple(v) if isinstance(v, list) else v,
+    "a": lambda v: None if v == "auto" else config_real("a", v),
+    "target_exponent": lambda v: None if v is None else config_real("target_exponent", v),
+    "tolerance": lambda v: config_real("tolerance", v),
+}
+
 
 def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a JSON document into an ExperimentConfig.
@@ -225,28 +240,13 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     raw_grid = doc.get("n_grid", [spec.n])
     if not isinstance(raw_grid, Sequence) or isinstance(raw_grid, (str, bytes)):
         raise ConfigurationError(f"n_grid must be a list of integers, got {raw_grid!r}")
-    n_grid = tuple(raw_grid)
 
-    a = doc.get("a", 1.0)
-    a = None if a == "auto" else config_real("a", a)
-
-    target = doc.get("target_exponent")
-    if target is not None:
-        target = config_real("target_exponent", target)
-
-    return ExperimentConfig(
-        model=spec,
-        n_grid=n_grid,
-        replicates=doc.get("replicates", MIN_REPLICATES),
-        master_seed=doc.get("master_seed", 0),
-        outputs=str(doc.get("outputs", "out")),
-        bound_requests=tuple(doc.get("bound_requests", ())),
-        a=a,
-        distance_kind=str(doc.get("distance_kind", "kolmogorov")),
-        target_exponent=target,
-        tolerance=config_real("tolerance", doc.get("tolerance", 0.05)),
-        fit_seeds=doc.get("fit_seeds", 1),
-    )
+    # the keys the document holds; the rest take the ExperimentConfig defaults
+    fields = {k: v for k, v in doc.items() if k not in ("schema_version", "model", "n_grid")}
+    for key, read in _DOCUMENT_READERS.items():
+        if key in fields:
+            fields[key] = read(fields[key])
+    return ExperimentConfig(model=spec, n_grid=tuple(raw_grid), **fields)
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -358,20 +358,15 @@ def build_manifest(
     can be attributed; the manifest itself contains no timestamps, keeping
     rerun bytes identical.
     """
-    import numpy
+    import scipy
 
     files = {name: sha256_file(Path(out_dir) / name) for name in sorted(file_names)}
     versions = {
         "cltlab": _package_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "python": platform.python_version(),
+        "scipy": scipy.__version__,
     }
-    try:
-        import scipy
-
-        versions["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "config": config.to_json_dict(),
@@ -419,7 +414,9 @@ def read_distance_csv(path: Path) -> list[DistanceReport]:
     The header must match the documented schema exactly; numeric fields are
     parsed as float/int and the upper-bound flag as a boolean.  The
     be_transfer column is derived from wr_value and p, so it is only checked
-    to be a number.
+    to be a number.  model_id is written bare and is the only column that can
+    hold a comma (the chain's and ce_lowerbound's ids do), so a row's leading
+    surplus fields are joined back into it.
     """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(_io.StringIO(text))
@@ -435,8 +432,10 @@ def read_distance_csv(path: Path) -> list[DistanceReport]:
     for line_no, rec in enumerate(reader, start=2):
         if not rec:
             continue
-        if len(rec) != len(header):
+        if len(rec) < len(header):
             raise DataFormatError(f"{path}:{line_no}: expected {len(header)} fields")
+        surplus = len(rec) - len(header)
+        rec = [",".join(rec[: surplus + 1]), *rec[surplus + 1 :]]
         try:
             float(rec[11])
             reports.append(

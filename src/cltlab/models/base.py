@@ -197,17 +197,13 @@ class PathMoments:
     """Per-increment variance ladder of the martingale the model designates.
 
     sigma2 sums to v_n (the variance of the designated path sum) within
-    rounding; delta_n is the largest increment scale max_k sigma_k.  When a
-    family cannot produce its ladder in closed form the values are flagged
-    exact=False and carry the estimation note.
+    rounding; delta_n is the largest increment scale max_k sigma_k.
     """
 
     sigma2: np.ndarray
     v_n: float
     delta_n: float
     conditional_variance_constant: bool
-    exact: bool = True
-    note: str = ""
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma2, dtype=float)
@@ -301,7 +297,7 @@ class Model:
         """Predictable quadratic variation <M>_n per path."""
         raise CapabilityError(f"{self.model_id} cannot evaluate the quadratic-variation deviation")
 
-    def projection_norms(self, p: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    def projection_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_seq[1..n], eta_seq[0..n]) for the dependent-sum bound."""
         raise CapabilityError(f"{self.model_id} has no projection-norm closed forms")
 
@@ -326,18 +322,15 @@ class Model:
     def _draws(self, first: SeedLineage, count: int) -> np.ndarray:
         """The stacked (count, width) draw matrix of the streams from first on.
 
-        Wide rows are split into min(CPUS, count) contiguous blocks; the
-        calling thread draws the first and the draw pool the others.
+        Wide rows are split into min(CPUS, count) contiguous blocks, narrow
+        rows make one block; the calling thread draws the first block and the
+        draw pool the others.
         """
         draws = np.empty((count, self._draw_width()))
         blocks = min(CPUS, count) if draws.shape[1] >= self.parallel_draw_width else 1
-        if blocks < 2:
-            self._draw_block(first.generators(count), draws)
-            return draws
         cuts = [count * k // blocks for k in range(blocks + 1)]
-        pool = _draw_pool()
         futures = [
-            pool.submit(
+            _draw_pool().submit(
                 self._draw_block,
                 SeedLineage(first.master_seed, first.stream_id + lo).generators(hi - lo),
                 draws[lo:hi],

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,8 +50,8 @@ class CEParams:
     a = (n/4)^{1/(2p-2)}, k the smallest integer >= 4a^2 (exact-integer
     aware), m = n - k.  The mean-zero / unit-variance martingale structure
     holds for every n >= 20; the advertised numeric constants of the atom
-    probability additionally require a^2 <= n/16, which the flag
-    atom_constants_valid reports (at p = 3 it holds from n = 64 up).
+    probability additionally require a^2 <= n/16 (at p = 3 that holds from
+    n = 64 up).
     """
 
     n: int
@@ -60,7 +59,6 @@ class CEParams:
     a: float
     k: int
     m: int
-    atom_constants_valid: bool
 
     @classmethod
     def from_np(cls, n: int, p: float) -> "CEParams":
@@ -76,8 +74,7 @@ class CEParams:
         m = int(n) - k
         if m < 1:
             raise ConfigurationError(f"window order k={k} leaves no Gaussian prefix for n={n}")
-        valid = a * a <= n / 16.0 + 1e-9
-        return cls(n=int(n), p=float(p), a=a, k=k, m=m, atom_constants_valid=valid)
+        return cls(n=int(n), p=float(p), a=a, k=k, m=m)
 
     def rate_exponent(self) -> float:
         """Exponent of the guaranteed atom/Kolmogorov decay: -(p-2)/(2p-2)."""
@@ -128,7 +125,6 @@ class CELowerBound(Model):
             v_n=float(n),
             delta_n=1.0,
             conditional_variance_constant=True,
-            exact=True,
         )
 
     # -- path generation ---------------------------------------------------
@@ -169,11 +165,9 @@ class CELowerBound(Model):
 
     # -- closed-form / quadrature moment helpers ---------------------------
 
-    def tail_abs_moment(self, p: Optional[float] = None) -> float:
+    def tail_abs_moment(self, p: float) -> float:
         """E|X_j|^p for the post-split increments (j > m), exact up to quadrature."""
         cp = self.params
-        if p is None:
-            p = cp.p
         nu = normal_abs_moment(p)
         s = math.sqrt(cp.m)
 
@@ -184,10 +178,8 @@ class CELowerBound(Model):
         window = 2.0 * quadrature(integrand, cp.a, 2.0 * cp.a, tol=1e-12)
         return nu * (1.0 - cp.branch_probability()) + window
 
-    def moment_cap(self, p: Optional[float] = None) -> float:
+    def moment_cap(self, p: float) -> float:
         """The guaranteed ceiling E|X_j|^p <= E|Z|^p + 5^{p-2}."""
-        if p is None:
-            p = self.params.p
         return normal_abs_moment(p) + 5.0 ** (p - 2.0)
 
     def sup_moment_ratio(self, p: float) -> float:

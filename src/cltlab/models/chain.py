@@ -161,7 +161,6 @@ class RhoMixingChain(Model):
                 v_n=float(np.sum(sigma2)),
                 delta_n=float(math.sqrt(np.max(sigma2))),
                 conditional_variance_constant=False,
-                exact=True,
             )
         return self._moments
 

@@ -88,7 +88,6 @@ class _IIDBase(Model):
             v_n=self._v_n,
             delta_n=self._delta,
             conditional_variance_constant=True,
-            exact=True,
         )
 
     # Draw rows hold the unit variables Z_k or eps_k.

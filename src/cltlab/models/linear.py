@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -199,7 +198,6 @@ class LinearStatistic(Model):
             v_n=self._v_n,
             delta_n=float(math.sqrt(np.max(sigma2))),
             conditional_variance_constant=True,
-            exact=True,
         )
 
     def statistic_normalizer(self) -> float:
@@ -248,7 +246,7 @@ class LinearStatistic(Model):
 
     # -- projection-norm sequences for the dependent-sum bound ----------------
 
-    def projection_norms(self, p: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    def projection_norms(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_seq[1..n], eta_seq[0..n]) for the dependent-sum bound.
 
         eta_seq[i] = ||E(Y_i | past at time 0)||_p, lambda_seq[k] the larger
@@ -257,8 +255,6 @@ class LinearStatistic(Model):
         lag q, product norms by Gauss-Hermite quadrature.
         """
         n = self.spec.n
-        if p is None:
-            p = self.spec.p
         nu_p = normal_abs_moment(p)
         if self.kind == "ar1":
             aphi = abs(self.phi)

@@ -108,33 +108,20 @@ class SequentialMaps(Model):
             self._vn = float(total)
         return self._vn
 
-    def increment_variance(self) -> float:
-        """Var(xi_k), identical for every k: sum_h c_h^2 / 2."""
-        return sum(c * c for c in self.coeffs.values()) / 2.0
-
     def moments(self) -> PathMoments:
+        """The exact V_n over a flat ladder V_n / n.
+
+        No per-increment martingale split is available, and no bound this
+        family supports reads sigma_k^2 or delta_n: only V_n enters.
+        """
         n = self.spec.n
         v_n = self.exact_vn()
-        per = self.increment_variance()
-        if abs(v_n - n * per) <= 1e-9 * max(1.0, v_n):
-            # orthogonal case (e.g. single-harmonic observable): the flat
-            # ladder *is* the per-increment variance, exactly.
-            sigma2 = np.full(n, per)
-            exact = True
-            note = ""
-        else:
-            # cross-frequency collisions: V_n is exact but no per-increment
-            # martingale split is available; report the flat proxy ladder.
-            sigma2 = np.full(n, v_n / n)
-            exact = False
-            note = "flat proxy ladder; per-increment martingale split unavailable"
+        sigma2 = np.full(n, v_n / n)
         return PathMoments(
             sigma2=sigma2,
             v_n=v_n,
             delta_n=float(math.sqrt(np.max(sigma2))),
             conditional_variance_constant=False,
-            exact=exact,
-            note=note,
         )
 
     # -- sampling --------------------------------------------------------------

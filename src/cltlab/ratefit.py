@@ -55,7 +55,7 @@ class RateSeries:
     points: tuple[tuple[int, float, float, float], ...]
     model_id: str
     distance_kind: str
-    note: str = ""
+    note: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.distance_kind not in DISTANCE_KINDS:
@@ -78,10 +78,7 @@ class RateSeries:
                 dropped += 1
                 continue
             cleaned.append((n, float(v_n), float(d), float(se)))
-        note = self.note
-        if dropped:
-            msg = f"excluded {dropped} non-positive distance value(s)"
-            note = f"{note}; {msg}" if note else msg
+        note = f"excluded {dropped} non-positive distance value(s)" if dropped else ""
         object.__setattr__(self, "points", tuple(cleaned))
         object.__setattr__(self, "note", note)
 

@@ -98,9 +98,7 @@ class TestScalarHelpers:
 
     def test_power_integral(self):
         # r = 1: integral of x^-2 from a to X.
-        assert abs(_power_integral(1.0, 10.0, 1.0) - 0.9) <= 1e-14
-        # r = 2 degenerates to the logarithm.
-        assert abs(_power_integral(2.0, 8.0, 2.0) - math.log(4.0)) <= 1e-14
+        assert abs(_power_integral(1.0, 10.0) - 0.9) <= 1e-14
 
     def test_target_exponents(self):
         assert berry_esseen_target_exponent(3.0) == -0.25
@@ -300,7 +298,7 @@ class TestFluctuationStatistics:
 class TestMasterBound:
     def test_rademacher_n100_explicit_terms(self):
         # delta = 1, V = 100, a = 1: v_n(a) = 201, X = sqrt(201).
-        bd = theorem1_rhs(1.0, 3.0, 1.0, rademacher(100))
+        bd = theorem1_rhs(3.0, 1.0, rademacher(100))
         assert abs(term(bd, "variance_tail_integral").value - (1.0 - 1.0 / math.sqrt(201.0))) <= 1e-12
         # psi(6x) = 1 on the whole grid, so the log-grid trapezoid is exact:
         # integral of dx/x from 1 to sqrt(201) = log(201)/2.
@@ -319,20 +317,17 @@ class TestMasterBound:
         assert bd.meta["quartic_constant"] == 8.0 / 5.0
 
     def test_explicit_constants_need_r1(self):
-        # the explicit constants exist at r = 1 only; elsewhere the bound is
-        # a shape and its metadata carries none of them
+        # the explicit constants exist at r = 1, the only order evaluated
         explicit = ("kappa_explicit", "cubic_constant", "quartic_constant")
-        shape = theorem1_rhs(0.5, 2.5, 1.0, rademacher(16))
-        assert shape.constants_mode == "shape_only"
-        assert not set(explicit) & set(shape.meta)
-        assert shape.meta["kappa"] == KAPPA_R1
-        r1 = theorem1_rhs(1.0, 3.0, 1.0, rademacher(16))
-        assert r1.constants_mode == "explicit_r1"
-        assert [r1.meta[k] for k in explicit] == [KAPPA_R1, 1.0, 8.0 / 5.0]
+        for p in (2.5, 3.0):
+            r1 = theorem1_rhs(p, 1.0, rademacher(16))
+            assert r1.constants_mode == "explicit_r1"
+            assert r1.meta["r"] == 1.0 and isinstance(r1.meta["r"], float)
+            assert [r1.meta[k] for k in explicit] == [KAPPA_R1, 1.0, 8.0 / 5.0]
 
     def test_fluctuation_term_enters_for_chains(self):
         m = asymmetric_chain(6)
-        bd = theorem1_rhs(1.0, 3.0, 1.0, m)
+        bd = theorem1_rhs(3.0, 1.0, m)
         lterm = term(bd, "fluctuation_sum")
         assert lterm.exact and lterm.value > 0.0
         assert abs(lterm.value - l_n(3.0, 1.0, 1.0, m)) <= 1e-12
@@ -351,14 +346,14 @@ class TestMasterBound:
 
         monkeypatch.setattr(m, "increment_matrix", counted)
         with pytest.raises(CapabilityError):
-            theorem1_rhs(1.0, 3.0, 1.0, m)
+            theorem1_rhs(3.0, 1.0, m)
         assert calls == []
 
     def test_grid_refinement_converges(self):
         # Halving the psi grid should not move the trapezoid at 1e-6 scale
         # for a smooth profile (Gaussian family): the Richardson estimate of
         # the fine grid's error is what the psi term reports as its se.
-        bd = theorem1_rhs(1.0, 3.0, 1.0, GaussianIID(spec("gaussian_iid", 64)))
+        bd = theorem1_rhs(3.0, 1.0, GaussianIID(spec("gaussian_iid", 64)))
         psi = term(bd, "psi_integral")
         assert psi.value > 0.0
         assert psi.se <= 1e-6 * bd.total
@@ -387,15 +382,11 @@ class TestTransportDisplays:
         assert abs(bd.total - (ADDITIVE_CONST + 0.5 * math.log(201.0))) <= 1e-12
 
     def test_power_display_below_p3(self):
-        bd = corollary_w1_bound(2.5, 1.0, rademacher(100), r=0.5)
-        assert bd.meta["display"] == "power"
-        # moment term: sup * v_n(a)^((2+r-p)/2) = 1 * 201^0
-        assert abs(term(bd, "moment_ratio_term").value - 1.0) <= 1e-12
+        bd = corollary_w1_bound(2.5, 1.0, rademacher(100))
+        assert bd.meta["display"] == "power" and bd.meta["r"] == 1.0
+        # moment term: sup * v_n(a)^((2+r-p)/2) = 1 * 201^(1/4)
+        assert abs(term(bd, "moment_ratio_term").value - 201.0**0.25) <= 1e-12
         assert abs(term(bd, "smoothing_floor").value - ADDITIVE_CONST) <= 1e-12
-
-    def test_transport_needs_small_r(self):
-        with pytest.raises(DomainError):
-            corollary_w1_bound(3.0, 1.0, rademacher(16), r=1.5)
 
     def test_rho_mixing_shape(self):
         assert abs(rho_mixing_bound(1.0, 1.0, math.e - 1.0) - 2.0) <= 1e-12
@@ -555,7 +546,7 @@ class TestBreakdownPlumbing:
 
     def test_csv_round_trip(self):
         bds = [
-            theorem1_rhs(1.0, 3.0, 1.0, rademacher(32)),
+            theorem1_rhs(3.0, 1.0, rademacher(32)),
             heyde_brown_bound(3.0, rademacher(32)),
         ]
         text = breakdowns_to_csv(bds)

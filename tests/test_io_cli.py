@@ -187,6 +187,8 @@ class TestParseConfig:
                 config_doc(model={"family": "rademacher_iid", "n": 8, "p": 10**400}),
                 id="model_p_overflow",
             ),
+            pytest.param(config_doc(bound_requests=5), id="bound_requests_number"),
+            pytest.param(config_doc(outputs=None), id="outputs_null"),
         ]
 
     @pytest.mark.parametrize("doc", bad_documents())
@@ -444,14 +446,8 @@ class TestDistanceCsvRoundTrip:
             "gaussian_iid",
             "rademacher_iid",
             "linear_statistic",
-            pytest.param("rho_mixing_chain", marks=pytest.mark.xfail(
-                strict=True, raises=DataFormatError,
-                reason="model_id holds a comma and distances.csv writes it unquoted",
-            )),
-            pytest.param("ce_lowerbound", marks=pytest.mark.xfail(
-                strict=True, raises=DataFormatError,
-                reason="model_id holds a comma and distances.csv writes it unquoted",
-            )),
+            "rho_mixing_chain",
+            "ce_lowerbound",
             "sequential_maps",
         ],
     )
@@ -853,6 +849,16 @@ class TestCliCommands:
         assert not (out / "ratefit.csv").exists()
         err = capsys.readouterr().err
         assert all(text in err for text in ("distances.csv", "manifest.json", "SHA-256"))
+
+    def test_ratefit_reads_a_chain_table(self, tmp_path):
+        # the chain's model_id holds a comma, written bare into distances.csv
+        out = tmp_path / "chain"
+        grid = ("--model", "rho_mixing_chain", "--n-grid", "8,16", "--reps", "100",
+                "--out", str(out))
+        assert run_cli("distance", *grid) == EXIT_OK
+        assert "," in make_model(ModelSpec("rho_mixing_chain", 8)).model_id
+        assert run_cli("ratefit", *grid) in (EXIT_OK, EXIT_CHECK)
+        assert (out / "ratefit.csv").exists()
 
     def test_a_refit_manifest_attests_the_table_it_read(self, tmp_path):
         out = tmp_path / "refit"

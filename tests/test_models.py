@@ -172,7 +172,7 @@ class TestCELowerBound:
         cp = CEParams.from_np(100, 3.0)
         assert abs(cp.a - math.sqrt(5.0)) <= 1e-12
         assert (cp.k, cp.m) == (20, 80)
-        assert cp.atom_constants_valid  # a^2 = 5 <= 100/16
+        assert cp.a * cp.a <= 100 / 16  # the atom constants' hypothesis: 5 <= 6.25
         assert abs(cp.rate_exponent() + 0.25) <= 1e-15
         assert abs(cp.atom_lower_bound() - 0.12 * 100 ** -0.25) <= 1e-15
 
@@ -875,7 +875,6 @@ class TestSequentialMaps:
         # exact up to the float representation of (sqrt 2)^2
         assert abs(m.exact_vn() - 50.0) <= 1e-12
         mom = m.moments()
-        assert mom.exact
         np.testing.assert_allclose(mom.sigma2, 1.0, rtol=1e-15)
 
     def test_two_harmonic_collision(self):
@@ -883,8 +882,9 @@ class TestSequentialMaps:
         m = SequentialMaps(spec("sequential_maps", 2, observable="cos12"))
         assert abs(m.exact_vn() - 1.75) <= 1e-12
         mom = m.moments()
-        assert not mom.exact
-        assert "proxy" in mom.note
+        # the exact V_n spread over a flat ladder
+        assert mom.v_n == m.exact_vn()
+        assert mom.sigma2.tobytes() == np.full(2, m.exact_vn() / 2).tobytes()
 
     def test_coprime_cycle_has_no_collisions(self):
         m = SequentialMaps(

@@ -78,9 +78,7 @@ class TestRateSeries:
         s = RateSeries(points=pts, model_id="m", distance_kind="kolmogorov")
         assert len(s.points) == 2
         assert s.note == "excluded 2 non-positive distance value(s)"
-        # a pre-existing note is kept in front
-        s2 = RateSeries(points=pts, model_id="m", distance_kind="kolmogorov", note="run 7")
-        assert s2.note == "run 7; excluded 2 non-positive distance value(s)"
+        assert RateSeries(points=pts[:1], model_id="m", distance_kind="kolmogorov").note == ""
 
     def test_decades(self):
         assert power_series(1.0, -0.25).decades() == pytest.approx(3.0, abs=1e-15)
