@@ -19,6 +19,10 @@ Each family implements one draw kernel and the maps over it:
 * ``moments()``         the exact per-increment variance ladder, its sum
                          V_n = Var(S_n) and its tail sums.
 
+One rule sizes every family's chunk of replicates (``chunk_size``): at
+most DRAW_BUDGET doubles of draws.  A family whose maps loop over the time
+steps keeps that loop short in its maps, not with larger chunks.
+
 ``Model`` owns the only generator loop, ``_draws``: a chunk checks its seed
 and replicate range once and re-keys one Philox per replicate
 (``SeedLineage.generators``).  Rows at least ``parallel_draw_width`` draws
@@ -66,23 +70,20 @@ if TYPE_CHECKING:
 
 # Replicates are drawn in chunks so the family maps can vectorize across a
 # chunk.  Every family's chunk (Model.chunk_size) is the largest power of two
-# c <= DEFAULT_CHUNK, and at least 64, whose (c, width) draw matrix fits its
-# draw budget.  linear_statistic sums a chunk with one BLAS gemv, whose bits
+# c <= DEFAULT_CHUNK, and at least 64, whose (c, width) draw matrix fits
+# DRAW_BUDGET.  linear_statistic sums a chunk with one BLAS gemv, whose bits
 # depend on which rows share a call; as c divides DEFAULT_CHUNK and is a
 # multiple of 4, the chunks split DEFAULT_CHUNK-row chunks at multiples of 4
 # rows, and the gemv groups rows in fours, so each row keeps its bits.
 DEFAULT_CHUNK = 4096
 
-# The doubles one chunk's draw matrix may hold (2 MB), so the draws and the
-# maps' temporaries stay small beside a caller's output: 4096 rows of AR(1)
-# draws at n = 16384 took 537 MB.  At 16 MB the freed buffers of a partial
-# last chunk stayed resident and raised verify-ce's peak memory by about 11 %.
+# The doubles one chunk's draw matrix may hold (2 MB), for every family, so
+# the draws and the maps' temporaries stay small beside a caller's output:
+# 4096 rows of AR(1) draws at n = 16384 took 537 MB.  At 16 MB the freed
+# buffers of a partial last chunk stayed resident and raised verify-ce's peak
+# memory by about 11 %, and the chain's distance run peaked 23 MB above
+# gaussian_iid's.
 DRAW_BUDGET = 1 << 18
-
-# Families whose maps loop over the n time steps in Python (the chain and
-# sequential_maps) pay that loop once per chunk; eight draw budgets (16 MB)
-# keep it small next to the work.
-STEP_LOOP_DRAW_BUDGET = 8 * DRAW_BUDGET
 
 # Rows at least this many draws wide are drawn in contiguous blocks, one per
 # CPU.  Narrower rows fill too fast to pay for handing a block to another
@@ -232,8 +233,6 @@ class PathMoments:
 class Model:
     """Base class: deterministic path generation and batch statistics."""
 
-    # doubles one chunk's draw matrix may hold (see DRAW_BUDGET)
-    draw_budget = DRAW_BUDGET
     # the row width from which a chunk's rows are drawn on every CPU
     parallel_draw_width = PARALLEL_DRAW_WIDTH
 
@@ -316,7 +315,7 @@ class Model:
         return math.sqrt(self.moments().v_n)
 
     def chunk_size(self) -> int:
-        fit = max(1, self.draw_budget // self._draw_width())
+        fit = max(1, DRAW_BUDGET // self._draw_width())
         return max(64, min(DEFAULT_CHUNK, 1 << (fit.bit_length() - 1)))
 
     def _draws(self, first: SeedLineage, count: int) -> np.ndarray:

@@ -30,8 +30,12 @@ the stationary cdf.  They are read from one interval table built with the
 model: every threshold lies in the sorted distinct set T of the rows'
 cumulative sums, so the code #{T <= u_t} of a draw fixes the next state
 from every previous state at once.  A chunk's codes come from one pass over
-its draw matrix, and each time step is then one add and one table lookup
-across the chunk, in the smallest unsigned dtype that holds code*S + s.
+its draw matrix.  Each lookup then walks b time steps: b codes combine into
+one index of a b-step table of at most 2^12 entries, b taken from S and the
+number of codes alone, so the chain's Python loop runs about n/b + b times
+per chunk, not n.  The steps between those lookups are filled by the
+one-step table, every block at once, in the smallest unsigned dtype that
+holds code*S + s.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import DRAW_BUDGET, STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
+from .base import DRAW_BUDGET, Model, ModelSpec, PathMoments
+
+# The b-step state table holds at most this many entries (K^b S <= 2^12),
+# so it stays a few kB and in cache.
+BLOCK_TABLE_ENTRIES = 1 << 12
 
 
 def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +78,6 @@ def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 class RhoMixingChain(Model):
     """Centered functional of a stationary finite Markov chain."""
 
-    draw_budget = STEP_LOOP_DRAW_BUDGET
-
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
         P, f = _resolve_transition(spec)
@@ -86,10 +92,14 @@ class RhoMixingChain(Model):
         # the interval table (see the module docstring): row code, column s
         # holds the state after s; flattened, one lookup at code*S + s
         cum_p = np.cumsum(P, axis=1)[:, :-1]
-        self._cuts = np.unique(cum_p)
+        # np.unique's sort and drop of adjacent duplicates, without the
+        # numpy.ma import np.unique makes
+        cuts = np.sort(cum_p, axis=None)
+        self._cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
         below = cum_p[None, :, :] <= self._cuts[:, None, None]
         steps = np.vstack((np.zeros(self.n_states), below.sum(axis=2)))
         self._step_table = steps.ravel().astype(np.min_scalar_type(steps.size - 1))
+        self._block_table: Optional[tuple[int, np.ndarray]] = None
         self._tables: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._sigma2: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
@@ -297,29 +307,64 @@ class RhoMixingChain(Model):
         """n uniforms in time order."""
         g.random(out=row)
 
+    def _block_steps(self) -> tuple[int, np.ndarray]:
+        """(b, BT): the b-step table, built on the first call.
+
+        b is the largest integer with K^b S <= BLOCK_TABLE_ENTRIES, and at
+        least 1, where K = len(cuts) + 1 counts the codes.  BT[C*S + y] is
+        the state after b steps from y whose codes c_0..c_{b-1} give
+        C = sum_i c_i K^i; with b = 1 it is the one-step table.
+        """
+        if self._block_table is None:
+            S, K = self.n_states, self._cuts.size + 1
+            b = 1
+            while K ** (b + 1) * S <= BLOCK_TABLE_ENTRIES:
+                b += 1
+            combined = np.arange(K**b)[:, None]
+            states = np.broadcast_to(np.arange(S), (K**b, S))
+            for i in range(b):
+                states = self._step_table[combined // K**i % K * S + states]
+            self._block_table = (b, states.ravel())
+        return self._block_table
+
     def _states(self, draws: np.ndarray) -> np.ndarray:
-        """(chunk, n) state paths Y_1..Y_n, one table lookup per time step.
+        """(chunk, n) state paths Y_1..Y_n, b time steps per table lookup.
 
         The codes of the whole (chunk, n) draw matrix are counted in place,
         one comparison pass per threshold; only these compact codes are laid
-        out time-major.  Row t of that buffer holds code(u_t)*S until step t
-        replaces it with the table entry at code(u_t)*S + Y_{t-1}, which is
-        Y_t.  The states come back C-contiguous in the table's dtype.
+        out time-major, row t holding code*S for the draw of column t.  Row
+        0 then takes Y_1.  The codes of rows (j-1)b+1..jb combine to C_j*S,
+        so the heads, rows 0, b, 2b, ..., follow one another by one add and
+        one b-step lookup each, at C_j*S plus the previous head.  Every
+        other row t then takes its one-step entry at code*S plus row t-1,
+        one row of every block at a time.  The states come back C-contiguous
+        in the one-step table's dtype.
         """
         chunk, n = draws.shape
-        codes = np.zeros(draws.shape, dtype=self._step_table.dtype)
+        S, K, dtype = self.n_states, self._cuts.size + 1, self._step_table.dtype
+        b, table = self._block_steps()
+        codes = np.zeros(draws.shape, dtype=dtype)
         hit = np.empty(draws.shape, dtype=bool)
         for cut in self._cuts:
             np.greater_equal(draws, cut, out=hit)
             codes += hit
-        path = np.empty((n, chunk), dtype=self._step_table.dtype)
-        np.multiply(codes.T, self.n_states, out=path)
+        path = np.empty((n, chunk), dtype=dtype)
+        np.multiply(codes.T, S, out=path)
         # Y_1 = #{j < S-1 : u_1 >= (cumsum pi)_j}, from the stationary law
         path[0] = np.searchsorted(self._cum_pi, draws[:, 0], side="right")
-        step = np.empty(chunk, dtype=self._step_table.dtype)
-        for t in range(1, n):
-            np.add(path[t], path[t - 1], out=step)
-            self._step_table.take(step, out=path[t])
+        blocks = (n - 1) // b
+        index = np.min_scalar_type(table.size - 1)
+        combined = np.zeros((blocks, chunk), dtype=index)
+        for i in range(b):
+            combined += path[1 + i : 1 + blocks * b : b] * index.type(K**i)
+        step = np.empty(chunk, dtype=index)
+        for j in range(1, blocks + 1):
+            np.add(combined[j - 1], path[(j - 1) * b], out=step)
+            table.take(step, out=path[j * b])
+        # the rows after each head, including the fewer than b after the last
+        for i in range(1, b):
+            rows = path[i::b]
+            self._step_table.take(rows + path[i - 1 :: b][: rows.shape[0]], out=rows)
         return np.ascontiguousarray(path.T)
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:

@@ -25,12 +25,16 @@ seeds x_n, the remaining n-1 drive the preimage choices for k = n..2.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import STEP_LOOP_DRAW_BUDGET, Model, ModelSpec, PathMoments
+from .base import Model, ModelSpec, PathMoments
+
+# Orbit points observed at once (256 kB): the observation's temporaries stay
+# in cache, where whole 2 MB chunks observed at once ran about 1.4x slower.
+OBSERVE_BLOCK = 1 << 15
 
 OBSERVABLES = {
     # harmonic -> coefficient; no constant term, so means are exactly zero
@@ -62,8 +66,6 @@ def _slopes(spec: ModelSpec) -> np.ndarray:
 
 class SequentialMaps(Model):
     """Non-stationary dynamical sums for expanding maps on the circle."""
-
-    draw_budget = STEP_LOOP_DRAW_BUDGET
 
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
@@ -135,31 +137,40 @@ class SequentialMaps(Model):
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
         g.random(out=row)
 
-    def _orbit(self, draws: np.ndarray) -> Iterator[np.ndarray]:
-        """x_n, x_{n-1}, ..., x_1 per row, one array updated in place."""
+    def _orbit(self, draws: np.ndarray) -> np.ndarray:
+        """(n, chunk) trajectory points, time-major; row j holds x_{n-j}.
+
+        Row 0 is the first draw, x_n.  Every step's preimage branch
+        floor(u m_k) comes from one (n-1, chunk) matrix filled in one pass;
+        step k then adds x_{k+1} to its contiguous row and divides by m_k in
+        place.
+        """
         n = self.spec.n
-        x = draws[:, 0].copy()
-        yield x
-        for k in range(n - 1, 0, -1):
-            m = float(self.m[k])
-            x += np.floor(draws[:, n - k] * m)  # preimage branch for step k
-            x /= m
-            yield x
+        slopes = self.m[n - 1 : 0 : -1].astype(float)  # m_k for k = n-1..1
+        xs = np.empty((n, draws.shape[0]))
+        xs[0] = draws[:, 0]
+        np.multiply(draws[:, 1:].T, slopes[:, None], out=xs[1:])
+        np.floor(xs[1:], out=xs[1:])
+        rows = list(xs)
+        for prev, row, m in zip(rows, rows[1:], slopes.tolist()):
+            row += prev
+            row /= m
+        return xs
 
     def _points(self, draws: np.ndarray) -> np.ndarray:
         """(chunk, n) trajectory points; column k-1 holds tau_k x."""
-        xs = np.empty_like(draws)
-        for col, x in zip(range(self.spec.n - 1, -1, -1), self._orbit(draws)):
-            xs[:, col] = x
-        return xs
+        return np.ascontiguousarray(self._orbit(draws)[::-1].T)
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         return self._observe(self._points(draws))
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
-        # accumulated from x_n back to x_1, as the orbit is sampled
-        orbit = self._orbit(draws)
-        total = self._observe(next(orbit))
-        for x in orbit:
-            total += self._observe(x)
+        # added row by row from x_n back to x_1, as the orbit is sampled;
+        # the rows are observed OBSERVE_BLOCK points at a time
+        xs = self._orbit(draws)
+        total = self._observe(xs[0])
+        step = max(1, OBSERVE_BLOCK // xs.shape[1])
+        for lo in range(1, xs.shape[0], step):
+            for row in self._observe(xs[lo : lo + step]):
+                total += row
         return total

@@ -8,6 +8,7 @@ algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
 test can run it in a fresh interpreter under other BLAS thread settings.
 ``sample_path`` draws one path through a model's maps as a chunk of one,
+``chain_one_step_states`` walks a chain's state paths one step per lookup,
 and ``term`` looks up one term of a bound breakdown by name.
 
 The Monte Carlo estimators of psi_n and of the fluctuation statistics
@@ -81,6 +82,34 @@ def sample_path(model, lineage: SeedLineage) -> PathSample:
     """The path of one stream: the model's maps applied to a chunk of one."""
     draws = model._draws(lineage, 1)
     return PathSample(model._increments(draws)[0], float(model._sums(draws)[0]))
+
+
+def chain_one_step_states(model, draws: np.ndarray) -> np.ndarray:
+    """A chain's (chunk, n) state paths by the one-step walk its draw ran
+    before it took b steps per lookup: one add and one table lookup per
+    time step across the chunk, in the one-step table's dtype.
+
+    The codes of the whole (chunk, n) draw matrix are counted in place,
+    one comparison pass per threshold; only these compact codes are laid
+    out time-major.  Row t of that buffer holds code(u_t)*S until step t
+    replaces it with the table entry at code(u_t)*S + Y_{t-1}, which is
+    Y_t.  The states come back C-contiguous in the table's dtype.
+    """
+    chunk, n = draws.shape
+    codes = np.zeros(draws.shape, dtype=model._step_table.dtype)
+    hit = np.empty(draws.shape, dtype=bool)
+    for cut in model._cuts:
+        np.greater_equal(draws, cut, out=hit)
+        codes += hit
+    path = np.empty((n, chunk), dtype=model._step_table.dtype)
+    np.multiply(codes.T, model.n_states, out=path)
+    # Y_1 = #{j < S-1 : u_1 >= (cumsum pi)_j}, from the stationary law
+    path[0] = np.searchsorted(model._cum_pi, draws[:, 0], side="right")
+    step = np.empty(chunk, dtype=model._step_table.dtype)
+    for t in range(1, n):
+        np.add(path[t], path[t - 1], out=step)
+        model._step_table.take(step, out=path[t])
+    return np.ascontiguousarray(path.T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and a bounds run
+loads no module it does not need.
 
 An AST scan: a module fails when it imports a name that it never reads as a
 Name, as the base of an attribute chain, or inside a string annotation.
@@ -8,7 +9,12 @@ Name, as the base of an attribute chain, or inside a string annotation.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cltlab
 
@@ -70,3 +76,24 @@ def test_no_unused_imports():
     files = sorted(SRC.rglob("*.py")) + sorted(TESTS.glob("*.py"))
     stray = [entry for path in files for entry in unused_imports(path)]
     assert stray == [], "unused imports: " + ", ".join(stray)
+
+
+# Modules a bounds run on these families must not load: numpy.ma (about
+# 16 ms, which np.unique imports through np.ma.is_masked) and scipy.special
+# (0.17-0.29 s, with the numpy.f2py and numpy.testing it pulls in).
+UNNEEDED_MODULES = ("numpy.ma", "scipy.special")
+
+
+@pytest.mark.parametrize("family", ("rho_mixing_chain", "rademacher_iid"))
+def test_bounds_run_loads_no_unneeded_module(family, tmp_path):
+    argv = ["bounds", "--model", family, "--n-grid", "32", "--out", str(tmp_path)]
+    code = (
+        "import contextlib, io, sys; from cltlab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): rc = main({argv!r})\n"
+        f"print(rc, *[m for m in {UNNEEDED_MODULES!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0"]

@@ -644,7 +644,8 @@ def peak_memory_kb(argv: list[str]) -> int:
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 class TestStreamedMemory:
     """simulate and verify-ce take their (replicates, n) tables one chunk at a
-    time: a 164 MB table costs at most 40 MB more than a tenth of it."""
+    time: a 164 MB table costs at most 40 MB more than a tenth of it.  The
+    chain draws chunks of the same budget as every other family."""
 
     N = 4096
     REPS = 5000  # 8 * 5000 * 4096 bytes = 164 MB
@@ -660,6 +661,17 @@ class TestStreamedMemory:
 
     def test_verify_ce_streams_its_moment_table(self, tmp_path):
         assert self.peak_growth_kb(tmp_path, ["verify-ce"]) < 40 * 1024
+
+    def test_chain_distance_peaks_near_gaussian(self, tmp_path):
+        # with 16 MB draw chunks the chain peaked 22.7 MB above gaussian_iid
+        peaks = {
+            family: peak_memory_kb([
+                "distance", "--model", family, "--n-grid", "2048,8192", "--reps", "3000",
+                "--out", str(tmp_path / family),
+            ])
+            for family in ("rho_mixing_chain", "gaussian_iid")
+        }
+        assert peaks["rho_mixing_chain"] - peaks["gaussian_iid"] < 10 * 1024
 
 
 class TestCliCommands:

@@ -1,5 +1,6 @@
 """Model zoo: exact moment structure, sampling laws, and batch plumbing."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import base, make_model
-from cltlab.models.base import DEFAULT_CHUNK, PARALLEL_DRAW_WIDTH, ModelSpec, PathMoments
+from cltlab.models.base import (
+    DEFAULT_CHUNK,
+    DRAW_BUDGET,
+    PARALLEL_DRAW_WIDTH,
+    ModelSpec,
+    PathMoments,
+)
 from cltlab.models.ce import CEParams, CELowerBound, atom_fraction, branch_abs_moment
 from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
@@ -27,6 +34,7 @@ from helpers import (
     ChainEnumeration,
     chain_autocovariance,
     chain_c_n_bound,
+    chain_one_step_states,
     chain_spectral_gap_rho,
     chain_u_samples,
     linear_chunk_routes,
@@ -657,6 +665,46 @@ class TestRhoMixingChain:
         xi[:, 1:] -= ph[np.arange(1, n), want[:, :-1]]
         assert model._increments(draws).tobytes() == xi.tobytes()
 
+    # -- b steps per lookup against the one-step walk -------------------------
+
+    def block_chains(self, n):
+        return {
+            "default": RhoMixingChain(spec("rho_mixing_chain", n)),
+            "s3": make_model(dataclasses.replace(PINNED_CHAIN_S3, n=n)),
+            # six states with random rows: 30 distinct thresholds, K^2 S > 2^12
+            "many_thresholds": self.random_chain(n, 6, 5),
+        }
+
+    def test_block_length_comes_from_states_and_codes(self):
+        b = {name: m._block_steps()[0] for name, m in self.block_chains(4).items()}
+        assert b == {"default": 6, "s3": 4, "many_thresholds": 1}
+        for m in self.block_chains(4).values():
+            S, K = m.n_states, m._cuts.size + 1
+            b, table = m._block_steps()
+            assert table.size == K**b * S and K ** (b + 1) * S > 1 << 12
+            assert b == 1 or table.size <= 1 << 12
+
+    @pytest.mark.parametrize("chain", ("default", "s3", "many_thresholds"))
+    def test_block_steps_match_the_one_step_walk(self, chain):
+        b = self.block_chains(4)[chain]._block_steps()[0]
+        rng = np.random.default_rng(17)
+        for n in sorted({1, 2, b, b + 1, 2 * b + 1, 300}):
+            m = self.block_chains(n)[chain]
+            draws = rng.random((9, n))
+            draws[::2] = np.resize(m._cuts, draws[::2].shape)  # draws on the thresholds
+            got = m._states(draws)
+            assert got.flags.c_contiguous
+            assert got.dtype == m._step_table.dtype
+            assert got.tobytes() == chain_one_step_states(m, draws).tobytes()
+
+    @pytest.mark.parametrize("chain", ("default", "s3", "many_thresholds"))
+    def test_block_steps_across_a_chunk(self, chain):
+        m = self.block_chains(300)[chain]
+        count = m.chunk_size() + 5
+        states = m.prefix_states_chunk(master_seed=67, replicates=count, block=4)
+        draws = m._map_chunks(lambda d: d, np.empty((count, 300)), 67, 0, 4)
+        assert states.tobytes() == chain_one_step_states(m, draws).tobytes()
+
     def test_prefix_states_are_compact_reference_states(self):
         m = self.random_chain(16, 6, 5)
         count = m.chunk_size() + 5
@@ -1106,12 +1154,13 @@ class TestReplicateStreams:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
     def test_rademacher_signs_are_the_integer_draws(self, n):
-        # the documented draw: integers(0, 2, n) from the replicate's generator
+        # the documented draw: integers(0, 2, n) from the replicate's generator,
+        # read off the row's raw words by the increment map (sigma = 1)
         m = RademacherIID(spec("rademacher_iid", n))
         for r in range(4):
             lineage = SeedLineage(5, SeedLineage.stream_for(2, r))
             want = 2.0 * lineage.generator().integers(0, 2, n) - 1.0
-            assert reference_row(m, lineage).tobytes() == want.tobytes()
+            assert m._increments(reference_row(m, lineage)[None])[0].tobytes() == want.tobytes()
 
     def test_runs_stay_inside_their_block(self, monkeypatch):
         m = GaussianIID(spec("gaussian_iid", 4))
@@ -1222,9 +1271,9 @@ CHUNK_RULE_SPECS = (
 
 
 class TestChunkRule:
-    """Every family draws the largest power-of-two chunk that fits its draw
-    budget; for linear_statistic that must keep the bits of the former fixed
-    DEFAULT_CHUNK-row chunk."""
+    """Every family draws the largest power-of-two chunk that fits the one
+    draw budget; for linear_statistic that must keep the bits of the former
+    fixed DEFAULT_CHUNK-row chunk."""
 
     @pytest.mark.parametrize("s", CHUNK_RULE_SPECS, ids=lambda s: make_model(s).model_id)
     def test_chunk_is_the_largest_power_of_two_in_budget(self, s):
@@ -1232,10 +1281,10 @@ class TestChunkRule:
         chunk, width = m.chunk_size(), m._draw_width()
         assert 64 <= chunk <= DEFAULT_CHUNK and DEFAULT_CHUNK % chunk == 0
         assert chunk & (chunk - 1) == 0
-        if 64 * width <= m.draw_budget:
-            assert chunk * width <= m.draw_budget
+        if 64 * width <= DRAW_BUDGET:
+            assert chunk * width <= DRAW_BUDGET
         if chunk < DEFAULT_CHUNK:
-            assert 2 * chunk * width > m.draw_budget
+            assert 2 * chunk * width > DRAW_BUDGET
 
     def test_long_linear_paths_draw_small_chunks(self):
         # AR(1) at n = 16384: 64 rows (8 MB) per chunk instead of 4096 (537 MB)
