@@ -356,7 +356,7 @@ class RhoMixingChain(Model):
         index = np.min_scalar_type(table.size - 1)
         combined = np.zeros((blocks, chunk), dtype=index)
         for i in range(b):
-            combined += path[1 + i : 1 + blocks * b : b] * index.type(K**i)
+            combined += np.multiply(path[1 + i : 1 + blocks * b : b], K**i, dtype=index)
         step = np.empty(chunk, dtype=index)
         for j in range(1, blocks + 1):
             np.add(combined[j - 1], path[(j - 1) * b], out=step)

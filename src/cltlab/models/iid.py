@@ -90,8 +90,7 @@ class _IIDBase(Model):
             conditional_variance_constant=True,
         )
 
-    # The maps read rows of the unit variables Z_k or eps_k; Rademacher
-    # rows hold raw words, which its maps decode to eps_k first.
+    # Draw rows hold the unit variables Z_k or eps_k.
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         return self.sigma * draws
@@ -125,28 +124,13 @@ class RademacherIID(_IIDBase):
     parallel_draw_width = float("inf")
 
     def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        # The raw Philox words integers(0, 2, n) reads its n signs from,
-        # copied into the row's bytes; the rest of the row is zeroed.  The
-        # maps decode a whole chunk at once (_signs).
-        words = (self.spec.n + 1) // 2
-        row.view("<u8")[:words] = g.bit_generator.random_raw(words)
-        row[words:] = 0.0
-
-    def _signs(self, draws: np.ndarray) -> np.ndarray:
-        """(chunk, n) signs +-1.0 of a chunk of raw rows.
-
-        integers(0, 2, n) takes one uint32 per sign, the low half of each
-        64-bit word first, and keeps its top bit.
-        """
-        signs = np.multiply(draws.view("<u4")[:, : self.spec.n] >> 31, 2.0)
-        signs -= 1.0
-        return signs
-
-    def _increments(self, draws: np.ndarray) -> np.ndarray:
-        return super()._increments(self._signs(draws))
-
-    def _sums(self, draws: np.ndarray) -> np.ndarray:
-        return super()._sums(self._signs(draws))
+        # The signs integers(0, 2, n) would give, read from the raw Philox
+        # words: it takes one uint32 per sign, the low half of each 64-bit word
+        # first, and keeps the top bit.  Decoded per row, while it is in cache.
+        n = self.spec.n
+        words = g.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
+        np.multiply(words.view("<u4")[:n] >> 31, 2.0, out=row)
+        row -= 1.0
 
     def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),

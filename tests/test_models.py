@@ -1154,13 +1154,12 @@ class TestReplicateStreams:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
     def test_rademacher_signs_are_the_integer_draws(self, n):
-        # the documented draw: integers(0, 2, n) from the replicate's generator,
-        # read off the row's raw words by the increment map (sigma = 1)
+        # the documented draw: integers(0, 2, n) from the replicate's generator
         m = RademacherIID(spec("rademacher_iid", n))
         for r in range(4):
             lineage = SeedLineage(5, SeedLineage.stream_for(2, r))
             want = 2.0 * lineage.generator().integers(0, 2, n) - 1.0
-            assert m._increments(reference_row(m, lineage)[None])[0].tobytes() == want.tobytes()
+            assert reference_row(m, lineage).tobytes() == want.tobytes()
 
     def test_runs_stay_inside_their_block(self, monkeypatch):
         m = GaussianIID(spec("gaussian_iid", 4))
