@@ -46,9 +46,6 @@ HB_BLOCK = 103
 # Richardson error estimate.
 PSI_GRID_POINTS = 513
 
-# numpy 2 renamed trapz; support both without a deprecation warning.
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 BOUND_CSV_COLUMNS = (
     "bound_id",
     "term",
@@ -287,8 +284,8 @@ def _psi_term(model: Model, a: float, x_hi: float) -> tuple[float, float]:
     """
     u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
     g = model.psi_closed_form(KAPPA_R1 * np.exp(u))
-    fine = float(_trapezoid(g, u))
-    coarse = float(_trapezoid(g[::2], u[::2]))
+    fine = float(np.trapezoid(g, u))
+    coarse = float(np.trapezoid(g[::2], u[::2]))
     return fine, abs(fine - coarse) / 3.0
 
 
@@ -375,8 +372,7 @@ def corollary_w1_bound(p: float, a: float, model: Model) -> BoundBreakdown:
 
 def berry_esseen_target_exponent(p: float) -> float:
     """Predicted uniform-distance decay exponent in V_n: -(p-2)/(2(p-1))."""
-    if not 2.0 < p <= 3.0:
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+    _validate_p(p)
     return -(p - 2.0) / (2.0 * (p - 1.0))
 
 
@@ -389,8 +385,7 @@ def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
     The metadata records the pure target exponent for the rate-fit module
     (log_correction marks the p = 3 square-root-of-log factor).
     """
-    if not 2.0 < p <= 3.0:
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+    _validate_p(p)
     mo = model.moments()
     target = berry_esseen_target_exponent(p)
     sup = model.sup_moment_ratio(p)
@@ -520,8 +515,7 @@ def bnp(
     with m = max |alpha|, Lambda = sum_i i*lambda_i over i = 1..n, and
     eta = sum of eta_seq over i = 0..n.
     """
-    if not 2.0 < p <= 3.0:
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+    _validate_p(p)
     a = np.asarray(alphas, dtype=float)
     if a.size == 0:
         raise DomainError("empty coefficient list")

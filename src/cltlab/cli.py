@@ -373,10 +373,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
                 write_text(csv_path, reports_to_csv(reports))
             series.append(_series(cfg, reports))
             print(f"seed {cfg.master_seed + j}: measured {len(series[-1].points)} grid points")
-    if len(series) == 1:
-        result = _ratefit.fit(series[0], target, tolerance=cfg.tolerance)
-    else:
-        result = _ratefit.fit_replicated(series, target, tolerance=cfg.tolerance)
+    result = _ratefit.fit(series, target, tolerance=cfg.tolerance)
 
     write_text(out / "ratefit.csv", _ratefit.results_to_csv([result]))
     blocks = {f"n={n}": i for i, n in enumerate(cfg.n_grid)}

@@ -28,6 +28,7 @@ from .distances import DISTANCE_CSV_COLUMNS, DistanceReport
 from .errors import ConfigurationError, DataFormatError
 from .models import ModelSpec
 from .models.base import config_real
+from .ratefit import DISTANCE_KINDS
 
 CONFIG_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -114,7 +115,7 @@ class ExperimentConfig:
                 )
         if self.a is not None and not (_finite(self.a) and self.a >= 1.0):
             raise ConfigurationError(f"a must be a finite real >= 1 or 'auto', got {self.a!r}")
-        if self.distance_kind not in ("kolmogorov", "w1", "w1_normalized"):
+        if self.distance_kind not in DISTANCE_KINDS:
             raise ConfigurationError(f"unknown distance_kind {self.distance_kind!r}")
         if not (_finite(self.tolerance) and self.tolerance > 0.0):
             raise ConfigurationError(

@@ -1,10 +1,13 @@
 """Empirical convergence-rate estimation on (n, distance) series.
 
-Fits log-log regressions of measured distances against n, with an optional
-logarithmic correction (removing a log n factor before fitting), and turns
-the comparison against a predicted exponent into a three-way verdict:
-consistent, inconsistent, or inconclusive when the series is too short or
-too narrow to support a verdict at all.
+One estimator, `fit`, takes one series per master seed on a shared n-grid.
+It fits log-log regressions of measured distances against n, with an
+optional logarithmic correction (removing a log n factor before fitting):
+one series gives the regression slope and its SE, several give the mean
+per-seed slope and a t-interval.  The comparison against a predicted
+exponent becomes a three-way verdict: consistent, inconsistent, or
+inconclusive when the series is too short or too narrow to support a
+verdict at all.
 """
 
 from __future__ import annotations
@@ -130,8 +133,6 @@ def _wls_line(x: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]) -> tuple[fl
     if w is None:
         xbar, ybar = x.mean(), y.mean()
         sxx = float(np.sum((x - xbar) ** 2))
-        if sxx == 0.0:
-            raise DomainError("degenerate fit: all n equal")
         b = float(np.sum((x - xbar) * (y - ybar)) / sxx)
         c = ybar - b * xbar
         if k > 2:
@@ -144,8 +145,6 @@ def _wls_line(x: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]) -> tuple[fl
     xbar = float(np.sum(w * x) / sw)
     ybar = float(np.sum(w * y) / sw)
     sxx = float(np.sum(w * (x - xbar) ** 2))
-    if sxx == 0.0:
-        raise DomainError("degenerate fit: all n equal")
     b = float(np.sum(w * (x - xbar) * (y - ybar)) / sxx)
     c = ybar - b * xbar
     return b, c, math.sqrt(1.0 / sxx)
@@ -183,85 +182,52 @@ def _verdict(
     return "consistent" if abs(exponent - target) <= max(ci, tolerance) else "inconsistent"
 
 
-def fit(series: RateSeries, target: float, tolerance: float = 0.05) -> RateFitResult:
-    """Log-log rate fit of one series against a predicted exponent.
+def fit(series: Sequence[RateSeries], target: float, tolerance: float = 0.05) -> RateFitResult:
+    """Log-log rate fit of one series per master seed against a predicted exponent.
 
-    The confidence halfwidth comes from the regression itself (1.96 x the
-    slope SE under per-point weights, or the residual-based slope SE);
-    fit_replicated sharpens it by refitting across master seeds.  Fewer
-    than four usable points, or a grid narrower than two decades, yields
-    verdict ``inconclusive`` rather than an exception.
+    Every series must cover the same n-grid.  One series gives the regression
+    slope and 1.96 x its SE (under per-point weights, or the residual-based
+    SE); several give the mean of the per-seed slopes and a 95 % t-interval
+    on that mean.  Fewer than two usable points give nan estimates; fewer
+    than four, or a grid narrower than two decades, yields verdict
+    ``inconclusive`` rather than an exception.
     """
     if tolerance < 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance!r}")
-    k = len(series.points)
-    decades = series.decades()
-    if k < 2:
-        return RateFitResult(
-            exponent=math.nan,
-            intercept=math.nan,
-            ci_halfwidth=math.nan,
-            log_corrected_exponent=math.nan,
-            target_exponent=target,
-            verdict="inconclusive",
-            points_used=k,
-            decades=decades,
-            tolerance=tolerance,
-            model_id=series.model_id,
-            distance_kind=series.distance_kind,
-            note=(series.note + "; " if series.note else "") + "too few usable points",
-        )
-    b, c, se_b, bc = _fit_exponents(series)
-    ci = 1.96 * se_b
-    n = series.n_values
-    return RateFitResult(
-        exponent=b,
-        intercept=c,
-        ci_halfwidth=ci,
-        log_corrected_exponent=bc,
-        target_exponent=target,
-        verdict=_verdict(b, target, ci, tolerance, k, decades),
-        points_used=k,
-        decades=decades,
-        tolerance=tolerance,
-        n_min=int(n[0]),
-        n_max=int(n[-1]),
-        model_id=series.model_id,
-        distance_kind=series.distance_kind,
-        note=series.note,
-    )
-
-
-def fit_replicated(
-    series_by_seed: Sequence[RateSeries], target: float, tolerance: float = 0.05
-) -> RateFitResult:
-    """Combine per-master-seed refits into one result with a t-based CI.
-
-    Each series must cover the same n-grid; the exponent is the mean of the
-    per-seed slopes and the halfwidth a 95% t-interval on that mean.
-    """
-    if len(series_by_seed) < 2:
-        raise ConfigurationError("fit_replicated needs at least two independent series")
-    grids = {tuple(int(p[0]) for p in s.points) for s in series_by_seed}
-    if len(grids) != 1:
-        raise ConfigurationError("replicated series must share one n-grid")
-    fits = [_fit_exponents(s) for s in series_by_seed]
-    exps = np.array([f[0] for f in fits])
-    intercepts = np.array([f[1] for f in fits])
-    logcs = np.array([f[3] for f in fits])
-    k = exps.size
-    # the 97.5 % quantile of Student's t with k - 1 degrees of freedom
-    tq = float(scipy_special().stdtrit(k - 1, 0.975))
-    exponent = float(exps.mean())
-    ci = tq * float(exps.std(ddof=1)) / math.sqrt(k)
-    log_corrected = float(np.nanmean(logcs))
-    first = series_by_seed[0]
+    if len({tuple(p[0] for p in s.points) for s in series}) != 1:
+        raise ConfigurationError("fit needs one or more series on one shared n-grid")
+    first = series[0]
     points = len(first.points)
     decades = first.decades()
-    n = first.n_values
+    n_min = n_max = 0
+    note = first.note
+    meta: dict[str, object] = {}
+    if points < 2:
+        exponent = intercept = ci = log_corrected = math.nan
+        note = (note + "; " if note else "") + "too few usable points"
+    else:
+        n_min, n_max = first.points[0][0], first.points[-1][0]
+        fits = [_fit_exponents(s) for s in series]
+        k = len(fits)
+        if k == 1:
+            exponent, intercept, se_b, log_corrected = fits[0]
+            ci = 1.96 * se_b
+        else:
+            exps = np.array([f[0] for f in fits])
+            logcs = np.array([f[3] for f in fits])
+            # the 97.5 % quantile of Student's t with k - 1 degrees of freedom
+            tq = float(scipy_special().stdtrit(k - 1, 0.975))
+            exponent = float(exps.mean())
+            intercept = float(np.mean([f[1] for f in fits]))
+            ci = tq * float(exps.std(ddof=1)) / math.sqrt(k)
+            log_corrected = float(np.nanmean(logcs))
+            meta = {
+                "seeds": k,
+                "log_corrected_ci_halfwidth": tq * float(np.nanstd(logcs, ddof=1)) / math.sqrt(k),
+            }
     return RateFitResult(
         exponent=exponent,
-        intercept=float(intercepts.mean()),
+        intercept=intercept,
         ci_halfwidth=ci,
         log_corrected_exponent=log_corrected,
         target_exponent=target,
@@ -269,15 +235,12 @@ def fit_replicated(
         points_used=points,
         decades=decades,
         tolerance=tolerance,
-        n_min=int(n[0]),
-        n_max=int(n[-1]),
+        n_min=n_min,
+        n_max=n_max,
         model_id=first.model_id,
         distance_kind=first.distance_kind,
-        note=first.note,
-        meta={
-            "seeds": k,
-            "log_corrected_ci_halfwidth": tq * float(np.nanstd(logcs, ddof=1)) / math.sqrt(k),
-        },
+        note=note,
+        meta=meta,
     )
 
 

@@ -211,7 +211,7 @@ def test_criterion_05_rademacher_exponent_and_envelope(rademacher_runs):
     series = _ratefit.RateSeries(
         points=pts, model_id="rademacher_iid", distance_kind="kolmogorov"
     )
-    result = _ratefit.fit(series, target=-0.5, tolerance=0.10)
+    result = _ratefit.fit([series], target=-0.5, tolerance=0.10)
     assert abs(result.exponent - (-0.5)) <= 0.10, (
         f"kolmogorov exponent {result.exponent:.4f} not within 0.10 of -0.50"
     )
@@ -257,7 +257,7 @@ def test_criterion_06_linear_statistic_log_rate():
                 points=tuple(pts), model_id="linear_ar1", distance_kind="w1"
             )
         )
-    result = _ratefit.fit_replicated(per_seed, target=-0.5, tolerance=0.05)
+    result = _ratefit.fit(per_seed, target=-0.5, tolerance=0.05)
     bc = result.log_corrected_exponent
     bc_ci = float(result.meta["log_corrected_ci_halfwidth"])
     assert bc + bc_ci <= -0.40, (

@@ -3,13 +3,16 @@
 `benchmarks/traced_cli.py` counts work by reading named arguments of a few
 layer functions (HOOKS).  A rename in src/ would leave a hook unattached and
 zero its counter without any error, so each hook target is checked here: it
-must exist in its layer and take every argument its hooks read.  A traced
+must exist in its layer and take every argument its hooks read.  The span
+names that `benchmarks/run.py` turns into per-layer metrics must likewise
+name a function of their layer or a method of a traced class.  A traced
 run of simulate, distance, bounds and verify-ce must also exit 0, count the
 replicates the benchmark expects, and repeat its counters exactly.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -25,6 +28,7 @@ from cltlab.io import BATCH_HEADER_BYTES
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CLI = ROOT / "benchmarks" / "traced_cli.py"
+RUN_PY = ROOT / "benchmarks" / "run.py"
 
 
 def _load_traced_cli():
@@ -71,6 +75,65 @@ def test_traced_model_method_is_defined(method):
     # the tracer wraps a method only on the classes whose own namespace holds it
     classes = traced_cli._all_subclasses(traced_cli.Model)
     assert any(method in vars(cls) for cls in classes), f"no model class defines {method!r}"
+
+
+# Span names that layer_metrics reads but the tracer no longer records, each
+# with why it may stay until the benchmark itself changes.
+STALE_SPAN_NAMES = {
+    "ratefit.fit_replicated": (
+        "folded into ratefit.fit; run.py adds its calls into ratefit.fits, which "
+        "still counts one call per ratefit, and the next benchmark refresh drops the name"
+    ),
+}
+
+
+def _layer_metric_span_names() -> set[str]:
+    """The span names read through tot(...), self_s[...] and calls[...]."""
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    body = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    names = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tot":
+            names |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self_s", "calls")
+            and isinstance(node.slice, ast.Constant)
+        ):
+            names.add(node.slice.value)
+    return names
+
+
+def _installed_span_names() -> set[str]:
+    """Every span name the tracer wraps: layer functions and traced methods.
+
+    install() rebinds module attributes, so it runs in a fresh interpreter.
+    """
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import traced_cli; "
+        "t = traced_cli.Tracer(); traced_cli.install(t); print(json.dumps(t.names))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(TRACED_CLI.parent)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_layer_metric_span_names_are_traced():
+    read = _layer_metric_span_names() - {"startup.import"}  # the import root span
+    assert {"models.statistic_range", "ratefit.fit", "numerics.generator"} <= read
+    unresolved = read - _installed_span_names()
+    assert unresolved == set(STALE_SPAN_NAMES), (
+        f"span names no function or traced method carries: "
+        f"{sorted(unresolved - set(STALE_SPAN_NAMES))}; "
+        f"allowlisted names that are traced after all: {sorted(set(STALE_SPAN_NAMES) - unresolved)}"
+    )
 
 
 TRACED_GRID = (64, 128)

@@ -895,6 +895,22 @@ class TestCliCommands:
         assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_IO
         assert not (out / "ratefit.csv").exists()
 
+    @pytest.mark.parametrize("fit_seeds", [1, 2])
+    def test_ratefit_on_one_point_is_inconclusive_for_any_seed_count(self, tmp_path, fit_seeds):
+        out = tmp_path / "one"
+        doc = config_doc(
+            model={"family": "gaussian_iid", "n": 64, "p": 3.0, "params": {}},
+            n_grid=[64], replicates=200, fit_seeds=fit_seeds, outputs=str(out),
+        )
+        cfg_path = tmp_path / "fit.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_OK
+        header, row = csv.reader((out / "ratefit.csv").read_text().splitlines())
+        fields = dict(zip(header, row))
+        assert fields["verdict"] == "inconclusive"
+        assert fields["note"] == "too few usable points"
+        assert (fields["points_used"], fields["n_min"], fields["n_max"]) == ("1", "0", "0")
+
     def test_verify_ce_quick_grid_passes(self, tmp_path):
         out = tmp_path / "ce"
         rc = run_cli("verify-ce", "--n-grid", "64", "--reps", "2000",

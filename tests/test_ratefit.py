@@ -24,7 +24,6 @@ from cltlab.ratefit import (
     RATEFIT_CSV_COLUMNS,
     RateSeries,
     fit,
-    fit_replicated,
     results_to_csv,
 )
 
@@ -100,7 +99,7 @@ class TestRateSeries:
 
 class TestFitExact:
     def test_exact_power_recovered_unweighted(self):
-        r = fit(power_series(3.0, -0.25), target=-0.25)
+        r = fit([power_series(3.0, -0.25)], target=-0.25)
         assert abs(r.exponent - (-0.25)) <= 1e-12
         assert abs(r.intercept - math.log(3.0)) <= 1e-12
         assert r.ci_halfwidth <= 1e-12
@@ -115,7 +114,7 @@ class TestFitExact:
         # all ses positive -> inverse-variance weights (d/se)^2; the line is
         # exact so the slope is unchanged and the ci comes from 1/sqrt(sxx)
         s = power_series(3.0, -0.25, se=0.01)
-        r = fit(s, target=-0.25)
+        r = fit([s], target=-0.25)
         assert abs(r.exponent - (-0.25)) <= 1e-12
         x = np.log(s.n_values)
         w = (s.distances / s.ses) ** 2
@@ -125,26 +124,26 @@ class TestFitExact:
         assert r.verdict == "consistent"
 
     def test_constant_series_is_inconsistent(self):
-        r = fit(power_series(0.5, 0.0), target=-0.25)
+        r = fit([power_series(0.5, 0.0)], target=-0.25)
         assert abs(r.exponent) <= 1e-12
         assert r.ci_halfwidth <= 1e-12
         assert r.verdict == "inconsistent"
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(DomainError, match="tolerance"):
-            fit(power_series(1.0, -0.25), target=-0.25, tolerance=-0.01)
+            fit([power_series(1.0, -0.25)], target=-0.25, tolerance=-0.01)
 
     def test_verdict_uses_max_of_ci_and_tolerance(self):
         s = power_series(1.0, -0.25)  # exact, so ci ~ 0
-        assert fit(s, target=-0.30, tolerance=0.04).verdict == "inconsistent"
-        assert fit(s, target=-0.30, tolerance=0.06).verdict == "consistent"
+        assert fit([s], target=-0.30, tolerance=0.04).verdict == "inconsistent"
+        assert fit([s], target=-0.30, tolerance=0.06).verdict == "consistent"
 
 
 class TestLogCorrection:
     def test_log_factor_stripped_exactly(self):
         # d = C n^{-1/2} log n: after removing log n the fit is an exact line
         s = power_series(0.8, -0.5, grid=(16, 64, 256, 1024, 4096), log_factor=True)
-        r = fit(s, target=-0.5)
+        r = fit([s], target=-0.5)
         assert abs(r.log_corrected_exponent - (-0.5)) <= 1e-12
         # the uncorrected slope absorbs part of the log factor
         assert r.exponent > -0.42
@@ -157,32 +156,44 @@ class TestLogCorrection:
             (n, float(n), 0.8 * n**-0.5 * math.log(n) * math.exp(0.01 * rng.standard_normal()), 0.0)
             for n in grid
         )
-        r = fit(RateSeries(points=pts, model_id="m", distance_kind="w1"), target=-0.5)
+        r = fit([RateSeries(points=pts, model_id="m", distance_kind="w1")], target=-0.5)
         assert abs(r.log_corrected_exponent - (-0.5)) <= 0.02
 
     def test_log_correction_nan_below_two_usable_points(self):
         # only n >= 2 enters the corrected fit (log log n); here that is one point
         s = power_series(1.0, -0.25, grid=(1, 2))
-        r = fit(s, target=-0.25)
+        r = fit([s], target=-0.25)
         assert math.isnan(r.log_corrected_exponent)
         assert r.verdict == "inconclusive"
 
 
 class TestVerdictGates:
     def test_three_points_inconclusive(self):
-        r = fit(power_series(1.0, -0.25, grid=(10, 1000, 100000)), target=-0.25)
+        r = fit([power_series(1.0, -0.25, grid=(10, 1000, 100000))], target=-0.25)
         assert r.points_used == 3
         assert r.verdict == "inconclusive"
         assert abs(r.exponent - (-0.25)) <= 1e-12  # the fit itself still runs
 
     def test_narrow_grid_inconclusive(self):
-        r = fit(power_series(1.0, -0.25, grid=(100, 140, 200, 280, 400)), target=-0.25)
+        r = fit([power_series(1.0, -0.25, grid=(100, 140, 200, 280, 400))], target=-0.25)
         assert r.decades < MIN_DECADES
         assert r.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_one_usable_point_is_inconclusive_for_any_seed_count(self, copies):
+        pts = ((10, 10.0, 0.0, 0.0), (100, 100.0, 0.5, 0.0))
+        series = [RateSeries(points=pts, model_id="m", distance_kind="w1")] * copies
+        r = fit(series, target=-0.25)
+        for value in (r.exponent, r.intercept, r.ci_halfwidth, r.log_corrected_exponent):
+            assert math.isnan(value)
+        assert r.verdict == "inconclusive"
+        assert (r.points_used, r.n_min, r.n_max) == (1, 0, 0)
+        assert r.note.endswith("too few usable points")
+        assert r.meta == {}
+
     def test_too_few_usable_points_returns_nan_fit(self):
         pts = ((10, 10.0, 0.0, 0.0), (100, 100.0, 0.5, 0.0))
-        r = fit(RateSeries(points=pts, model_id="m", distance_kind="w1"), target=-0.25)
+        r = fit([RateSeries(points=pts, model_id="m", distance_kind="w1")], target=-0.25)
         assert math.isnan(r.exponent)
         assert math.isnan(r.ci_halfwidth)
         assert r.verdict == "inconclusive"
@@ -200,8 +211,8 @@ class TestScaleInvariance:
             (n, float(n), w * n**-0.25, 0.0) for n, w in zip(WIDE_GRID, wobble)
         )
         scaled = tuple((n, v, scale * d, se) for n, v, d, se in base)
-        r0 = fit(RateSeries(points=base, model_id="m", distance_kind="w1"), target=-0.25)
-        r1 = fit(RateSeries(points=scaled, model_id="m", distance_kind="w1"), target=-0.25)
+        r0 = fit([RateSeries(points=base, model_id="m", distance_kind="w1")], target=-0.25)
+        r1 = fit([RateSeries(points=scaled, model_id="m", distance_kind="w1")], target=-0.25)
         assert abs(r1.exponent - r0.exponent) <= 1e-12
         assert abs(r1.ci_halfwidth - r0.ci_halfwidth) <= 1e-10
         assert r1.intercept - r0.intercept == pytest.approx(math.log(scale), abs=1e-10)
@@ -211,7 +222,7 @@ class TestScaleInvariance:
 class TestFitReplicated:
     def test_identical_series_recover_exact_power(self):
         series = [power_series(2.0, -0.25) for _ in range(8)]
-        r = fit_replicated(series, target=-0.25)
+        r = fit(series, target=-0.25)
         assert abs(r.exponent - (-0.25)) <= 1e-12
         assert r.ci_halfwidth <= 1e-12
         assert r.verdict == "consistent"
@@ -226,7 +237,7 @@ class TestFitReplicated:
                 for n in WIDE_GRID
             )
             series.append(RateSeries(points=pts, model_id="m", distance_kind="w1"))
-        r = fit_replicated(series, target=-0.25)
+        r = fit(series, target=-0.25)
         assert abs(r.exponent - (-0.25)) <= 0.02
         assert r.verdict == "consistent"
         assert r.ci_halfwidth > 0.0
@@ -236,14 +247,34 @@ class TestFitReplicated:
         # eight seeds: the 97.5 % quantile of Student's t with 7 degrees of
         # freedom is 2.364624251592784
         series = [power_series(1.0, -0.25 + 0.01 * j) for j in range(8)]
-        slopes = np.array([fit(s, target=-0.25).exponent for s in series])
-        r = fit_replicated(series, target=-0.25)
+        slopes = np.array([fit([s], target=-0.25).exponent for s in series])
+        r = fit(series, target=-0.25)
         expected = 2.364624251592784 * float(slopes.std(ddof=1)) / math.sqrt(8)
         assert abs(r.ci_halfwidth - expected) <= 1e-12 * expected
 
-    def test_needs_at_least_two_series(self):
-        with pytest.raises(ConfigurationError, match="at least two"):
-            fit_replicated([power_series(1.0, -0.25)], target=-0.25)
+    def test_one_series_is_the_regression_fit_with_empty_meta(self):
+        # residuals make the slope SE nonzero, so the 1.96 x SE rule shows
+        wobble = (1.05, 0.93, 1.08, 0.97)
+        pts = tuple((n, float(n), w * n**-0.25, 0.0) for n, w in zip(WIDE_GRID, wobble))
+        r = fit([RateSeries(points=pts, model_id="m", distance_kind="w1")], target=-0.25)
+        x = np.log(np.array(WIDE_GRID, dtype=float))
+        y = np.log([p[2] for p in pts])
+        (slope, intercept), cov = np.polyfit(x, y, 1, cov="unscaled")
+        rss = float(np.sum((y - slope * x - intercept) ** 2))
+        se = math.sqrt(rss / (len(x) - 2) * cov[0, 0])
+        assert r.exponent == pytest.approx(slope, rel=1e-12)
+        assert r.intercept == pytest.approx(intercept, rel=1e-12)
+        assert r.ci_halfwidth == pytest.approx(1.96 * se, rel=1e-10)
+        assert r.meta == {}
+
+    def test_copies_of_one_series_fit_like_the_series(self):
+        s = power_series(0.8, -0.5, grid=(16, 64, 256, 1024, 4096), log_factor=True)
+        one = fit([s], target=-0.5)
+        three = fit([s, s, s], target=-0.5)
+        for name in ("exponent", "intercept", "log_corrected_exponent"):
+            assert getattr(three, name) == pytest.approx(getattr(one, name), rel=1e-14), name
+        assert abs(three.log_corrected_exponent - (-0.5)) <= 1e-12
+        assert three.meta["seeds"] == 3
 
     def test_rejects_mismatched_grids(self):
         series = [
@@ -251,14 +282,16 @@ class TestFitReplicated:
             power_series(1.0, -0.25, grid=(10, 100, 1000, 20000)),
         ]
         with pytest.raises(ConfigurationError, match="n-grid"):
-            fit_replicated(series, target=-0.25)
+            fit(series, target=-0.25)
+        with pytest.raises(ConfigurationError, match="n-grid"):
+            fit([], target=-0.25)
 
     def test_identity_comes_from_first_series(self):
         series = [
             power_series(1.0, -0.25, model_id="first", distance_kind="w1"),
             power_series(2.0, -0.25, model_id="second", distance_kind="w1"),
         ]
-        r = fit_replicated(series, target=-0.25)
+        r = fit(series, target=-0.25)
         assert r.model_id == "first"
         assert r.distance_kind == "w1"
         assert (r.n_min, r.n_max) == (10, 10000)
@@ -266,8 +299,8 @@ class TestFitReplicated:
 
 class TestCsvRows:
     def make_results(self):
-        r1 = fit(power_series(3.0, -0.25), target=-0.25)
-        r2 = fit_replicated([power_series(2.0, -0.25) for _ in range(3)], target=-0.25)
+        r1 = fit([power_series(3.0, -0.25)], target=-0.25)
+        r2 = fit([power_series(2.0, -0.25) for _ in range(3)], target=-0.25)
         return [r1, r2]
 
     def test_header_and_shape(self):
@@ -278,7 +311,7 @@ class TestCsvRows:
         assert text.endswith("\n")
 
     def test_float_fields_roundtrip_and_note_quoted(self):
-        r = fit(power_series(3.0, -0.25), target=-0.25)
+        r = fit([power_series(3.0, -0.25)], target=-0.25)
         row = results_to_csv([r]).splitlines()[1]
         fields = row.split(",")
         assert len(fields) == len(RATEFIT_CSV_COLUMNS)
@@ -293,7 +326,7 @@ class TestCsvRows:
         assert fields[13] == '"' + r.note + '"'
 
     def test_note_with_quotes_and_commas_reads_back(self):
-        r = dataclasses.replace(fit(power_series(3.0, -0.25), target=-0.25), note='a "b", c')
+        r = dataclasses.replace(fit([power_series(3.0, -0.25)], target=-0.25), note='a "b", c')
         header, row = csv.reader(results_to_csv([r]).splitlines())
         assert len(header) == len(row) == 14
         assert row[13] == 'a "b", c'
