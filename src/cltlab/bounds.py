@@ -24,7 +24,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .distances import check_p
+from .errors import DomainError
 from .models.base import Model, PathMoments
 from .numerics import csv_text
 
@@ -35,9 +36,9 @@ C_R1_QUARTIC = 8.0 / 5.0
 # Additive smoothing constant 4*sqrt(2) in front of (a*delta)^r.
 ADDITIVE_CONST = 4.0 * math.sqrt(2.0)
 
-# heyde_brown's Monte Carlo default.  Its block keeps the bracket paths
-# disjoint from the distance pipeline's replicate streams under the same
-# master seed.
+# heyde_brown's Monte Carlo replicates, read when it is called.  Its block
+# keeps the bracket paths disjoint from the distance pipeline's replicate
+# streams under the same master seed.
 U_REPLICATES = 10_000
 HB_BLOCK = 103
 
@@ -45,6 +46,9 @@ HB_BLOCK = 103
 # the halved grid (every other point) still contains both endpoints for the
 # Richardson error estimate.
 PSI_GRID_POINTS = 513
+
+# The fluctuation sum's formula in the displays whose floor carries a.
+FLUCTUATION_FORMULA = "sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)"
 
 BOUND_CSV_COLUMNS = (
     "bound_id",
@@ -59,59 +63,49 @@ BOUND_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class BoundTerm:
-    """One itemized summand of a bound: value, uncertainty, provenance."""
+    """One itemized summand of a bound: value, provenance and, for a term
+    that is not exact, its standard error."""
 
     name: str
     value: float
-    se: float
-    exact: bool
     formula: str
-
-
-# combination -> the bound table's formula for the total it derives
-_TOTAL_FORMULAS = {
-    "sum": lambda power: "sum(terms)",
-    "powered_sum": lambda power: f"(sum(terms))^{power:g}",
-    "prefactor_powered_sum": lambda power: f"terms[0]*(sum(terms[1:]))^{power:g}",
-}
+    se: float = 0.0
+    exact: bool = True
 
 
 @dataclass(frozen=True)
 class BoundBreakdown:
     """A bound total together with the terms it is assembled from.
 
-    combination (a key of _TOTAL_FORMULAS) and power say how the terms make
-    the total, which is derived at construction:
-      sum                   total = sum(values)            (power must be 1)
-      powered_sum           total = (sum(values)) ** power
-      prefactor_powered_sum total = values[0] * (sum(values[1:])) ** power
+    The total, derived at construction, is (sum of the values) ** power, or
+    values[0] * (sum of the other values) ** power with a prefactor.
     """
 
     bound_id: str
     terms: tuple[BoundTerm, ...]
     constants_mode: str
-    combination: str = "sum"
     power: float = 1.0
+    prefactor: bool = False
     meta: Mapping[str, object] = field(default_factory=dict)
     total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.combination not in _TOTAL_FORMULAS:
-            raise ConfigurationError(f"unknown combination {self.combination!r}")
-        if self.combination == "sum" and self.power != 1.0:
-            raise ConfigurationError(f"a plain sum has power 1, got {self.power!r}")
         prefactor, summands = self._split()
         total = prefactor * float(sum(t.value for t in summands)) ** self.power
         object.__setattr__(self, "total", float(total))
 
     def _split(self) -> tuple[float, tuple[BoundTerm, ...]]:
         """(prefactor, summands): total = prefactor * sum(summands) ** power."""
-        if self.combination == "prefactor_powered_sum":
+        if self.prefactor:
             return self.terms[0].value, self.terms[1:]
         return 1.0, self.terms
 
     def total_formula(self) -> str:
-        return _TOTAL_FORMULAS[self.combination](self.power)
+        if self.prefactor:
+            return f"terms[0]*(sum(terms[1:]))^{self.power:g}"
+        if self.power == 1.0:
+            return "sum(terms)"
+        return f"(sum(terms))^{self.power:g}"
 
     def total_se(self) -> float:
         """First-order propagated standard error of the total."""
@@ -127,12 +121,12 @@ def breakdowns_to_csv(breakdowns: Sequence[BoundBreakdown]) -> str:
     """The bound table: one row per term plus a closing total row per breakdown."""
     rows = []
     for bd in breakdowns:
-        items = [(t.name, t.value, t.se, t.exact, t.formula) for t in bd.terms]
         exact = all(t.exact for t in bd.terms)
-        items.append(("total", bd.total, bd.total_se(), exact, bd.total_formula()))
+        total = BoundTerm("total", bd.total, bd.total_formula(), bd.total_se(), exact)
+        mode = bd.constants_mode
         rows.extend(
-            (bd.bound_id, name, float(value), float(se), is_exact, bd.constants_mode, formula)
-            for name, value, se, is_exact, formula in items
+            (bd.bound_id, t.name, float(t.value), float(t.se), t.exact, mode, t.formula)
+            for t in (*bd.terms, total)
         )
     return csv_text(BOUND_CSV_COLUMNS, rows)
 
@@ -149,11 +143,6 @@ def vn_of_a(a: float, moments: PathMoments) -> float:
     return a * a * moments.delta_n**2 + alpha * moments.v_n
 
 
-def _power_integral(a: float, x_hi: float) -> float:
-    """integral_a^{x_hi} x^(-2) dx, closed form."""
-    return a**-1.0 - x_hi**-1.0
-
-
 # ---------------------------------------------------------------------------
 # the conditional-variance fluctuation sum
 
@@ -166,7 +155,7 @@ def l_n(p: float, r: float, a: float, model: Model) -> float:
     it is read from the family's ``u_exact``, and a family that does not
     declare it raises CapabilityError.
     """
-    _validate_p(p)
+    check_p(p)
     if not (isinstance(r, (int, float)) and 0.0 < r <= p):
         raise DomainError(f"r must lie in (0, p], got {r!r}")
     if not (math.isfinite(a) and a >= 1.0):
@@ -178,11 +167,6 @@ def l_n(p: float, r: float, a: float, model: Model) -> float:
     tails = mo.tail_sums()[1:]
     denoms = (tails + a * a * mo.delta_n**2) ** ((p - r) / 2.0)
     return float(sum(u / d for u, d in zip(model.u_exact(p), denoms)))
-
-
-def _validate_p(p: float) -> None:
-    if not (isinstance(p, (int, float)) and 2.0 < p <= 3.0):
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,57 +189,45 @@ def theorem1_rhs(p: float, a: float, model: Model) -> BoundBreakdown:
     ``explicit_r1``.  The formulas keep the general-r form the table prints;
     each factor with exponent r - 1 is exactly 1.
     """
-    _validate_p(p)
+    check_p(p)
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
     x_hi = math.sqrt(va) / delta
 
-    t1 = delta * _power_integral(a, x_hi)
+    # integral_a^X x^(-2) dx in closed form
+    t1 = delta * (a**-1.0 - x_hi**-1.0)
 
     # the fluctuation sum goes first: it raises CapabilityError for a family
     # without a fluctuation oracle before the psi profile is evaluated
     lv = l_n(p, 1.0, a, model)
 
-    t2, t2_se = _psi_term(model, a, x_hi)
+    # integral_a^X psi(kappa x) dx/x: with u = log x the integrand is
+    # psi(kappa e^u), taken by the trapezoid on a uniform u-grid; its
+    # half-resolution restriction gives the Richardson error estimate
+    u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
+    g = model.psi_closed_form(KAPPA_R1 * np.exp(u))
+    t2 = float(np.trapezoid(g, u))
+    t2_se = abs(t2 - float(np.trapezoid(g[::2], u[::2]))) / 3.0
 
     t4 = ADDITIVE_CONST * a * delta
 
     terms = (
+        BoundTerm("variance_tail_integral", float(t1), "delta^r * integral_a^X x^(r-3) dx"),
         BoundTerm(
-            name="variance_tail_integral",
-            value=float(t1),
-            se=0.0,
-            exact=True,
-            formula="delta^r * integral_a^X x^(r-3) dx",
-        ),
-        BoundTerm(
-            name="psi_integral",
-            value=float(t2),
-            se=float(t2_se),
+            "psi_integral",
+            t2,
+            "delta^(r-1) * integral_a^X psi(kappa*x) * x^(r-2) dx",
+            se=t2_se,
             exact=False,
-            formula="delta^(r-1) * integral_a^X psi(kappa*x) * x^(r-2) dx",
         ),
-        BoundTerm(
-            name="fluctuation_sum",
-            value=lv,
-            se=0.0,
-            exact=True,
-            formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
-        ),
-        BoundTerm(
-            name="smoothing_floor",
-            value=float(t4),
-            se=0.0,
-            exact=True,
-            formula="4*sqrt(2) * a^r * delta^r",
-        ),
+        BoundTerm("fluctuation_sum", lv, FLUCTUATION_FORMULA),
+        BoundTerm("smoothing_floor", float(t4), "4*sqrt(2) * a^r * delta^r"),
     )
     return BoundBreakdown(
         bound_id="theorem1_rhs",
         terms=terms,
         constants_mode="explicit_r1",
-        combination="sum",
         meta={
             "model_id": model.model_id,
             "r": 1.0,
@@ -273,20 +245,6 @@ def theorem1_rhs(p: float, a: float, model: Model) -> BoundBreakdown:
             "quartic_constant": C_R1_QUARTIC,
         },
     )
-
-
-def _psi_term(model: Model, a: float, x_hi: float) -> tuple[float, float]:
-    """integral_a^X psi(kappa x) dx/x on a log grid, with its se.
-
-    Substituting u = log x turns the integrand into psi(kappa e^u); the
-    trapezoid on the uniform u-grid is paired with its half-resolution
-    restriction for a Richardson error estimate.
-    """
-    u = np.linspace(math.log(a), math.log(x_hi), PSI_GRID_POINTS)
-    g = model.psi_closed_form(KAPPA_R1 * np.exp(u))
-    fine = float(np.trapezoid(g, u))
-    coarse = float(np.trapezoid(g[::2], u[::2]))
-    return fine, abs(fine - coarse) / 3.0
 
 
 def minimize_over_a(
@@ -315,7 +273,7 @@ def corollary_w1_bound(p: float, a: float, model: Model) -> BoundBreakdown:
     v_n(a)^((2+r-p)/2); at p = 3 the power degenerates and is replaced by
     log(sqrt(v_n(a))/delta).
     """
-    _validate_p(p)
+    check_p(p)
     mo = model.moments()
     delta = mo.delta_n
     va = vn_of_a(a, mo)
@@ -331,32 +289,15 @@ def corollary_w1_bound(p: float, a: float, model: Model) -> BoundBreakdown:
     lv = l_n(p, 1.0, a, model)
     terms = (
         BoundTerm(
-            name="smoothing_floor",
-            value=float(ADDITIVE_CONST * (a * delta)),
-            se=0.0,
-            exact=True,
-            formula="4*sqrt(2) * (a*delta)^r",
+            "smoothing_floor", float(ADDITIVE_CONST * (a * delta)), "4*sqrt(2) * (a*delta)^r"
         ),
-        BoundTerm(
-            name="moment_ratio_term",
-            value=float(sup * factor),
-            se=0.0,
-            exact=True,
-            formula=mid_formula,
-        ),
-        BoundTerm(
-            name="fluctuation_sum",
-            value=lv,
-            se=0.0,
-            exact=True,
-            formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
-        ),
+        BoundTerm("moment_ratio_term", float(sup * factor), mid_formula),
+        BoundTerm("fluctuation_sum", lv, FLUCTUATION_FORMULA),
     )
     return BoundBreakdown(
         bound_id="w1_upper",
         terms=terms,
         constants_mode="shape_only",
-        combination="sum",
         meta={
             "model_id": model.model_id,
             "r": 1.0,
@@ -372,7 +313,7 @@ def corollary_w1_bound(p: float, a: float, model: Model) -> BoundBreakdown:
 
 def berry_esseen_target_exponent(p: float) -> float:
     """Predicted uniform-distance decay exponent in V_n: -(p-2)/(2(p-1))."""
-    _validate_p(p)
+    check_p(p)
     return -(p - 2.0) / (2.0 * (p - 1.0))
 
 
@@ -385,50 +326,33 @@ def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
     The metadata records the pure target exponent for the rate-fit module
     (log_correction marks the p = 3 square-root-of-log factor).
     """
-    _validate_p(p)
-    mo = model.moments()
     target = berry_esseen_target_exponent(p)
+    mo = model.moments()
     sup = model.sup_moment_ratio(p)
     if p < 3.0:
         r = p - 2.0
         factor = 1.0
-        power = 1.0 / (p - 1.0)
         mid_formula = "sup_k E|xi_k|^p/sigma_k^2"
     else:
         r = 1.0
         factor = math.log(math.sqrt(vn_of_a(1.0, mo)) / mo.delta_n)
-        power = 0.5
         mid_formula = "sup_k E|xi_k|^3/sigma_k^2 * log(sqrt(v_n(1))/delta)"
     lv = l_n(p, r, 1.0, model)
     terms = (
+        BoundTerm("variance_power", float(mo.v_n**target), "V_n^(-(p-2)/(2(p-1)))"),
+        BoundTerm("moment_ratio_term", float(sup * factor), mid_formula),
         BoundTerm(
-            name="variance_power",
-            value=float(mo.v_n**target),
-            se=0.0,
-            exact=True,
-            formula="V_n^(-(p-2)/(2(p-1)))",
-        ),
-        BoundTerm(
-            name="moment_ratio_term",
-            value=float(sup * factor),
-            se=0.0,
-            exact=True,
-            formula=mid_formula,
-        ),
-        BoundTerm(
-            name="fluctuation_sum",
-            value=lv,
-            se=0.0,
-            exact=True,
-            formula="sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + delta^2)^((p-r)/2)",
+            "fluctuation_sum",
+            lv,
+            "sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + delta^2)^((p-r)/2)",
         ),
     )
     return BoundBreakdown(
         bound_id="berry_esseen",
         terms=terms,
         constants_mode="shape_only",
-        combination="prefactor_powered_sum",
-        power=power,
+        power=1.0 / (p - 1.0),
+        prefactor=True,
         meta={
             "model_id": model.model_id,
             "p": p,
@@ -440,16 +364,13 @@ def berry_esseen_bound(p: float, model: Model) -> BoundBreakdown:
     )
 
 
-def heyde_brown_bound(
-    p: float,
-    model: Model,
-    replicates: int = U_REPLICATES,
-    master_seed: int = 0,
-) -> BoundBreakdown:
+def heyde_brown_bound(p: float, model: Model, master_seed: int = 0) -> BoundBreakdown:
     """Classical quadratic-variation bound shape, for comparison plots.
 
     (||<M>_n/V_n - 1||_{p/2}^{p/2} + V_n^(-p/2) sum_k E|xi_k|^p)^(1/(p+1))
-    with the unknown leading constant entered as 1.
+    with the unknown leading constant entered as 1.  The first term is a
+    mean over U_REPLICATES bracket paths unless the conditional variances
+    are constant, where it is exactly 0.
     """
     if not (isinstance(p, (int, float)) and 2.0 < p <= 4.0):
         raise DomainError(f"p must lie in (2, 4], got {p!r}")
@@ -457,7 +378,7 @@ def heyde_brown_bound(
     if mo.conditional_variance_constant:
         first, first_se, first_exact = 0.0, 0.0, True
     else:
-        states = model.prefix_states_chunk(master_seed, replicates, HB_BLOCK)
+        states = model.prefix_states_chunk(master_seed, U_REPLICATES, HB_BLOCK)
         dev = np.abs(model.bracket_samples(states) / mo.v_n - 1.0) ** (p / 2.0)
         first = float(dev.mean())
         first_se = float(dev.std(ddof=1) / math.sqrt(dev.size))
@@ -465,25 +386,22 @@ def heyde_brown_bound(
     vpow = mo.v_n ** (-p / 2.0)
     terms = (
         BoundTerm(
-            name="bracket_deviation",
-            value=first,
+            "bracket_deviation",
+            first,
+            "||<M>_n/V_n - 1||_{p/2}^{p/2}",
             se=first_se,
             exact=first_exact,
-            formula="||<M>_n/V_n - 1||_{p/2}^{p/2}",
         ),
         BoundTerm(
-            name="lyapunov_sum",
-            value=float(vpow * model.sum_abs_moments(p)),
-            se=0.0,
-            exact=True,
-            formula="V_n^(-p/2) * sum_k E|xi_k|^p",
+            "lyapunov_sum",
+            float(vpow * model.sum_abs_moments(p)),
+            "V_n^(-p/2) * sum_k E|xi_k|^p",
         ),
     )
     return BoundBreakdown(
         bound_id="heyde_brown",
         terms=terms,
         constants_mode="shape_only",
-        combination="powered_sum",
         power=1.0 / (p + 1.0),
         meta={
             "model_id": model.model_id,
@@ -515,7 +433,7 @@ def bnp(
     with m = max |alpha|, Lambda = sum_i i*lambda_i over i = 1..n, and
     eta = sum of eta_seq over i = 0..n.
     """
-    _validate_p(p)
+    check_p(p)
     a = np.asarray(alphas, dtype=float)
     if a.size == 0:
         raise DomainError("empty coefficient list")
@@ -563,26 +481,13 @@ def linear_statistic_w1_bound(model: Model) -> BoundBreakdown:
     t1 = m_n * float(np.sum(eta_2))
     t2 = bnp(n, p, alphas, lam, eta_p)
     terms = (
-        BoundTerm(
-            name="projection_l2",
-            value=float(t1),
-            se=0.0,
-            exact=True,
-            formula="m_n * sum_{k=0}^n ||E(Y_k|G_0)||_2",
-        ),
-        BoundTerm(
-            name="bnp",
-            value=float(t2),
-            se=0.0,
-            exact=True,
-            formula="B(n,p) from the projection norms",
-        ),
+        BoundTerm("projection_l2", float(t1), "m_n * sum_{k=0}^n ||E(Y_k|G_0)||_2"),
+        BoundTerm("bnp", float(t2), "B(n,p) from the projection norms"),
     )
     return BoundBreakdown(
         bound_id="linear_w1",
         terms=terms,
         constants_mode="shape_only",
-        combination="sum",
         meta={
             "model_id": model.model_id,
             "p": p,
@@ -593,41 +498,28 @@ def linear_statistic_w1_bound(model: Model) -> BoundBreakdown:
     )
 
 
-def rho_mixing_bound(k_n: float, c_n: float, v_n: float) -> float:
+def rho_mixing_bound(model: Model) -> BoundBreakdown:
     """K_n * (1 + C_n * log(1 + C_n * V_n)), the bounded-mixing transport shape."""
-    if not (k_n > 0.0 and c_n > 0.0 and v_n > 0.0):
-        raise DomainError("k_n, c_n and v_n must all be positive")
-    return k_n * (1.0 + c_n * math.log1p(c_n * v_n))
-
-
-def seqdyn_bound(n: int, v_n: float) -> float:
-    """log(n+1) * log(2 + V_n), the sequential expanding-map transport shape."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    if not (math.isfinite(v_n) and v_n >= 0.0):
-        raise DomainError(f"v_n must be a finite nonnegative real, got {v_n!r}")
-    return math.log(n + 1.0) * math.log(2.0 + v_n)
-
-
-def _shape_breakdown(
-    bound_id: str, value: float, formula: str, meta: Mapping[str, object]
-) -> BoundBreakdown:
-    """A one-term shape display: the total is the shape value itself."""
-    term = BoundTerm("shape", value, 0.0, True, formula)
-    return BoundBreakdown(bound_id, (term,), "shape_only", meta=meta)
-
-
-def _rho_mixing(model: Model) -> BoundBreakdown:
     k_n, c_n, v_n = model.k_n(), model.c_n(), model.moments().v_n
-    meta = {"model_id": model.model_id, "k_n": k_n, "c_n": c_n, "v_n": v_n}
-    value = rho_mixing_bound(k_n, c_n, v_n)
-    return _shape_breakdown("rho_mixing", value, "K_n*(1+C_n*log(1+C_n*V_n))", meta)
+    value = k_n * (1.0 + c_n * math.log1p(c_n * v_n))
+    return BoundBreakdown(
+        bound_id="rho_mixing",
+        terms=(BoundTerm("shape", value, "K_n*(1+C_n*log(1+C_n*V_n))"),),
+        constants_mode="shape_only",
+        meta={"model_id": model.model_id, "k_n": k_n, "c_n": c_n, "v_n": v_n},
+    )
 
 
-def _seqdyn(model: Model) -> BoundBreakdown:
+def seqdyn_bound(model: Model) -> BoundBreakdown:
+    """log(n+1) * log(2 + V_n), the sequential expanding-map transport shape."""
     v_n = model.moments().v_n
-    meta = {"model_id": model.model_id, "v_n": v_n}
-    return _shape_breakdown("seqdyn", seqdyn_bound(model.spec.n, v_n), "log(n+1)*log(2+V_n)", meta)
+    value = math.log(model.spec.n + 1.0) * math.log(2.0 + v_n)
+    return BoundBreakdown(
+        bound_id="seqdyn",
+        terms=(BoundTerm("shape", value, "log(n+1)*log(2+V_n)"),),
+        constants_mode="shape_only",
+        meta={"model_id": model.model_id, "v_n": v_n},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +549,8 @@ BOUNDS: dict[str, Callable[[Model, float, int, Optional[float]], BoundBreakdown]
     "berry_esseen": lambda model, p, seed, a: berry_esseen_bound(p, model),
     "heyde_brown": lambda model, p, seed, a: heyde_brown_bound(p, model, master_seed=seed),
     "linear_w1": lambda model, p, seed, a: linear_statistic_w1_bound(model),
-    "rho_mixing": lambda model, p, seed, a: _rho_mixing(model),
-    "seqdyn": lambda model, p, seed, a: _seqdyn(model),
+    "rho_mixing": lambda model, p, seed, a: rho_mixing_bound(model),
+    "seqdyn": lambda model, p, seed, a: seqdyn_bound(model),
 }
 
 # The tags `cltlab bounds` evaluates for a family when a config requests none.

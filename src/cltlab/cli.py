@@ -33,6 +33,7 @@ from . import ratefit as _ratefit
 from .distances import (
     DistanceReport,
     EmpiricalSample,
+    check_p,
     compute_report,
     kolmogorov_se,
     kolmogorov_vs_normal,
@@ -245,6 +246,7 @@ def _measure(cfg: ExperimentConfig, master_seed: int) -> list[DistanceReport]:
 
 
 def cmd_distance(cfg: ExperimentConfig) -> int:
+    check_p(cfg.model.p)
     out = _ensure_out(cfg)
     reports = _measure(cfg, cfg.master_seed)
     write_text(out / "distances.csv", reports_to_csv(reports))
@@ -292,7 +294,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
 def _default_target(cfg: ExperimentConfig) -> float:
     if cfg.distance_kind == "kolmogorov":
         return _bounds.berry_esseen_target_exponent(cfg.model.p)
-    return -0.5
+    # w1_normalized is W1 times sqrt(V_n): its exponent is w1's plus 1/2, and
+    # the p = 3 W1 display grows only like log V_n
+    return -0.5 if cfg.distance_kind == "w1" else 0.0
 
 
 def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefit.RateSeries:
@@ -324,6 +328,7 @@ def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefi
 
 
 def cmd_ratefit(cfg: ExperimentConfig) -> int:
+    check_p(cfg.model.p)
     out = _ensure_out(cfg)
     target = cfg.target_exponent if cfg.target_exponent is not None else _default_target(cfg)
     files = ["ratefit.csv", "distances.csv"]  # a refit's manifest attests the table it read
@@ -450,8 +455,7 @@ def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
     if cfg.model.family != "ce_lowerbound":
         raise ConfigurationError(f"verify-ce checks ce_lowerbound only, got {cfg.model.family!r}")
     p, reps, seed = cfg.model.p, cfg.replicates, cfg.master_seed
-    if not (2.0 < p <= 3.0):
-        raise ConfigurationError(f"p must lie in (2, 3], got {p!r}")
+    check_p(p)
     m_reps = min(reps, VERIFY_MOMENT_REPLICATES)
     check_table_size(m_reps, cfg.n_grid[-1])
 

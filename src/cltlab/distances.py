@@ -135,13 +135,18 @@ def wr_quantile_coupling(sample: EmpiricalSample, r: float) -> tuple[float, bool
     return value, bool(r < 1.0)
 
 
+def check_p(p: float) -> None:
+    """DomainError unless the moment order p lies in (2, 3]."""
+    if not (2.0 < p <= 3.0):
+        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+
+
 def be_transfer(wr_value: float, p: float) -> float:
     """Kolmogorov bound implied by a W_{p-2} distance, 2 < p <= 3.
 
     (1 + (2*pi)^{-1/2}) * wr_value^{1/(p-1)}.
     """
-    if not (2.0 < p <= 3.0):
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+    check_p(p)
     if wr_value < 0 or not math.isfinite(wr_value):
         raise DomainError(f"wr_value must be a finite nonnegative real, got {wr_value!r}")
     return TRANSFER_CONSTANT * wr_value ** (1.0 / (p - 1.0))
@@ -206,8 +211,7 @@ def compute_report(sample: EmpiricalSample, model_id: str, n: int, p: float) -> 
     The coupling order is the one the theory pairs with p: r = p - 2 for
     p < 3 and r = 1 at p = 3.
     """
-    if not (2.0 < p <= 3.0):
-        raise DomainError(f"p must lie in (2, 3], got {p!r}")
+    check_p(p)
     wr_r = 1.0 if p == 3.0 else p - 2.0
     wr_value, upper = wr_quantile_coupling(sample, wr_r)
     return DistanceReport(

@@ -198,13 +198,16 @@ class PathMoments:
     """Per-increment variance ladder of the martingale the model designates.
 
     sigma2 sums to v_n (the variance of the designated path sum) within
-    rounding; delta_n is the largest increment scale max_k sigma_k.
+    rounding.  delta_n, the largest increment scale max_k sigma_k, is not
+    passed: it is read off the ladder as sqrt(max_k sigma_k^2).
+    conditional_variance_constant says that E(xi_k^2 | past) = sigma_k^2 for
+    every k, so the fluctuation statistics vanish.
     """
 
     sigma2: np.ndarray
     v_n: float
-    delta_n: float
     conditional_variance_constant: bool
+    delta_n: float = field(init=False)
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma2, dtype=float)
@@ -218,9 +221,7 @@ class PathMoments:
             raise DomainError(
                 f"variance ladder does not sum to v_n: {float(np.sum(s))!r} vs {self.v_n!r}"
             )
-        expected_delta = math.sqrt(float(np.max(s)))
-        if abs(self.delta_n - expected_delta) > 1e-9 * max(1.0, expected_delta):
-            raise DomainError("delta_n must equal max_k sigma_k")
+        object.__setattr__(self, "delta_n", math.sqrt(float(np.max(s))))
 
     def tail_sums(self) -> np.ndarray:
         """sum_{k >= ell} sigma_k^2 for ell = 1..n at index ell-1, in a new array.

@@ -120,12 +120,7 @@ class CELowerBound(Model):
 
     def moments(self) -> PathMoments:
         n = self.spec.n
-        return PathMoments(
-            sigma2=np.ones(n),
-            v_n=float(n),
-            delta_n=1.0,
-            conditional_variance_constant=True,
-        )
+        return PathMoments(sigma2=np.ones(n), v_n=float(n), conditional_variance_constant=True)
 
     # -- path generation ---------------------------------------------------
 

@@ -40,7 +40,6 @@ holds code*S + s.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -167,10 +166,7 @@ class RhoMixingChain(Model):
         if self._moments is None:
             sigma2 = self.sigma2_ladder()
             self._moments = PathMoments(
-                sigma2=sigma2,
-                v_n=float(np.sum(sigma2)),
-                delta_n=float(math.sqrt(np.max(sigma2))),
-                conditional_variance_constant=False,
+                sigma2=sigma2, v_n=float(np.sum(sigma2)), conditional_variance_constant=False
             )
         return self._moments
 
@@ -262,7 +258,7 @@ class RhoMixingChain(Model):
         as the per-k table sums it; a block of t holds <= DRAW_BUDGET terms."""
         values, probs = self._increment_laws()
         sigma2, S = self.sigma2_ladder(), self.n_states
-        scale = np.asarray(t, dtype=float)[:, None, None] * math.sqrt(float(np.max(sigma2)))
+        scale = np.asarray(t, dtype=float)[:, None, None] * self.moments().delta_n
         out = np.zeros(scale.shape[0])
         for rows, width in ((np.flatnonzero(sigma2[:1] > 0.0), S), (self._law_rows, S * S)):
             v, q = values[rows, :width], probs[rows, :width]

@@ -80,15 +80,9 @@ class _IIDBase(Model):
         super().__init__(spec)
         self.sigma = sigma_schedule(spec)
         self._v_n = float(np.sum(self.sigma**2))
-        self._delta = float(np.max(self.sigma))
 
     def moments(self) -> PathMoments:
-        return PathMoments(
-            sigma2=self.sigma**2,
-            v_n=self._v_n,
-            delta_n=self._delta,
-            conditional_variance_constant=True,
-        )
+        return PathMoments(sigma2=self.sigma**2, v_n=self._v_n, conditional_variance_constant=True)
 
     # Draw rows hold the unit variables Z_k or eps_k.
 
@@ -135,7 +129,7 @@ class RademacherIID(_IIDBase):
     def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
         # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),
         # increasing in sigma_k, so the sup is min(t, 1) * delta.
-        return self._delta * np.minimum(t, 1.0)
+        return self.moments().delta_n * np.minimum(t, 1.0)
 
     def sup_moment_ratio(self, p: float) -> float:
         return float(np.max(self.sigma ** (p - 2.0)))

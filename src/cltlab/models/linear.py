@@ -193,12 +193,7 @@ class LinearStatistic(Model):
             sigma2 = np.empty(n)
             sigma2[0] = float(np.sum(w2[: q + 1]))
             sigma2[1:] = w2[q + 1 :]
-        return PathMoments(
-            sigma2=sigma2,
-            v_n=self._v_n,
-            delta_n=float(math.sqrt(np.max(sigma2))),
-            conditional_variance_constant=True,
-        )
+        return PathMoments(sigma2=sigma2, v_n=self._v_n, conditional_variance_constant=True)
 
     def statistic_normalizer(self) -> float:
         if self.normalization == "limit":

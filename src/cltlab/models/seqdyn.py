@@ -114,12 +114,8 @@ class SequentialMaps(Model):
         """
         n = self.spec.n
         v_n = self.exact_vn()
-        sigma2 = np.full(n, v_n / n)
         return PathMoments(
-            sigma2=sigma2,
-            v_n=v_n,
-            delta_n=float(math.sqrt(np.max(sigma2))),
-            conditional_variance_constant=False,
+            sigma2=np.full(n, v_n / n), v_n=v_n, conditional_variance_constant=False
         )
 
     # -- sampling --------------------------------------------------------------

@@ -9,10 +9,11 @@ scalars or arrays and always hand back the matching shape.  Every scipy call
 goes through `scipy_special`, which imports scipy.special (about 0.3 s) on its
 first call: a command that evaluates no Phi, Phi^-1 or t-quantile never does.
 
-`quadrature` is intentionally *not* backed by scipy: it is the independent
-cross-check used by the test-suite against every closed form in the package,
-so it is a self-contained adaptive Simpson scheme with interval bisection and
-a hard evaluation budget.  It is an oracle, not a hot path.
+`quadrature` is intentionally *not* backed by scipy: it is a self-contained
+adaptive Simpson scheme with interval bisection and a hard evaluation budget,
+and the test-suite's independent cross-check of every closed form.  It is on
+a bound path too: ce_lowerbound's psi profile runs it once per point and its
+`tail_abs_moment` once per call, and linear_statistic's E|Z^2 - 1|^q once per q.
 
 `SeedLineage` maps a (master_seed, stream_id) pair to a Philox key.  Philox is
 counter based, so distinct keys give statistically independent streams without
@@ -118,20 +119,17 @@ def integral_of_phi(x: ArrayLike) -> ArrayLike:
     return _match_input(res, x)
 
 
-def quadrature(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_evals: int = 100_000,
-) -> float:
+# The integrand evaluations one quadrature call may spend.
+QUADRATURE_MAX_EVALS = 100_000
+
+
+def quadrature(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson integration of f over [lo, hi].
 
     Bisects intervals until the local Richardson error estimate is inside the
     (proportionally allocated) tolerance.  Raises QuadratureError if the
-    evaluation budget runs out first — the caller is never handed a silently
-    unconverged value.  This routine exists as an independent oracle for the
-    closed forms elsewhere in the package; do not put it on a hot path.
+    QUADRATURE_MAX_EVALS budget runs out first — the caller is never handed a
+    silently unconverged value.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("quadrature requires finite endpoints")
@@ -149,9 +147,9 @@ def quadrature(
     def feval(x: float) -> float:
         nonlocal evals
         evals += 1
-        if evals > max_evals:
+        if evals > QUADRATURE_MAX_EVALS:
             raise QuadratureError(
-                f"quadrature exceeded {max_evals} evaluations before reaching tol={tol}"
+                f"quadrature exceeded {QUADRATURE_MAX_EVALS} evaluations before reaching tol={tol}"
             )
         y = float(f(x))
         if not math.isfinite(y):

@@ -299,7 +299,7 @@ def test_criterion_07_chain_window_constant_and_bound_ratio(chain_runs):
     normalized = []
     for n, m, rep in chain_runs:
         w1_unnormalized = rep.w1 * math.sqrt(m.moments().v_n)
-        bound = _bounds.rho_mixing_bound(m.k_n(), m.c_n(), m.moments().v_n)
+        bound = _bounds.rho_mixing_bound(m).total
         normalized.append(w1_unnormalized / bound)
     band = max(normalized) / min(normalized)
     assert band <= 5.0, f"W1/bound series spans a factor {band:.2f} > 5"
@@ -330,7 +330,7 @@ def test_criterion_08_seqdyn_variance_and_decay(seqdyn_runs):
     assert all(b < a for a, b in zip(w1s, w1s[1:])), f"W1 not decreasing: {w1s}"
 
     shapes = [
-        _bounds.seqdyn_bound(n, model.exact_vn()) / math.sqrt(n)
+        _bounds.seqdyn_bound(model).total / math.sqrt(n)
         for n, model, _, _ in seqdyn_runs
     ]
     ratios = [w / s for w, s in zip(w1s, shapes)]

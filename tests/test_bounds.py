@@ -4,10 +4,12 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cltlab import bounds as bounds_module
 from cltlab.bounds import (
     ADDITIVE_CONST,
     BOUND_CSV_COLUMNS,
@@ -29,7 +31,6 @@ from cltlab.bounds import (
     seqdyn_bound,
     theorem1_rhs,
     vn_of_a,
-    _power_integral,
 )
 from cltlab.errors import CapabilityError, ConfigurationError, DomainError
 from cltlab.models import KNOWN_FAMILIES, make_model
@@ -57,22 +58,15 @@ def spec(family, n, p=3.0, **params):
 
 def flat_moments(n, v):
     s = np.full(n, v / n)
-    return PathMoments(
-        sigma2=s,
-        v_n=float(v),
-        delta_n=float(math.sqrt(v / n)),
-        conditional_variance_constant=True,
-    )
+    return PathMoments(sigma2=s, v_n=float(v), conditional_variance_constant=True)
 
 
 def combined(bd):
-    """The total by the breakdown's documented combination rule."""
+    """The total by the breakdown's documented power and prefactor rule."""
     vals = [t.value for t in bd.terms]
-    if bd.combination == "sum":
-        return sum(vals)
-    if bd.combination == "powered_sum":
-        return sum(vals) ** bd.power
-    return vals[0] * sum(vals[1:]) ** bd.power
+    if bd.prefactor:
+        return vals[0] * sum(vals[1:]) ** bd.power
+    return sum(vals) ** bd.power
 
 
 def rademacher(n, p=3.0):
@@ -95,10 +89,6 @@ class TestScalarHelpers:
     def test_vn_of_a_rejects_small_a(self):
         with pytest.raises(DomainError):
             vn_of_a(0.5, flat_moments(4, 4.0))
-
-    def test_power_integral(self):
-        # r = 1: integral of x^-2 from a to X.
-        assert abs(_power_integral(1.0, 10.0) - 0.9) <= 1e-14
 
     def test_target_exponents(self):
         assert berry_esseen_target_exponent(3.0) == -0.25
@@ -306,7 +296,7 @@ class TestMasterBound:
         assert abs(psi_term.value - 0.5 * math.log(201.0)) <= 1e-12
         assert psi_term.se <= 1e-12
         assert term(bd, "fluctuation_sum") == BoundTerm(
-            "fluctuation_sum", 0.0, 0.0, True,
+            "fluctuation_sum", 0.0,
             "sum_{l=2}^n U_l(p) / (V_n - V_{l-1} + a^2 delta^2)^((p-r)/2)",
         )
         assert abs(term(bd, "smoothing_floor").value - ADDITIVE_CONST) <= 1e-15
@@ -366,7 +356,7 @@ class TestMasterBound:
             total = (a - 4.0) ** 2 + 1.0
             return BoundBreakdown(
                 bound_id="theorem1_rhs",
-                terms=(BoundTerm("only", total, 0.0, True, "fake"),),
+                terms=(BoundTerm("only", total, "fake"),),
                 constants_mode="shape_only",
             )
 
@@ -389,19 +379,24 @@ class TestTransportDisplays:
         assert abs(term(bd, "smoothing_floor").value - ADDITIVE_CONST) <= 1e-12
 
     def test_rho_mixing_shape(self):
-        assert abs(rho_mixing_bound(1.0, 1.0, math.e - 1.0) - 2.0) <= 1e-12
-        with pytest.raises(DomainError):
-            rho_mixing_bound(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            rho_mixing_bound(1.0, -1.0, 1.0)
+        # K_n = C_n = 1 and V_n = e - 1: 1 * (1 + log(e)) = 2
+        model = SimpleNamespace(
+            model_id="stub", k_n=lambda: 1.0, c_n=lambda: 1.0,
+            moments=lambda: flat_moments(4, math.e - 1.0),
+        )
+        bd = rho_mixing_bound(model)
+        assert [t.name for t in bd.terms] == ["shape"] and bd.terms[0].exact
+        assert abs(bd.total - 2.0) <= 1e-12
+        assert bd.meta == {"model_id": "stub", "k_n": 1.0, "c_n": 1.0, "v_n": math.e - 1.0}
 
     def test_seqdyn_shape(self):
-        assert abs(seqdyn_bound(1, 0.0) - math.log(2.0) ** 2) <= 1e-15
-        assert seqdyn_bound(10, 10.0) > seqdyn_bound(10, 5.0)
-        with pytest.raises(DomainError):
-            seqdyn_bound(0, 1.0)
-        with pytest.raises(DomainError):
-            seqdyn_bound(4, float("inf"))
+        m = SequentialMaps(spec("sequential_maps", 1))
+        bd = seqdyn_bound(m)
+        assert [t.name for t in bd.terms] == ["shape"] and bd.terms[0].exact
+        assert bd.total == math.log(2.0) * math.log(2.0 + m.moments().v_n)
+        assert abs(bd.total - math.log(2.0) * math.log(3.0)) <= 1e-15
+        longer = seqdyn_bound(SequentialMaps(spec("sequential_maps", 10)))
+        assert longer.total > bd.total
 
 
 class TestBerryEsseen:
@@ -412,7 +407,7 @@ class TestBerryEsseen:
         assert bd.meta["target_exponent"] == -0.25
         assert bd.meta["log_correction"] is True
         assert bd.total == combined(bd)
-        assert bd.combination == "prefactor_powered_sum"
+        assert bd.prefactor and bd.power == 0.5
 
     def test_p_below_three_uses_power_combination(self):
         bd = berry_esseen_bound(2.5, rademacher(100))
@@ -447,9 +442,10 @@ class TestHeydeBrown:
         with pytest.raises(DomainError):
             heyde_brown_bound(4.5, rademacher(16))
 
-    def test_chain_bracket_deviation_positive(self):
+    def test_chain_bracket_deviation_positive(self, monkeypatch):
+        monkeypatch.setattr(bounds_module, "U_REPLICATES", 2000)
         m = asymmetric_chain(6)
-        bd = heyde_brown_bound(3.0, m, replicates=2000, master_seed=13)
+        bd = heyde_brown_bound(3.0, m, master_seed=13)
         first = term(bd, "bracket_deviation")
         assert not first.exact and first.value > 0.0 and first.se > 0.0
         assert bd.total == combined(bd)
@@ -473,8 +469,9 @@ class TestChainMonteCarloBits:
         val, se = l_n_mc(2.7, 1.0, 1.5, self.chain(), replicates=5000, master_seed=17)
         assert (val.hex(), se.hex()) == ("0x1.7cbd87c01e68cp+0", "0x1.a0e40cb660deap-10")
 
-    def test_heyde_brown(self):
-        bd = heyde_brown_bound(3.0, self.chain(), replicates=5000, master_seed=19)
+    def test_heyde_brown(self, monkeypatch):
+        monkeypatch.setattr(bounds_module, "U_REPLICATES", 5000)
+        bd = heyde_brown_bound(3.0, self.chain(), master_seed=19)
         first = term(bd, "bracket_deviation")
         assert (first.value.hex(), first.se.hex(), bd.total.hex()) == (
             "0x1.0682b701b11f7p-10", "0x1.08bee9adaee91p-16", "0x1.0bf200ab940b4p-1")
@@ -520,23 +517,26 @@ class TestBreakdownPlumbing:
         bd = BoundBreakdown(
             bound_id="heyde_brown",
             terms=(
-                BoundTerm("a", 3.0, 0.3, False, "f"),
-                BoundTerm("b", 1.0, 0.4, False, "g"),
+                BoundTerm("a", 3.0, "f", se=0.3, exact=False),
+                BoundTerm("b", 1.0, "g", se=0.4, exact=False),
             ),
             constants_mode="shape_only",
-            combination="powered_sum",
             power=0.5,
         )
         # d/ds sqrt(s) at s=4 is 1/4; combined se = 0.5/4.
         assert bd.total == 2.0
         assert abs(bd.total_se() - 0.25 * 0.5) <= 1e-12
 
-    def test_unknown_combination_is_loud(self):
-        terms = (BoundTerm("a", 1.0, 0.0, True, "f"),)
-        with pytest.raises(ConfigurationError):
-            BoundBreakdown("x", terms, "shape_only", combination="product")
-        with pytest.raises(ConfigurationError):
-            BoundBreakdown("x", terms, "shape_only", combination="sum", power=0.5)
+    def test_total_formula_follows_power_and_prefactor(self):
+        terms = (BoundTerm("a", 2.0, "f"), BoundTerm("b", 4.0, "g"))
+        cases = (
+            ({}, "sum(terms)", 6.0),
+            ({"power": 0.5}, "(sum(terms))^0.5", math.sqrt(6.0)),
+            ({"power": 0.5, "prefactor": True}, "terms[0]*(sum(terms[1:]))^0.5", 4.0),
+        )
+        for kwargs, formula, total in cases:
+            bd = BoundBreakdown("x", terms, "shape_only", **kwargs)
+            assert bd.total_formula() == formula and bd.total == total
 
     def test_term_lookup(self):
         bd = berry_esseen_bound(3.0, rademacher(16))

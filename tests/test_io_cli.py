@@ -575,33 +575,86 @@ DEFAULT_BOUND_SETS = {
 }
 
 
-# SHA-256 of (bounds.csv, bounds_meta.json) from `cltlab bounds --seed 0`.
-# benchmarks/reference.json pins the same bytes, but only the benchmark reads it.
+# SHA-256 of (bounds.csv, bounds_meta.json) from `cltlab bounds`, keyed by
+# case id.  A case is either the flags after `--model` (run with `--seed 0`)
+# or a config document, written to a file and run with `--config`.
+# benchmarks/reference.json pins the first three, but only the benchmark reads it.
+CHAIN_S3 = {
+    "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+    "state_values": [1.0, -0.7, 0.3],
+}
 BOUND_ARTIFACT_DIGESTS = {
-    ("rho_mixing_chain", "64,128", "auto"): (
+    "rho_mixing_chain": (
+        ["rho_mixing_chain", "--n-grid", "64,128", "--a", "auto"],
         "7736f5040532c95322005cef6e8250de2f35e07e7834072020207bdf14394b9e",
         "0d3154fe68e6c66c4af48fc05ed869198ed3b5c69cdf2df6ec8bfda8d461b8dd",
     ),
-    ("rademacher_iid", "64,256", None): (
+    "rademacher_iid": (
+        ["rademacher_iid", "--n-grid", "64,256"],
         "6f626f6a09ce86435a8bc6ad030f159e66f6ed712fb8504696e35e5e13244698",
         "146bcccc79e17ba75abaf19cbcf88428324bb7c3a933176cdefedba725f4259f",
     ),
-    ("ce_lowerbound", "256,1024", None): (
+    "ce_lowerbound": (
+        ["ce_lowerbound", "--n-grid", "256,1024"],
         "3dd2dfbe04695161b69b226e333ce0ab02fae548c0f133f6a09336df2db6fe32",
         "04ebfe4e76e80c79ab9d655ab39c7cc141d69685477195ad89f5323eec15cf22",
+    ),
+    "sequential_maps_cos12": (
+        config_doc(
+            model={"family": "sequential_maps", "n": 64, "p": 3.0, "params": {
+                "observable": "cos12", "multipliers": {"rule": "cycle", "values": [2, 3]},
+            }},
+            n_grid=[64, 500], master_seed=0,
+        ),
+        "ffd49f7b1fe37f925614211a5c357954e9113015c0be4ce659559452151c90de",
+        "6f9bcc61b0a4f7c4e7f8c1aeb463cd6d47ac665de94a50f9f9cd3735e6d52aae",
+    ),
+    "linear_ma_p26": (
+        ["linear_ma", "--n-grid", "64,256", "--p", "2.6"],
+        "7ca5f1543a769fc5ce26a5c483843dc6c6d198a4e02f713348dbe2a2ae41541d",
+        "31ac693b3e379e5ecaa27b724324963ef2883efdb733d6e41fe4a2f3ff458d05",
+    ),
+    "chain_s3_all_tags": (
+        config_doc(
+            model={"family": "rho_mixing_chain", "n": 300, "p": 2.75, "params": CHAIN_S3},
+            n_grid=[300], master_seed=5,
+            bound_requests=[
+                "theorem1_rhs", "w1_upper", "berry_esseen", "heyde_brown", "rho_mixing", "seqdyn",
+            ],
+        ),
+        "7ccf821f5abfab46a0c15ea2593a03e2747d22f82de0f6d2fd9887ba7371cb00",
+        "17ec1512d5bcbe564c8fe09eb8bb6735cc2010977509ce5944a531c293f02c1b",
+    ),
+    "gaussian_affine_auto": (
+        config_doc(
+            model={"family": "gaussian_iid", "n": 64, "p": 2.5, "params": {
+                "sigma": {"rule": "affine", "intercept": 0.3, "slope": 1.7},
+            }},
+            n_grid=[64, 256], master_seed=0, a="auto",
+        ),
+        "0e086a44de60ca1a8f58f96be23797ce617dbb9b55204c440c15f35620c7ca3a",
+        "c4857d027ee07c4749aacf3ca5bc8b7fa5fc07ffd8a43bf702593b93b505340f",
+    ),
+    "rademacher_p24_auto": (
+        ["rademacher_iid", "--n-grid", "64,256", "--p", "2.4", "--a", "auto"],
+        "d5907949cf96247467f163b5b089a0f43563a9483a6bbdc792b2d54a2837f07f",
+        "eaf0cdbc4ccedc2174f5dd486e27c83a8daf7400ed9f58b362ec89a043e6e078",
     ),
 }
 
 
-@pytest.mark.parametrize("case", list(BOUND_ARTIFACT_DIGESTS), ids=lambda case: case[0])
+@pytest.mark.parametrize("case", list(BOUND_ARTIFACT_DIGESTS))
 def test_bound_artifacts_are_pinned(tmp_path, case):
-    family, grid, a = case
-    argv = ["bounds", "--model", family, "--n-grid", grid, "--seed", "0", "--out", str(tmp_path)]
-    if a is not None:
-        argv += ["--a", a]
-    assert run_cli(*argv) == EXIT_OK
-    got = tuple(sha256_file(tmp_path / name) for name in ("bounds.csv", "bounds_meta.json"))
-    assert got == BOUND_ARTIFACT_DIGESTS[case]
+    source, *digests = BOUND_ARTIFACT_DIGESTS[case]
+    if isinstance(source, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--model", *source, "--seed", "0"]
+    assert run_cli("bounds", *argv, "--out", str(tmp_path / "out")) == EXIT_OK
+    got = [sha256_file(tmp_path / "out" / name) for name in ("bounds.csv", "bounds_meta.json")]
+    assert got == digests
 
 
 # SHA-256 of verify_ce.csv from `cltlab verify-ce`, recorded while the moment
@@ -974,6 +1027,30 @@ class TestCliCommands:
         argv = [str(bad) if a == "BADJSON" else a for a in argv]
         argv = [str(tmp_path / "nope.json") if a == "MISSING" else a for a in argv]
         assert main(argv) == code
+
+    @pytest.mark.parametrize("command", ["distance", "ratefit"])
+    def test_p_outside_the_range_exits_2_before_any_draw(self, tmp_path, monkeypatch, command):
+        drawn = []
+        monkeypatch.setattr(models_base.Model, "_draws", lambda self, *a: drawn.append(a))
+        out = tmp_path / "never"
+        rc = run_cli(command, "--model", "gaussian_iid", "--n-grid", "64,128",
+                     "--reps", "200", "--p", "3.5", "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert drawn == [] and not out.exists()
+
+    @pytest.mark.parametrize("kind,target", [("w1", -0.5), ("w1_normalized", 0.0)])
+    def test_ratefit_default_target_of_each_w1_kind(self, tmp_path, kind, target):
+        out = tmp_path / kind
+        doc = config_doc(
+            model={"family": "rademacher_iid", "n": 8, "p": 3.0, "params": {}},
+            n_grid=[8, 16], distance_kind=kind, outputs=str(out),
+        )
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_OK
+        with open(out / "ratefit.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["target_exponent"]) == target
 
     def test_nonfinite_a_flag_exits_2_before_any_table(self, tmp_path):
         out = tmp_path / "d"

@@ -109,21 +109,11 @@ class TestModelSpec:
 class TestPathMoments:
     def test_ladder_must_sum_to_vn(self):
         with pytest.raises(DomainError):
-            PathMoments(
-                sigma2=np.array([1.0, 1.0]),
-                v_n=3.0,
-                delta_n=1.0,
-                conditional_variance_constant=True,
-            )
+            PathMoments(sigma2=np.array([1.0, 1.0]), v_n=3.0, conditional_variance_constant=True)
 
-    def test_delta_must_match_max_scale(self):
-        with pytest.raises(DomainError):
-            PathMoments(
-                sigma2=np.array([1.0, 4.0]),
-                v_n=5.0,
-                delta_n=1.0,
-                conditional_variance_constant=True,
-            )
+    def test_delta_is_the_largest_scale_of_the_ladder(self):
+        mo = PathMoments(sigma2=np.array([1.0, 4.0]), v_n=5.0, conditional_variance_constant=True)
+        assert mo.delta_n == 2.0
 
 
 class TestIIDFamilies:
@@ -862,7 +852,7 @@ def scalar_psi_reference(model, t):
             return 0.0
         return float(np.max(model._expectations(terms)[live] / sigma2[live]))
     if isinstance(model, RademacherIID):
-        return float(model._delta * min(t, 1.0))
+        return float(np.max(model.sigma)) * min(t, 1.0)
     if isinstance(model, CELowerBound):
         cp = model.params
         gauss = float(gaussian_min_profile(t))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cltlab import numerics
 from cltlab.errors import DomainError, QuadratureError
 from cltlab.numerics import (
     BLOCK_STRIDE,
@@ -132,10 +133,11 @@ class TestQuadrature:
         assert abs(fwd + rev) <= 1e-14
         assert abs(fwd - 8.0 / 3.0) <= 1e-11
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # Highly oscillatory integrand with a tiny budget must fail loudly.
-        with pytest.raises(QuadratureError):
-            quadrature(lambda t: math.sin(1000.0 * t), 0.0, 50.0, tol=1e-14, max_evals=50)
+        monkeypatch.setattr(numerics, "QUADRATURE_MAX_EVALS", 50)
+        with pytest.raises(QuadratureError, match="exceeded 50 evaluations"):
+            quadrature(lambda t: math.sin(1000.0 * t), 0.0, 50.0, tol=1e-14)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

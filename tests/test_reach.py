@@ -116,9 +116,6 @@ def test_allowlist_holds_only_unreached_definitions():
 # package call passes it
 ALLOWED_UNPASSED = {
     "cli.py:main:argv": "the console entry point runs main() with sys.argv",
-    "numerics.py:quadrature:max_evals": "tests shrink it to reach the budget error",
-    "bounds.py:heyde_brown_bound:replicates": "the bracket Monte Carlo bits are pinned "
-    "at 5000 replicates by TestChainMonteCarloBits",
 }
 
 
@@ -231,5 +228,5 @@ def test_every_default_is_overridden_by_some_package_call():
 
 
 def test_parameter_allowlist_holds_only_unpassed_defaults():
-    assert len(ALLOWED_UNPASSED) == 3
+    assert len(ALLOWED_UNPASSED) == 1
     assert set(ALLOWED_UNPASSED) <= set(unpassed())
