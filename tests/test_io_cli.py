@@ -674,6 +674,70 @@ def test_verify_ce_table_is_pinned(tmp_path, case):
     assert sha256_file(tmp_path / "verify_ce.csv") == VERIFY_CE_DIGESTS[case]
 
 
+# SHA-256 of distances.csv from `cltlab distance`, keyed by case id: the flags
+# after `--model`, run with `--seed 0 --reps 4000`.  At p = 3 the report reads
+# Phi, J and Phi^-1 through the W1 pieces; at p = 2.5 W_r reads the midpoint
+# quantile grid.  Recorded while Phi and Phi^-1 came from scipy.special.
+DISTANCE_ARTIFACT_DIGESTS = {
+    "gaussian_iid": (
+        ["gaussian_iid", "--n-grid", "16,64"],
+        "07d176834d72dfb04fea6692d1f2efbfaa2bcba5a844604165d3dccdd9372c41",
+    ),
+    "rademacher_iid": (
+        ["rademacher_iid", "--n-grid", "16,64"],
+        "4fac7162bfbc9161ca75487ccbc7f72df06269139c30943ee89887199700c9c9",
+    ),
+    "rho_mixing_chain": (
+        ["rho_mixing_chain", "--n-grid", "16,64"],
+        "84ea6f519ce6679158b1a3fbd10b6fccd7f9a802a37ffb7c3a845d138185fe15",
+    ),
+    "sequential_maps": (
+        ["sequential_maps", "--n-grid", "16,64"],
+        "a8e718716a29b2ca78bd922a616bb9de675c2817b6ca127742585487e978b3ae",
+    ),
+    "linear_ar1": (
+        ["linear_ar1", "--n-grid", "16,64"],
+        "c59d122adfd27759a91c2615945191129eb1d9b4f28d3904e03571666c82b81b",
+    ),
+    "ce_lowerbound": (
+        ["ce_lowerbound", "--n-grid", "64,128"],
+        "0f07ca9ad0545b1336ac5e3a44c7dda5dd19e2a9530a90d44d99c3cf314eecb6",
+    ),
+    "gaussian_iid_p25": (
+        ["gaussian_iid", "--n-grid", "16,64", "--p", "2.5"],
+        "bdf16376157493d8a56ea2897430b48003e059ca483a8827a32329cb3dedf566",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DISTANCE_ARTIFACT_DIGESTS))
+def test_distance_artifacts_are_pinned(tmp_path, case):
+    flags, digest = DISTANCE_ARTIFACT_DIGESTS[case]
+    argv = ["--model", *flags, "--seed", "0", "--reps", "4000", "--out", str(tmp_path)]
+    assert run_cli("distance", *argv) == EXIT_OK
+    assert sha256_file(tmp_path / "distances.csv") == digest
+
+
+# SHA-256 of (distances.csv, ratefit.csv) from a measuring w1 `cltlab ratefit`,
+# recorded while Phi and Phi^-1 came from scipy.special
+RATEFIT_W1_DIGESTS = (
+    "df4716e89bac08fb7790988aa2ab5befbcb6c3ee1466a5fbbb6c05c7633fa784",
+    "14044ddc189da9d84f32b137f26f630ab0a2562f53945191eeb61af3d181487c",
+)
+
+
+def test_w1_ratefit_artifacts_are_pinned(tmp_path):
+    doc = config_doc(
+        n_grid=[8, 32, 128, 512], replicates=2000, master_seed=0,
+        distance_kind="w1", outputs=str(tmp_path / "fit"),
+    )
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("ratefit", "--config", str(path)) == EXIT_OK
+    got = tuple(sha256_file(tmp_path / "fit" / name) for name in ("distances.csv", "ratefit.csv"))
+    assert got == RATEFIT_W1_DIGESTS
+
+
 def peak_memory_kb(argv: list[str]) -> int:
     """The VmHWM of a fresh interpreter that ran `cltlab argv`.
 
