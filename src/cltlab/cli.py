@@ -270,7 +270,8 @@ def _print_breakdown(n: int, bd: _bounds.BoundBreakdown) -> None:
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> int:
-    out = _ensure_out(cfg)
+    # every breakdown is evaluated before the output directory is made, so a
+    # tag that rejects the configuration leaves nothing behind
     tags = cfg.bound_requests or _bounds.DEFAULT_BOUNDS[cfg.model.family]
     breakdowns = []
     metas = []
@@ -280,6 +281,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
             breakdowns.append(bd)
             metas.append({"n": n, "bound_id": bd.bound_id, "meta": _plain(bd.meta)})
             _print_breakdown(n, bd)
+    out = _ensure_out(cfg)
     write_text(out / "bounds.csv", _bounds.breakdowns_to_csv(breakdowns))
     write_text(out / "bounds_meta.json", canonical_json({"entries": metas}) + "\n")
     blocks = {f"bounds.csv:n={n}": i for i, n in enumerate(cfg.n_grid)}

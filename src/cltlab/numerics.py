@@ -2,12 +2,26 @@
 quadrature oracle, deterministic stream seeding, and the one writer of
 every CSV artifact.
 
-The Gaussian helpers are thin wrappers over the Cephes routines shipped with
-scipy (`ndtr`, `ndtri`), which are accurate to a few ulp — comfortably inside
-the 1e-15 absolute tolerance the rest of the package assumes.  They accept
-scalars or arrays and always hand back the matching shape.  Every scipy call
-goes through `scipy_special`, which imports scipy.special (about 0.3 s) on its
-first call: a command that evaluates no Phi, Phi^-1 or t-quantile never does.
+The Gaussian helpers evaluate Phi, its antiderivative J and Phi^-1 with a
+port of the Cephes routines that scipy.special runs: ndtr.c (ndtr through erf
+and erfc) and ndtri.c.  The port keeps Cephes' coefficient tables, branch
+thresholds and polevl/p1evl Horner order, so it returns scipy's bits, which
+are accurate to a few ulp.  Its + - * / and sqrt are IEEE-rounded in numpy
+and Python floats alike, as in scipy's C code.  Every exp and log comes from
+Python's math module, which calls the C library's libm as scipy does.
+np.exp and np.log are numpy's own implementations, which differ from libm in
+the last bit on up to a few percent of arguments, so in the port they would
+move artifact bytes.  (The density phi, alone and inside J, has always been
+np.exp and stays so.)  A scalar
+or 0-d argument runs a pure-Python route (about a microsecond, for the
+quadrature oracles that call Phi thousands of times) and an array a masked
+numpy route, sharing the tables and Horner helpers; each hands back the
+matching shape.
+
+Every scipy call goes through `scipy_special`, which imports scipy.special
+(about 0.2-0.3 s and 20 MB) on its first call.  Only ce_lowerbound's Gaussian
+draws (ndtri over millions of uniforms, where the port is ten times slower)
+and ratefit's Student-t quantile still call it.
 
 `quadrature` is intentionally *not* backed by scipy: it is a self-contained
 adaptive Simpson scheme with interval bisection and a hard evaluation budget,
@@ -47,35 +61,205 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _as_checked_array(x: ArrayLike, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return arr
-
-
-def _match_input(result: np.ndarray, x: ArrayLike) -> ArrayLike:
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(result)
-    return result
-
-
 def scipy_special():
     """The scipy.special module, imported on the first call."""
     import scipy.special
     return scipy.special
 
 
+# ---------------------------------------------------------------------------
+# Cephes ndtr.c (ndtr, erf, erfc) and ndtri.c, as scipy.special runs them.
+
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc underflows to 0 past it
+
+# erfc(z) = exp(-z^2) P(z) / Q(z) on 1 <= z < 8 and exp(-z^2) R(z) / S(z) past 8
+_NDTR_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_NDTR_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_NDTR_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_NDTR_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# erf(x) = x T(x^2) / U(x^2) on |x| < 1
+_NDTR_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_NDTR_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # e^-2: Phi^-1's centre is e^-2 < u <= 1 - e^-2
+# Phi^-1(1/2 + y) = (y + y y^2 P0(y^2) / Q0(y^2)) sqrt(2 pi) on the centre
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# tails, in x = sqrt(-2 log u): P1 / Q1 for 2 <= x < 8, P2 / Q2 for x >= 8
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N], Horner as Cephes' polevl; float or array."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], Horner as Cephes' p1evl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f (math.exp or math.log) of each element of x."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _ndtr(a: float) -> float:
+    """Cephes ndtr of one float."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    # Cephes takes 0.5 + 0.5 erf(x) below z = 1/sqrt(2) and 0.5 erfc(z) =
+    # 0.5 (1 - erf(z)) from there to z = 1.  Both give the same bits, since
+    # 1 - erf(z) is exact there (Sterbenz), so the erf branch serves z < 1.
+    if z < 1.0:
+        z2 = x * x
+        return 0.5 + 0.5 * (x * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
+    if z * z > _MAXLOG:  # erfc underflows
+        half = 0.0
+    else:
+        p, q = (_NDTR_P, _NDTR_Q) if z < 8.0 else (_NDTR_R, _NDTR_S)
+        half = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _p1evl(z, q))
+    return 1.0 - half if x > 0.0 else half
+
+
+def _ndtr_array(a: np.ndarray) -> np.ndarray:
+    """_ndtr of each element, exp taken only where erfc needs it."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < 1.0
+    xi = x[inner]
+    z2 = xi * xi
+    y[inner] = 0.5 + 0.5 * (xi * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
+    outer = ~inner
+    zo = z[outer]
+    half = np.zeros_like(zo)  # stays 0 where erfc underflows
+    near = zo < 8.0
+    far = ~near & (zo * zo <= _MAXLOG)
+    for rows, p, q in ((near, _NDTR_P, _NDTR_Q), (far, _NDTR_R, _NDTR_S)):
+        zr = zo[rows]
+        half[rows] = 0.5 * (_libm(math.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
+    y[outer] = np.where(x[outer] > 0.0, 1.0 - half, half)
+    return y
+
+
+def _ndtri(u: float) -> float:
+    """Cephes ndtri of one float in (0, 1)."""
+    upper = u > 1.0 - _EXP_M2
+    y = 1.0 - u if upper else u
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
+    return x if upper else -x
+
+
+def _ndtri_array(u: np.ndarray) -> np.ndarray:
+    """_ndtri of each element, log taken only on the tails."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(y)
+    centre = y > _EXP_M2
+    c = y[centre] - 0.5
+    c2 = c * c
+    out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
+    tail = ~centre
+    x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    near = x < 8.0
+    for rows, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
+        zr = z[rows]
+        x1[rows] = zr * _polevl(zr, p) / _p1evl(zr, q)
+    x = x - _libm(math.log, x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _float_or_array(x: ArrayLike) -> Union[float, np.ndarray]:
+    """A scalar or 0-d x as a Python float, anything else as a float array."""
+    if isinstance(x, (float, int)):
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _as_checked(x: ArrayLike, name: str) -> Union[float, np.ndarray]:
+    v = _float_or_array(x)
+    if not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return v
+
+
 def normal_cdf(x: ArrayLike) -> ArrayLike:
     """Standard Gaussian cdf, vectorized, absolute error under 1e-15."""
-    arr = _as_checked_array(x, "x")
-    return _match_input(scipy_special().ndtr(arr), x)
+    v = _as_checked(x, "x")
+    return _ndtr(v) if isinstance(v, float) else _ndtr_array(v)
 
 
 def normal_pdf(x: ArrayLike) -> ArrayLike:
     """Standard Gaussian density."""
-    arr = _as_checked_array(x, "x")
-    return _match_input(np.exp(-0.5 * arr * arr) / _SQRT_2PI, x)
+    v = _as_checked(x, "x")
+    d = np.exp(-0.5 * v * v) / _SQRT_2PI
+    return float(d) if isinstance(v, float) else d
 
 
 def normal_quantile(u: ArrayLike) -> ArrayLike:
@@ -85,10 +269,11 @@ def normal_quantile(u: ArrayLike) -> ArrayLike:
     Round-trip error |normal_cdf(normal_quantile(u)) - u| stays below 1e-12
     away from the extreme tails (where the cdf itself saturates).
     """
-    arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    v = _float_or_array(u)
+    scalar = isinstance(v, float)
+    if not (0.0 < v < 1.0 if scalar else np.all((v > 0.0) & (v < 1.0))):
         raise DomainError(f"u must lie strictly inside (0, 1), got {u!r}")
-    return _match_input(scipy_special().ndtri(arr), u)
+    return _ndtri(v) if scalar else _ndtri_array(v)
 
 
 def normal_abs_moment(p: float) -> float:
@@ -111,12 +296,12 @@ def integral_of_phi(x: ArrayLike) -> ArrayLike:
     decays like phi(x)/x^2 as x -> -infinity (underflows cleanly to 0.0 far
     out in the left tail, never to a negative number).
     """
-    arr = _as_checked_array(x, "x")
-    res = arr * scipy_special().ndtr(arr) + np.exp(-0.5 * arr * arr) / _SQRT_2PI
+    v = _as_checked(x, "x")
     # The subtraction inside x*Phi(x) + phi(x) can round to a tiny negative
     # number in the far left tail; the true value is nonnegative.
-    res = np.maximum(res, 0.0)
-    return _match_input(res, x)
+    if isinstance(v, float):
+        return max(v * _ndtr(v) + normal_pdf(v), 0.0)
+    return np.maximum(v * _ndtr_array(v) + normal_pdf(v), 0.0)
 
 
 # The integrand evaluations one quadrature call may spend.

@@ -161,6 +161,7 @@ class TestPsiN:
         ),
     }
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("name", list(MC_PSI_DIGESTS))
     def test_monte_carlo_profile_bits_are_pinned(self, name):
         s, digest = self.MC_PSI_DIGESTS[name]
@@ -305,6 +306,20 @@ class TestMasterBound:
         assert abs(bd.meta["x_upper"] - math.sqrt(201.0)) <= 1e-12
         assert bd.meta["cubic_constant"] == 1.0
         assert bd.meta["quartic_constant"] == 8.0 / 5.0
+
+    @pytest.mark.parametrize("a", (2.0, 4.0, 8.0))
+    def test_closed_form_terms_follow_a(self, a):
+        # at a = 1 a mutant that squares a in term 4 still passes; here delta
+        # is not 1 and each closed form is rebuilt from the moment ladder
+        m = RademacherIID(spec("rademacher_iid", 33, sigma={"rule": "affine", "intercept": 0.5, "slope": 1.0}))
+        mo = m.moments()
+        delta = mo.delta_n
+        bd = theorem1_rhs(3.0, a, m)
+        x_hi = bd.meta["x_upper"]
+        assert delta > 1.0
+        assert math.isclose(x_hi, math.sqrt(a * a * delta**2 + (1.0 + a * a) / (a * a) * mo.v_n) / delta)
+        assert math.isclose(term(bd, "smoothing_floor").value, 4.0 * math.sqrt(2.0) * a * delta)
+        assert math.isclose(term(bd, "variance_tail_integral").value, delta * (1.0 / a - 1.0 / x_hi))
 
     def test_explicit_constants_need_r1(self):
         # the explicit constants exist at r = 1, the only order evaluated
@@ -451,6 +466,7 @@ class TestHeydeBrown:
         assert bd.total == combined(bd)
 
 
+@pytest.mark.pinned
 class TestChainMonteCarloBits:
     """The Monte Carlo fluctuation sum and bracket deviation of an S = 3
     chain, pinned as float.hex values recorded when the state paths were

@@ -640,9 +640,24 @@ BOUND_ARTIFACT_DIGESTS = {
         "d5907949cf96247467f163b5b089a0f43563a9483a6bbdc792b2d54a2837f07f",
         "eaf0cdbc4ccedc2174f5dd486e27c83a8daf7400ed9f58b362ec89a043e6e078",
     ),
+    # p = 3.5 lies outside (2, 3], which only tags that read E|xi|^p reject
+    "sequential_maps_p35": (
+        ["sequential_maps", "--n-grid", "64", "--p", "3.5"],
+        "482ea0e995adc627cfb5f3bbc7f101df48ff3e9875700d2ceae9f5c50a5fdf4b",
+        "2ca4c9a82e5277cad4d28211d54045f60e8c0e8961dfbfa4c43fa484917219c5",
+    ),
+    "heyde_brown_p35": (
+        config_doc(
+            model={"family": "rademacher_iid", "n": 64, "p": 3.5, "params": {}},
+            n_grid=[64], master_seed=0, bound_requests=["heyde_brown"],
+        ),
+        "58a01490e458c2bb7e0ab509f25521db2703346ce6acb25ea601abeb3c3c2d1a",
+        "381e28eca25a7581cc22dbe6897a62047a645b00257fad2a2e751ce4046981a0",
+    ),
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("case", list(BOUND_ARTIFACT_DIGESTS))
 def test_bound_artifacts_are_pinned(tmp_path, case):
     source, *digests = BOUND_ARTIFACT_DIGESTS[case]
@@ -666,6 +681,7 @@ VERIFY_CE_DIGESTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("case", list(VERIFY_CE_DIGESTS), ids=lambda case: case[0])
 def test_verify_ce_table_is_pinned(tmp_path, case):
     grid, reps, seed, p = case
@@ -710,6 +726,7 @@ DISTANCE_ARTIFACT_DIGESTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("case", list(DISTANCE_ARTIFACT_DIGESTS))
 def test_distance_artifacts_are_pinned(tmp_path, case):
     flags, digest = DISTANCE_ARTIFACT_DIGESTS[case]
@@ -726,6 +743,7 @@ RATEFIT_W1_DIGESTS = (
 )
 
 
+@pytest.mark.pinned
 def test_w1_ratefit_artifacts_are_pinned(tmp_path):
     doc = config_doc(
         n_grid=[8, 32, 128, 512], replicates=2000, master_seed=0,
@@ -860,7 +878,14 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("bounds", "--config", str(cfg_path)) == EXIT_CONFIG
-        assert not (tmp_path / "out" / "bounds.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family", ("rademacher_iid", "linear_statistic", "rho_mixing_chain"))
+    def test_bounds_rejecting_p_leaves_no_directory(self, tmp_path, family):
+        out = tmp_path / "out"
+        argv = ["--model", family, "--n-grid", "64", "--p", "3.5", "--out", str(out)]
+        assert run_cli("bounds", *argv) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",

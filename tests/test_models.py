@@ -1219,6 +1219,7 @@ PINNED_DIGESTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize(
     "s,name",
     [*zip(ALL_FAMILIES, FAMILY_IDS), (PINNED_CHAIN_S3, "rho_mixing_chain_s3")],

@@ -120,6 +120,87 @@ class TestIntegralOfPhi:
         assert np.all(second >= -1e-10)
 
 
+def _both_signs(rng, lo, hi, size):
+    x = rng.uniform(lo, hi, size)
+    return np.concatenate((x, -x))
+
+
+_RNG = np.random.default_rng(20_261_020)
+_SQRT2 = math.sqrt(2.0)
+# Arguments a of Phi by the branch of Cephes' ndtr that they reach, with
+# z = |a| / sqrt(2): erf for z < 1, erfc's two rational fits for z < 8 and
+# z >= 8, and erfc's underflow to 0 once z^2 passes log(DBL_MAX).
+PHI_BRANCHES = {
+    "erf": _RNG.uniform(-_SQRT2, _SQRT2, 4000),
+    "erfc_below_8": _both_signs(_RNG, _SQRT2, 8.0 * _SQRT2, 2000),
+    "erfc_from_8": _both_signs(_RNG, 8.0 * _SQRT2, 37.67, 2000),
+    "underflow": _both_signs(_RNG, 37.68, 60.0, 500),
+}
+# Arguments u of Phi^-1 by the branch of Cephes' ndtri that they reach, with
+# x = sqrt(-2 log min(u, 1 - u)): the centre for min(u, 1 - u) > e^-2, then
+# the tail fits for x < 8 and x >= 8, on both sides.
+_TAIL_BELOW_8 = np.exp(-_RNG.uniform(2.0, 32.0, 2000))
+_TAIL_FROM_8 = np.exp(-_RNG.uniform(32.0, 700.0, 2000))
+QUANTILE_BRANCHES = {
+    "centre": _RNG.uniform(math.exp(-2.0), 1.0 - math.exp(-2.0), 4000),
+    "tail_below_8": np.concatenate((_TAIL_BELOW_8, 1.0 - _TAIL_BELOW_8)),
+    "tail_from_8": np.concatenate(
+        (_TAIL_FROM_8, [1e-300, 5e-324], 1.0 - 10.0 ** -_RNG.uniform(14.0, 15.9, 500))
+    ),
+}
+
+
+def _tail_x(u):
+    return np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestCephesPort:
+    """Phi, J and Phi^-1 give scipy.special's bits on every Cephes branch,
+    through the array route and the scalar route alike."""
+
+    def test_branch_arguments_reach_their_branch(self):
+        z = {name: np.abs(a) / _SQRT2 for name, a in PHI_BRANCHES.items()}
+        assert np.all(z["erf"] < 1.0)
+        assert np.all((z["erfc_below_8"] >= 1.0) & (z["erfc_below_8"] < 8.0))
+        assert np.all((z["erfc_from_8"] >= 8.0) & (z["erfc_from_8"] ** 2 <= numerics._MAXLOG))
+        assert np.all(z["underflow"] ** 2 > numerics._MAXLOG)
+        centre = QUANTILE_BRANCHES["centre"]
+        assert np.all(np.minimum(centre, 1.0 - centre) > numerics._EXP_M2)
+        assert np.all(_tail_x(QUANTILE_BRANCHES["tail_below_8"]) < 8.0)
+        assert np.all(_tail_x(QUANTILE_BRANCHES["tail_from_8"]) >= 8.0)
+
+    @pytest.mark.parametrize("branch", list(PHI_BRANCHES))
+    def test_phi_and_j_match_scipy_bits(self, branch):
+        a = PHI_BRANCHES[branch]
+        ref = numerics.scipy_special().ndtr(a)
+        j_ref = np.maximum(a * ref + np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi), 0.0)
+        assert np.array_equal(_bits(normal_cdf(a)), _bits(ref))
+        assert np.array_equal(_bits([normal_cdf(x) for x in a.tolist()]), _bits(ref))
+        assert np.array_equal(_bits(integral_of_phi(a)), _bits(j_ref))
+        assert np.array_equal(_bits([integral_of_phi(x) for x in a.tolist()]), _bits(j_ref))
+
+    @pytest.mark.parametrize("branch", list(QUANTILE_BRANCHES))
+    def test_quantile_matches_scipy_bits(self, branch):
+        u = QUANTILE_BRANCHES[branch]
+        ref = numerics.scipy_special().ndtri(u)
+        assert np.array_equal(_bits(normal_quantile(u)), _bits(ref))
+        assert np.array_equal(_bits([normal_quantile(x) for x in u.tolist()]), _bits(ref))
+
+    def test_zero_dimensional_input_takes_the_scalar_route(self):
+        assert isinstance(normal_quantile(np.float64(0.3)), float)
+        assert isinstance(integral_of_phi(np.array(-2.0)), float)
+        assert normal_cdf(np.array(1.5)) == normal_cdf(np.array([1.5]))[0]
+
+    def test_matrix_keeps_its_shape(self):
+        u = QUANTILE_BRANCHES["tail_below_8"][:12].reshape(3, 4)
+        assert normal_quantile(u).shape == (3, 4)
+        assert np.array_equal(normal_cdf(u), normal_cdf(u.ravel()).reshape(3, 4))
+
+
 class TestQuadrature:
     def test_constant(self):
         assert abs(quadrature(lambda t: 1.0, 0.0, 1.0, tol=1e-12) - 1.0) <= 1e-12

@@ -357,15 +357,23 @@ CLI_THEN_SPECIAL = (
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about 0.3 s; only commands that evaluate Phi load it
+    # scipy.special costs about 0.3 s and 20 MB; only ce draws and the t
+    # quantile of fit_seeds > 1 load it
     assert fresh_python("import sys, cltlab.cli; print('scipy.special' in sys.modules)") == "False"
 
 
+# Phi, J and Phi^-1 come from numerics' own port of Cephes, so measuring a
+# distance or fitting one seed loads scipy.special only when ce draws
 @pytest.mark.parametrize(
     "args, loaded",
     [(("bounds", "--model", "rho_mixing_chain", "--n-grid", "16,32", "--a", "auto"), "False"),
-     (("simulate", "--model", "ce_lowerbound", "--n-grid", "32", "--reps", "100"), "True")],
-    ids=("chain_bounds", "ce_simulate"),
+     (("simulate", "--model", "ce_lowerbound", "--n-grid", "32", "--reps", "100"), "True"),
+     (("distance", "--model", "gaussian_iid", "--n-grid", "16,32", "--reps", "200"), "False"),
+     (("distance", "--model", "rho_mixing_chain", "--n-grid", "16,32", "--reps", "200"), "False"),
+     (("ratefit", "--model", "linear_ar1", "--n-grid", "16,32", "--reps", "200"), "False"),
+     (("bounds", "--model", "ce_lowerbound", "--n-grid", "64,256"), "False")],
+    ids=("chain_bounds", "ce_simulate", "gaussian_distance", "chain_distance",
+         "ar1_ratefit", "ce_bounds"),
 )
 def test_scipy_special_loads_only_where_phi_is_evaluated(tmp_path, args, loaded):
     assert fresh_python(CLI_THEN_SPECIAL, *args, "--out", str(tmp_path)) == f"0 {loaded}"
