@@ -209,12 +209,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     files: list[str] = []
     blocks: dict[str, int] = {}
     for i, n, model in _grid_models(cfg):
-        stats = model.statistic_values(cfg.master_seed, cfg.replicates, block=i)
+        # one draw of each chunk gives both its statistics and the increment
+        # rows streamed to the file
+        inc_name = f"increments_n{n}.bin"
+        stats = write_batch(
+            out / inc_name,
+            lambda put: model.statistic_values(cfg.master_seed, cfg.replicates, i, increments=put),
+            digest,
+            shape=(cfg.replicates, n),
+        )
         stat_name = f"statistics_n{n}.bin"
         write_batch(out / stat_name, stats, digest)
-        inc_name = f"increments_n{n}.bin"
-        incs = model.increment_chunks(cfg.master_seed, cfg.replicates, block=i)
-        write_batch(out / inc_name, incs, digest, shape=(cfg.replicates, n))
         files += [stat_name, inc_name]
         blocks[stat_name] = i
         blocks[inc_name] = i

@@ -19,7 +19,7 @@ import platform
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -266,16 +266,17 @@ def load_config(path: Path) -> ExperimentConfig:
 
 def write_batch(
     path: Path,
-    values: np.ndarray | Iterable[np.ndarray],
+    values: np.ndarray | Callable[[Callable[[np.ndarray], None]], Any],
     config_sha256: str,
     shape: Optional[tuple[int, int]] = None,
-) -> None:
+) -> Any:
     """Write a float64 batch (statistic vector or increment matrix).
 
-    values is the whole array, or, when shape = (rows, cols) is given, an
-    iterable of 2-D row blocks that together make that matrix; a stream is
-    written block by block, so only one block is held at a time.  A stream
-    that does not fill the header's rows x cols exactly raises
+    values is the whole array, or, when shape = (rows, cols) is given, a
+    filler: values(put) must call put(block) with the 2-D row blocks that
+    make that matrix, in order.  Each block is written as it is put, so only
+    one is held at a time, and write_batch returns what the filler returns.
+    Blocks that do not fill the header's rows x cols exactly raise
     DataFormatError.  On any failure the file is removed, so no partial batch
     is left behind.
     """
@@ -286,9 +287,9 @@ def write_batch(
         kind = BATCH_KIND_VECTOR if arr.ndim == 1 else BATCH_KIND_MATRIX
         if arr.ndim == 1:
             arr = arr[:, None]
-        (rows, cols), blocks = arr.shape, (arr,)
+        (rows, cols), fill = arr.shape, lambda put: put(arr)
     else:
-        kind, (rows, cols), blocks = BATCH_KIND_MATRIX, shape, values
+        kind, (rows, cols), fill = BATCH_KIND_MATRIX, shape, values
     if len(config_sha256) != 64:
         raise DataFormatError("config_sha256 must be 64 hex characters")
     header = _BATCH_HEADER.pack(
@@ -298,7 +299,9 @@ def write_batch(
         with open(path, "wb") as fh:
             fh.write(header)
             done = 0
-            for block in blocks:
+
+            def put(block: np.ndarray) -> None:
+                nonlocal done
                 block = np.ascontiguousarray(block, dtype="<f8")
                 if block.ndim != 2 or block.shape[1] != cols or done + block.shape[0] > rows:
                     raise DataFormatError(
@@ -307,11 +310,14 @@ def write_batch(
                     )
                 fh.write(block)
                 done += block.shape[0]
+
+            result = fill(put)
             if done != rows:
                 raise DataFormatError(f"{path}: {done} rows written, the header says {rows}")
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
+    return result
 
 
 def read_batch(path: Path) -> tuple[np.ndarray, str]:

@@ -37,7 +37,11 @@ fills release the GIL, which is where the blocks run at once.
 ``statistic_range`` and ``increment_matrix`` apply the maps chunk by chunk
 on the calling thread, and ``increment_chunks`` hands the increment rows out
 one chunk at a time.  ``statistic_values`` turns the sums into the
-normalized statistic samples the distance pipeline consumes.
+normalized statistic samples the distance pipeline consumes.  Given an
+``increments`` sink, it also hands the sink each chunk's increment rows,
+mapped from the same draw matrix before the next chunk is drawn: that single
+pass is how ``simulate`` writes both the statistics and the increments of a
+replicate from one draw.
 
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
@@ -363,31 +367,59 @@ class Model:
         master_seed: int,
         start: int,
         block: int,
+        increments: Optional[Callable[[np.ndarray], None]] = None,
     ) -> np.ndarray:
-        """Fill out[i] from replicate start + i, one chunk of draws at a time."""
+        """Fill out[i] from replicate start + i, one chunk of draws at a time.
+
+        increments, when given, is handed each chunk's (chunk, n) increment
+        rows, mapped from the same draws, in replicate order.
+        """
         chunk = self.chunk_size()
         for done in range(0, out.shape[0], chunk):
             c = min(chunk, out.shape[0] - done)
             first = SeedLineage(master_seed, SeedLineage.stream_for(block, start + done))
-            out[done : done + c] = fn(self._draws(first, c))
+            draws = self._draws(first, c)
+            out[done : done + c] = fn(draws)
+            if increments is not None:
+                increments(self._increments(draws))
+            del draws  # freed before the next chunk is drawn
         return out
 
     def statistic_range(
-        self, master_seed: int, start: int, count: int, block: int = 0
+        self,
+        master_seed: int,
+        start: int,
+        count: int,
+        block: int = 0,
+        increments: Optional[Callable[[np.ndarray], None]] = None,
     ) -> np.ndarray:
-        """Normalized statistic for replicates [start, start+count)."""
+        """Normalized statistic for replicates [start, start+count).
+
+        increments, when given, also receives the increment rows of those
+        replicates, one chunk at a time (see _map_chunks).
+        """
         if count < 0 or start < 0:
             raise DomainError("start and count must be nonnegative")
         norm = self.statistic_normalizer()
-        out = self._map_chunks(self._sums, np.empty(count), master_seed, start, block)
+        out = self._map_chunks(self._sums, np.empty(count), master_seed, start, block, increments)
         out /= norm
         return out
 
-    def statistic_values(self, master_seed: int, replicates: int, block: int = 0) -> np.ndarray:
-        """The normalized statistic of replicates [0, replicates)."""
+    def statistic_values(
+        self,
+        master_seed: int,
+        replicates: int,
+        block: int = 0,
+        increments: Optional[Callable[[np.ndarray], None]] = None,
+    ) -> np.ndarray:
+        """The normalized statistic of replicates [0, replicates).
+
+        increments, when given, also receives their increment rows, one chunk
+        at a time, so that one draw of each replicate serves both.
+        """
         if replicates < 1:
             raise DomainError("replicates must be positive")
-        return self.statistic_range(master_seed, 0, replicates, block)
+        return self.statistic_range(master_seed, 0, replicates, block, increments)
 
     def increment_matrix(
         self, master_seed: int, replicates: int, block: int = 0, start: int = 0

@@ -1,6 +1,7 @@
 """Exact one-dimensional distance algorithms against independent oracles."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ class TestStandardErrors:
         assert 0.0 < se_big < se_small
         ratio = se_small / se_big
         assert 1.5 < ratio < 11.0  # ~4 expected; noisy with 10 batches
+
+    def test_w1_batch_se_is_the_batch_means_formula(self):
+        # the sample SD of the ten round-robin W1 values over sqrt(10): a
+        # divisor of 10, or ddof = 0, moves it by far more than rounding
+        sample = EmpiricalSample.from_values(np.random.default_rng(17).standard_normal(3000))
+        vals = [w1_vs_normal(EmpiricalSample(sample.values[k::10])) for k in range(10)]
+        want = statistics.stdev(vals) / math.sqrt(10)
+        assert abs(w1_se_batch_means(sample) - want) <= 1e-12
 
     def test_w1_batch_se_small_sample_nan(self):
         assert math.isnan(w1_se_batch_means(sample_of(*range(5))))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -388,14 +389,20 @@ class TestStreamedBatch:
 
     @pytest.mark.parametrize("name", list(STREAMED_SPECS))
     def test_blocks_write_the_bytes_of_the_whole_matrix(self, tmp_path, name):
+        # the rows statistic_values puts while it draws the statistics
         family, params = STREAMED_SPECS[name]
         model = make_model(ModelSpec(family, 257, params=params))
         reps = model.chunk_size() + 37  # a full chunk and a partial one
         whole, streamed = tmp_path / "whole.bin", tmp_path / "streamed.bin"
         write_batch(whole, model.increment_matrix(11, reps, block=3), self.DIGEST)
-        chunks = model.increment_chunks(11, reps, block=3)
-        write_batch(streamed, chunks, self.DIGEST, shape=(reps, 257))
+        stats = write_batch(
+            streamed,
+            lambda put: model.statistic_values(11, reps, 3, increments=put),
+            self.DIGEST,
+            shape=(reps, 257),
+        )
         assert streamed.read_bytes() == whole.read_bytes()
+        assert stats.tobytes() == model.statistic_values(11, reps, 3).tobytes()
 
     @pytest.mark.parametrize(
         "blocks",
@@ -411,17 +418,17 @@ class TestStreamedBatch:
         path = tmp_path / "bad.bin"
         write_batch(path, np.zeros((6, 3)), self.DIGEST)  # an older, complete batch
         with pytest.raises(DataFormatError, match="header"):
-            write_batch(path, iter(blocks), self.DIGEST, shape=(6, 3))
+            write_batch(path, lambda put: list(map(put, blocks)), self.DIGEST, shape=(6, 3))
         assert not path.exists()
 
     def test_a_failing_stream_leaves_no_batch(self, tmp_path):
-        def rows():
-            yield np.ones((2, 3))
+        def fill(put):
+            put(np.ones((2, 3)))
             raise OSError("disk gone")
 
         path = tmp_path / "bad.bin"
         with pytest.raises(OSError, match="disk gone"):
-            write_batch(path, rows(), self.DIGEST, shape=(6, 3))
+            write_batch(path, fill, self.DIGEST, shape=(6, 3))
         assert not path.exists()
 
 
@@ -754,6 +761,89 @@ def test_w1_ratefit_artifacts_are_pinned(tmp_path):
     assert run_cli("ratefit", "--config", str(path)) == EXIT_OK
     got = tuple(sha256_file(tmp_path / "fit" / name) for name in ("distances.csv", "ratefit.csv"))
     assert got == RATEFIT_W1_DIGESTS
+
+
+# SHA-256 of each batch payload (the bytes after the header, which holds the
+# config digest and so the output path) from `cltlab simulate --model TAG
+# --n-grid 64,2048 --reps 300 --seed 3`, in the order statistics_n64,
+# increments_n64, statistics_n2048, increments_n2048.  Recorded while simulate
+# drew every replicate twice, once per file.  At n = 2048 the 300 replicates
+# span three chunks (five for linear_ma) and the rows are drawn on every CPU.
+SIMULATE_GRID = (64, 2048)
+SIMULATE_PAYLOAD_DIGESTS = {
+    "gaussian_iid": (
+        "2d9a91030a1e88c59ed95427c3b8c5106e424e60190f012c6007aa87c8403148",
+        "1c64d202fc2084b845dcdbb831a11c6755d5308fd3235d6eca457a0c947d2312",
+        "b7776040c58e9e423c2292cff69860436c6bd2e87420559f4f86698990896b28",
+        "a6677cb588a464dd2e635753c4ed2434db8e5c231d808975da68eeb127edd0ee",
+    ),
+    "rademacher_iid": (
+        "4c526fa1f463c408e9adba1a32276f887f9693d3c62a257c3b043774a3fc01d5",
+        "7cd16e14682e6fc35252919c0435e3df272b26d8bb496e1f51bd40de9d40c382",
+        "31074738a53850a8eecb7343aac5c88e6c6a6c050421aeca4869971eba7818fb",
+        "41da9f5b72ebab021358eaefeee104cc61670b375088d3f8344776bafc7f555d",
+    ),
+    "ce_lowerbound": (
+        "612b9f1dc327ecef0a054c7a48fe560f4e67d27fde2ea83179221532f66cb577",
+        "c239b7d1ea0436a5bf7463bc54002ed588ae92e6e9db53ebdc4408c28695341d",
+        "805d435c68bcb7cc36013be2a87b291215a13865f869e068292f5e335c1afa21",
+        "f51e08a2ec244f58ed6258e1940329087d7057a51837ee1a965e7223b4edb902",
+    ),
+    "linear_ar1": (
+        "70ebe7f46ff95a0fdfa5c5f23e0c3474bbaaaee768427462388dbe0d9f337f3d",
+        "7e2b938ebac2a71f40fbe499d9a722909691b7e5e84970d81e71070665fb23b4",
+        "318e69f68b29e48ff4fcc33202c0dd32e71355984a090d1b2596836dfbbc202d",
+        "0ee342b325097182ce444c222a47bc0d3eddfd823f14a1544e6fd9185bbd715c",
+    ),
+    "linear_ma": (
+        "5871aaacafb7460627017cb560f51fa5e540705694017dfa1a1a243060b43bf2",
+        "dfbba839ed4418c8f61828936e3deff6723c3fc96e27e0c7ae6b950d72a5101b",
+        "7bd992f8ea1b8e6867b8868140f012b45313a1f5a145b5c38b7d63ea3bd4e7f1",
+        "fc9dfb83ec30c4893e3f3d36c58773017611bb721a7c94263a256690d8886264",
+    ),
+    "rho_mixing_chain": (
+        "0720bb5f23ea87d97aece2dad8841a2ce3720ff054127a397175f467903645b8",
+        "0b4cbf7a7d5701369b5428a9524c2a06856bcaa3ef4662d5fe1e187d2143ed41",
+        "683cb9023f719b0c1f44ca61531aa21da1e8ca44a2edfef41af826e06348d0e0",
+        "fcaaf97da9214153d2a764b30f58fe01ea6fa172e2d695885442e9b2a24e0381",
+    ),
+    "sequential_maps": (
+        "4c5ef6cbae91abeed71403e47c6872e585d039cd6577270572586f6b08c57d51",
+        "39ce9b534ac2dabf2eb8eeeef324b355448b885c47529a8cc0c6fe2e0e1ddebf",
+        "2792a6dbe67895f0beaee5d8c92861c49ab27349991f3f3d903b9778fb2c3ab2",
+        "c02cc499b54738747e8114a64c7dbd3b385b005c81e901d8de21a6d01a29adf1",
+    ),
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("tag", list(SIMULATE_PAYLOAD_DIGESTS))
+def test_simulate_payloads_are_pinned(tmp_path, tag):
+    grid = ",".join(map(str, SIMULATE_GRID))
+    argv = ["simulate", "--model", tag, "--n-grid", grid, "--reps", "300", "--seed", "3"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    got = tuple(
+        hashlib.sha256((tmp_path / f"{kind}_n{n}.bin").read_bytes()[BATCH_HEADER_BYTES:]).hexdigest()
+        for n in SIMULATE_GRID
+        for kind in ("statistics", "increments")
+    )
+    assert got == SIMULATE_PAYLOAD_DIGESTS[tag]
+
+
+@pytest.mark.parametrize("command", ["simulate", "distance"])
+def test_each_replicate_is_drawn_once(tmp_path, monkeypatch, command):
+    # simulate maps one draw matrix to both its statistics and its increments
+    drawn = []
+    draws = models_base.Model._draws
+
+    def counted(self, first, count):
+        drawn.append(count)
+        return draws(self, first, count)
+
+    monkeypatch.setattr(models_base.Model, "_draws", counted)
+    argv = [command, "--model", "ce_lowerbound", "--n-grid", "64,1024", "--reps", "300"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    assert sum(drawn) == 300 * 2
 
 
 def peak_memory_kb(argv: list[str]) -> int:
