@@ -187,9 +187,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _grid_models(cfg: ExperimentConfig):
-    for i, n in enumerate(cfg.n_grid):
-        yield i, n, make_model(cfg.spec_for(n))
+def _grid_models(cfg: ExperimentConfig) -> list[tuple[int, int, Model]]:
+    """(block, n, model) per grid point, each built and checked before any output."""
+    return [(i, n, make_model(cfg.spec_for(n))) for i, n in enumerate(cfg.n_grid)]
 
 
 def _ensure_out(cfg: ExperimentConfig) -> Path:
@@ -204,11 +204,12 @@ def _ensure_out(cfg: ExperimentConfig) -> Path:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     check_table_size(cfg.replicates, cfg.n_grid[-1])
+    models = _grid_models(cfg)
     out = _ensure_out(cfg)
     digest = cfg.digest()
     files: list[str] = []
     blocks: dict[str, int] = {}
-    for i, n, model in _grid_models(cfg):
+    for i, n, model in models:
         # one draw of each chunk gives both its statistics and the increment
         # rows streamed to the file
         inc_name = f"increments_n{n}.bin"
@@ -216,10 +217,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             out / inc_name,
             lambda put: model.statistic_values(cfg.master_seed, cfg.replicates, i, increments=put),
             digest,
-            shape=(cfg.replicates, n),
+            (cfg.replicates, n),
         )
         stat_name = f"statistics_n{n}.bin"
-        write_batch(out / stat_name, stats, digest)
+        write_batch(out / stat_name, lambda put: put(stats), digest, stats.shape)
         files += [stat_name, inc_name]
         blocks[stat_name] = i
         blocks[inc_name] = i
@@ -236,10 +237,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # distance
 
 
-def _measure(cfg: ExperimentConfig, master_seed: int) -> list[DistanceReport]:
+def _measure(
+    cfg: ExperimentConfig, models: list[tuple[int, int, Model]], master_seed: int
+) -> list[DistanceReport]:
     """Draw, sort and measure every grid point; one report (and line) per n."""
     reports = []
-    for i, n, model in _grid_models(cfg):
+    for i, n, model in models:
         values = model.statistic_values(master_seed, cfg.replicates, block=i)
         rep = compute_report(EmpiricalSample.from_values(values), model.model_id, n, cfg.model.p)
         reports.append(rep)
@@ -252,8 +255,9 @@ def _measure(cfg: ExperimentConfig, master_seed: int) -> list[DistanceReport]:
 
 def cmd_distance(cfg: ExperimentConfig) -> int:
     check_p(cfg.model.p)
+    models = _grid_models(cfg)
     out = _ensure_out(cfg)
-    reports = _measure(cfg, cfg.master_seed)
+    reports = _measure(cfg, models, cfg.master_seed)
     write_text(out / "distances.csv", reports_to_csv(reports))
     blocks = {f"distances.csv:n={n}": i for i, n in enumerate(cfg.n_grid)}
     write_manifest(out, build_manifest(cfg, out, ["distances.csv"], blocks))
@@ -336,6 +340,7 @@ def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefi
 
 def cmd_ratefit(cfg: ExperimentConfig) -> int:
     check_p(cfg.model.p)
+    models = _grid_models(cfg)
     out = _ensure_out(cfg)
     target = cfg.target_exponent if cfg.target_exponent is not None else _default_target(cfg)
     files = ["ratefit.csv", "distances.csv"]  # a refit's manifest attests the table it read
@@ -380,7 +385,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
     else:
         series = []
         for j in range(cfg.fit_seeds):
-            reports = _measure(cfg, cfg.master_seed + j)
+            reports = _measure(cfg, models, cfg.master_seed + j)
             if j == 0:
                 write_text(csv_path, reports_to_csv(reports))
             series.append(_series(cfg, reports))
@@ -431,21 +436,26 @@ def _largest_abs_moment(
 ) -> tuple[float, float]:
     """max_k mean |xi_k|^p over the paths, and the standard error of that mean.
 
-    The (replicates, n) table of |xi|^p is never held.  Each chunk is spilled
-    to a temporary file, then its column sums run on from the previous total:
-    the total is added into the chunk's first row and the chunk reduced along
-    its rows, which adds the rows in the order a mean over the whole table
-    does.  The attaining column is then read back one chunk at a time.
+    The (replicates, n) table of |xi|^p is never held.  statistic_range's sink
+    turns each chunk of increments into |xi|^p in place and spills it to a
+    temporary file.  The running column total is added into the chunk's first
+    row and the chunk reduced along its rows, which adds the rows in the order
+    a mean over the whole table does.  The attaining column is then read back
+    one chunk at a time.
     """
     n, chunk = model.spec.n, model.chunk_size()
     total = np.zeros(n)
     with tempfile.TemporaryFile() as spill:
-        for rows in model.increment_chunks(master_seed, replicates, block):
+
+        def add(rows: np.ndarray) -> None:
+            nonlocal total
             np.abs(rows, out=rows)
             rows **= p
             spill.write(rows)
             rows[0] += total
             total = np.add.reduce(rows, axis=0)
+
+        model.statistic_range(master_seed, 0, replicates, block, increments=add)
         means = total / replicates
         k_star = int(np.argmax(means))
         column = np.empty(replicates)
@@ -467,7 +477,7 @@ def cmd_verify_ce(cfg: ExperimentConfig, write_csv: bool) -> int:
     check_table_size(m_reps, cfg.n_grid[-1])
 
     # the whole grid must satisfy the construction's hypotheses before any work
-    models = list(_grid_models(cfg))
+    models = _grid_models(cfg)
 
     header = f"{'n':>6}  {'atom':>22}  {'uniform dist':>22}  {'max moment':>22}"
     print(header)

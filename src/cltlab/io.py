@@ -266,30 +266,24 @@ def load_config(path: Path) -> ExperimentConfig:
 
 def write_batch(
     path: Path,
-    values: np.ndarray | Callable[[Callable[[np.ndarray], None]], Any],
+    fill: Callable[[Callable[[np.ndarray], None]], Any],
     config_sha256: str,
-    shape: Optional[tuple[int, int]] = None,
+    shape: tuple[int, ...],
 ) -> Any:
-    """Write a float64 batch (statistic vector or increment matrix).
+    """Write a float64 batch: a statistic vector, shape = (rows,), or an
+    increment matrix, shape = (rows, cols).
 
-    values is the whole array, or, when shape = (rows, cols) is given, a
-    filler: values(put) must call put(block) with the 2-D row blocks that
-    make that matrix, in order.  Each block is written as it is put, so only
-    one is held at a time, and write_batch returns what the filler returns.
-    Blocks that do not fill the header's rows x cols exactly raise
+    fill(put) must call put(block) with the blocks that make the batch, in
+    order, each of shape (k,) + shape[1:].  Each block is written as it is
+    put, so only one is held at a time, and write_batch returns what fill
+    returns.  Blocks that do not fill the header's rows x cols exactly raise
     DataFormatError.  On any failure the file is removed, so no partial batch
     is left behind.
     """
-    if shape is None:
-        arr = np.asarray(values, dtype="<f8")
-        if arr.ndim not in (1, 2):
-            raise DataFormatError(f"batch payload must be 1-D or 2-D, got ndim={arr.ndim}")
-        kind = BATCH_KIND_VECTOR if arr.ndim == 1 else BATCH_KIND_MATRIX
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        (rows, cols), fill = arr.shape, lambda put: put(arr)
-    else:
-        kind, (rows, cols), fill = BATCH_KIND_MATRIX, shape, values
+    if len(shape) not in (1, 2):
+        raise DataFormatError(f"batch payload must be 1-D or 2-D, got shape {shape}")
+    kind = BATCH_KIND_VECTOR if len(shape) == 1 else BATCH_KIND_MATRIX
+    rows, cols = shape[0], shape[1] if len(shape) == 2 else 1
     if len(config_sha256) != 64:
         raise DataFormatError("config_sha256 must be 64 hex characters")
     header = _BATCH_HEADER.pack(
@@ -303,7 +297,8 @@ def write_batch(
             def put(block: np.ndarray) -> None:
                 nonlocal done
                 block = np.ascontiguousarray(block, dtype="<f8")
-                if block.ndim != 2 or block.shape[1] != cols or done + block.shape[0] > rows:
+                fits = block.ndim == len(shape) and block.shape[1:] == shape[1:]
+                if not fits or done + len(block) > rows:
                     raise DataFormatError(
                         f"{path}: a {block.shape} block after {done} rows does not fit "
                         f"the header's {rows} x {cols}"

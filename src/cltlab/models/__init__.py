@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+from ..errors import CltLabError, ConfigurationError
 from .base import (
     DEFAULT_CHUNK,
     KNOWN_FAMILIES,
@@ -30,8 +31,14 @@ _FAMILY_CLASSES = {
 
 
 def make_model(spec: ModelSpec) -> Model:
-    """Instantiate (and fully validate) the family named by the spec."""
-    return _FAMILY_CLASSES[spec.family](spec)
+    """Instantiate (and fully validate) the family named by the spec; a param
+    of the wrong type or form is a ConfigurationError naming the family."""
+    try:
+        return _FAMILY_CLASSES[spec.family](spec)
+    except CltLabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{spec.family} params: {exc}") from exc
 
 
 __all__ = [

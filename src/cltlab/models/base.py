@@ -34,14 +34,14 @@ row holds the same bits whichever block or thread draws it, and the CPU
 count never reaches an artifact.  That holds because ``_draw_row`` writes
 only ``row``, spends only ``g`` and keeps no scratch on ``self``; numpy's
 fills release the GIL, which is where the blocks run at once.
-``statistic_range`` and ``increment_matrix`` apply the maps chunk by chunk
-on the calling thread, and ``increment_chunks`` hands the increment rows out
-one chunk at a time.  ``statistic_values`` turns the sums into the
-normalized statistic samples the distance pipeline consumes.  Given an
-``increments`` sink, it also hands the sink each chunk's increment rows,
-mapped from the same draw matrix before the next chunk is drawn: that single
-pass is how ``simulate`` writes both the statistics and the increments of a
-replicate from one draw.
+``statistic_range`` applies the maps chunk by chunk on the calling thread,
+and ``statistic_values`` turns the sums into the normalized statistic
+samples the distance pipeline consumes.  Given an ``increments`` sink, both
+also hand the sink each chunk's increment rows, mapped from the same draw
+matrix before the next chunk is drawn.  That single pass is the only route
+to the increments: ``simulate`` writes the statistics and the increments of
+a replicate from one draw, and ``verify-ce`` folds its moment table into
+column sums one chunk at a time.
 
 Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 ``sup_moment_ratio`` and ``sum_abs_moments``, ``u_exact`` for every split
@@ -117,11 +117,11 @@ def _draw_pool() -> ThreadPoolExecutor:
         return _draw_pool_instance
 
 
-# The largest (replicates, n) float64 table one call may allocate or one
-# command may stream: 1 GiB.  simulate and verify-ce take their tables one
-# chunk at a time, so for them the cap bounds simulate's increment file and
-# verify-ce's spill file, not memory.  The default simulate grid would write
-# 26 GB at n = 16384; check_table_size refuses such a request before any draw.
+# The largest (replicates, n) float64 table one command may stream: 1 GiB.
+# simulate and verify-ce take their tables one chunk at a time, so the cap
+# bounds simulate's increment file and verify-ce's spill file, not memory.
+# The default simulate grid would write 26 GB at n = 16384; check_table_size
+# refuses such a request before any draw.
 MAX_TABLE_BYTES = 1 << 30
 
 KNOWN_FAMILIES = (
@@ -372,7 +372,9 @@ class Model:
         """Fill out[i] from replicate start + i, one chunk of draws at a time.
 
         increments, when given, is handed each chunk's (chunk, n) increment
-        rows, mapped from the same draws, in replicate order.
+        rows, mapped from the same draws, in replicate order.  Each is a
+        fresh float64 array that no later step reads, so the sink may
+        overwrite it.
         """
         chunk = self.chunk_size()
         for done in range(0, out.shape[0], chunk):
@@ -420,22 +422,3 @@ class Model:
         if replicates < 1:
             raise DomainError("replicates must be positive")
         return self.statistic_range(master_seed, 0, replicates, block, increments)
-
-    def increment_matrix(
-        self, master_seed: int, replicates: int, block: int = 0, start: int = 0
-    ) -> np.ndarray:
-        """(replicates, n) raw increments of replicates [start, start+replicates), one per row."""
-        if replicates < 0 or start < 0:
-            raise DomainError("start and replicates must be nonnegative")
-        check_table_size(replicates, self.spec.n)
-        out = np.empty((replicates, self.spec.n))
-        return self._map_chunks(self._increments, out, master_seed, start, block)
-
-    def increment_chunks(
-        self, master_seed: int, replicates: int, block: int = 0
-    ) -> Iterator[np.ndarray]:
-        """increment_matrix(master_seed, replicates, block), one chunk of rows at a time."""
-        chunk = self.chunk_size()
-        for start in range(0, replicates, chunk):
-            yield self.increment_matrix(master_seed, min(chunk, replicates - start), block, start)
-

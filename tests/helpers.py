@@ -8,8 +8,10 @@ algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
 test can run it in a fresh interpreter under other BLAS thread settings.
 ``sample_path`` draws one path through a model's maps as a chunk of one,
-``chain_one_step_states`` walks a chain's state paths one step per lookup,
-and ``term`` looks up one term of a bound breakdown by name.
+``increment_matrix`` stacks the increment rows a model's statistic pass
+hands its sink, ``chain_one_step_states`` walks a chain's state paths one
+step per lookup, and ``term`` looks up one term of a bound breakdown by
+name.
 
 The Monte Carlo estimators of psi_n and of the fluctuation statistics
 U_ell(p) and l_n, the autocovariance routes to V_n, and the chain's spectral
@@ -30,7 +32,7 @@ import numpy as np
 from cltlab.bounds import U_REPLICATES, BoundBreakdown, BoundTerm
 from cltlab.errors import ConfigurationError, DomainError
 from cltlab.models import ModelSpec, make_model
-from cltlab.models.base import DEFAULT_CHUNK
+from cltlab.models.base import DEFAULT_CHUNK, check_table_size
 from cltlab.numerics import SeedLineage, normal_cdf, quadrature
 
 
@@ -82,6 +84,26 @@ def sample_path(model, lineage: SeedLineage) -> PathSample:
     """The path of one stream: the model's maps applied to a chunk of one."""
     draws = model._draws(lineage, 1)
     return PathSample(model._increments(draws)[0], float(model._sums(draws)[0]))
+
+
+def increment_matrix(model, master_seed: int, replicates: int, block: int = 0, start: int = 0):
+    """(replicates, n) raw increments of replicates [start, start+replicates), one per row.
+
+    The rows are the chunks statistic_range hands its increments sink,
+    copied into one table; a table over the 1 GiB cap is refused before any
+    draw, and a negative start or count raises DomainError.
+    """
+    check_table_size(replicates, model.spec.n)
+    out = np.empty((max(replicates, 0), model.spec.n))
+    done = 0
+
+    def put(rows: np.ndarray) -> None:
+        nonlocal done
+        out[done : done + len(rows)] = rows
+        done += len(rows)
+
+    model.statistic_range(master_seed, start, replicates, block, increments=put)
+    return out
 
 
 def chain_one_step_states(model, draws: np.ndarray) -> np.ndarray:
@@ -182,7 +204,7 @@ def psi_mc_profile(
     mask = sigma2 > 0.0
     if not np.any(mask):
         raise DomainError("all increment variances are zero")
-    xi2 = model.increment_matrix(master_seed, replicates, PSI_BLOCK)[:, mask]
+    xi2 = increment_matrix(model, master_seed, replicates, PSI_BLOCK)[:, mask]
     np.abs(xi2, out=xi2)
     xi3 = xi2**3
     np.square(xi2, out=xi2)

@@ -39,10 +39,12 @@ from cltlab.models.chain import RhoMixingChain
 from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
 from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
+from cltlab.numerics import quadrature
 
 from helpers import (
     PSI_BLOCK,
     ChainEnumeration,
+    increment_matrix,
     l_n_mc,
     psi_mc_profile,
     psi_n,
@@ -129,7 +131,7 @@ class TestPsiN:
         value, se = psi_mc_profile(model, 2_000, 5)(KAPPA_R1 * grid)
         mo = model.moments()
         live = mo.sigma2 > 0.0
-        xi = model.increment_matrix(5, 2_000, PSI_BLOCK)[:, live]
+        xi = increment_matrix(model, 5, 2_000, PSI_BLOCK)[:, live]
         s2 = mo.sigma2[live]
         for i, x in enumerate(grid):
             t = KAPPA_R1 * x
@@ -321,6 +323,26 @@ class TestMasterBound:
         assert math.isclose(term(bd, "smoothing_floor").value, 4.0 * math.sqrt(2.0) * a * delta)
         assert math.isclose(term(bd, "variance_tail_integral").value, delta * (1.0 / a - 1.0 / x_hi))
 
+    @pytest.mark.parametrize("a", (1.0, 2.0, 4.0, 8.0))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GaussianIID(spec("gaussian_iid", 256, sigma={"rule": "affine"})),
+            lambda: RhoMixingChain(spec("rho_mixing_chain", 256)),
+        ],
+        ids=("gaussian_affine", "chain"),
+    )
+    def test_psi_term_is_the_integral_of_psi(self, make, a):
+        # the trapezoid on a log grid against adaptive quadrature of
+        # psi(kappa x)/x over [a, X], with kappa = 6 written out here
+        m = make()
+        bd = theorem1_rhs(3.0, a, m)
+        psi = term(bd, "psi_integral")
+        want = quadrature(
+            lambda x: float(m.psi_closed_form(np.array([6.0 * x]))[0]) / x, a, bd.meta["x_upper"]
+        )
+        assert abs(psi.value - want) <= 3.0 * psi.se + 1e-9
+
     def test_explicit_constants_need_r1(self):
         # the explicit constants exist at r = 1, the only order evaluated
         explicit = ("kappa_explicit", "cubic_constant", "quartic_constant")
@@ -343,13 +365,13 @@ class TestMasterBound:
         # fluctuation sum cannot be formed: no psi path may be drawn first
         m = SequentialMaps(spec("sequential_maps", 32))
         calls = []
-        draw = m.increment_matrix
+        draw = m._draws
 
         def counted(*args, **kwargs):
             calls.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(m, "increment_matrix", counted)
+        monkeypatch.setattr(m, "_draws", counted)
         with pytest.raises(CapabilityError):
             theorem1_rhs(3.0, 1.0, m)
         assert calls == []

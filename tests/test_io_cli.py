@@ -25,6 +25,7 @@ from cltlab.cli import (
     EXIT_OK,
     MODEL_TAGS,
     VERIFY_CE_CSV_COLUMNS,
+    _grid_models,
     _measure,
     build_parser,
     main,
@@ -58,6 +59,7 @@ from cltlab.io import (
 from cltlab.models import KNOWN_FAMILIES, ModelSpec, make_model
 from cltlab.models import base as models_base
 from cltlab.numerics import SeedLineage
+from helpers import increment_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -305,13 +307,18 @@ class TestCanonicalJson:
         )
 
 
+def write_whole(path, values, digest):
+    """A batch of one block: the whole array, put at once."""
+    return write_batch(path, lambda put: put(values), digest, np.shape(values))
+
+
 class TestBatchFormat:
     DIGEST = "ab" * 32
 
     def test_vector_round_trip(self, tmp_path):
         path = tmp_path / "v.bin"
         values = np.arange(5, dtype=float) / 7.0
-        write_batch(path, values, self.DIGEST)
+        write_whole(path, values, self.DIGEST)
         assert path.stat().st_size == BATCH_HEADER_BYTES + 8 * 5
         back, digest = read_batch(path)
         assert digest == self.DIGEST
@@ -321,7 +328,7 @@ class TestBatchFormat:
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "m.bin"
         values = np.arange(12, dtype=float).reshape(3, 4) * math.pi
-        write_batch(path, values, self.DIGEST)
+        write_whole(path, values, self.DIGEST)
         assert path.stat().st_size == BATCH_HEADER_BYTES + 8 * 12
         back, _ = read_batch(path)
         assert back.shape == (3, 4)
@@ -329,7 +336,7 @@ class TestBatchFormat:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.bin"
-        write_batch(path, np.zeros((2, 3)), self.DIGEST)
+        write_whole(path, np.zeros((2, 3)), self.DIGEST)
         raw = path.read_bytes()
         magic, version, kind, rows, cols, digest = struct.unpack_from("<4sHHQQ64s", raw)
         assert magic == BATCH_MAGIC == b"CLTB"
@@ -340,20 +347,21 @@ class TestBatchFormat:
     def test_noncontiguous_and_float32_inputs(self, tmp_path):
         path = tmp_path / "n.bin"
         base = np.arange(10, dtype=np.float32)
-        write_batch(path, base[::2], self.DIGEST)
+        write_whole(path, base[::2], self.DIGEST)
         back, _ = read_batch(path)
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, [0.0, 2.0, 4.0, 6.0, 8.0])
 
     def test_write_rejects_bad_payloads(self, tmp_path):
         with pytest.raises(DataFormatError, match="1-D or 2-D"):
-            write_batch(tmp_path / "x.bin", np.zeros((2, 2, 2)), self.DIGEST)
+            write_whole(tmp_path / "x.bin", np.zeros((2, 2, 2)), self.DIGEST)
         with pytest.raises(DataFormatError, match="64 hex"):
-            write_batch(tmp_path / "x.bin", np.zeros(3), "abcd")
+            write_whole(tmp_path / "x.bin", np.zeros(3), "abcd")
+        assert not (tmp_path / "x.bin").exists()
 
     def test_read_rejects_corrupt_files(self, tmp_path):
         good = tmp_path / "good.bin"
-        write_batch(good, np.zeros(3), self.DIGEST)
+        write_whole(good, np.zeros(3), self.DIGEST)
         raw = good.read_bytes()
 
         cases = {
@@ -383,7 +391,7 @@ STREAMED_SPECS = {
 
 
 class TestStreamedBatch:
-    """write_batch fed one chunk of increment rows at a time."""
+    """write_batch fed one block of rows at a time."""
 
     DIGEST = "cd" * 32
 
@@ -394,31 +402,34 @@ class TestStreamedBatch:
         model = make_model(ModelSpec(family, 257, params=params))
         reps = model.chunk_size() + 37  # a full chunk and a partial one
         whole, streamed = tmp_path / "whole.bin", tmp_path / "streamed.bin"
-        write_batch(whole, model.increment_matrix(11, reps, block=3), self.DIGEST)
+        write_whole(whole, increment_matrix(model, 11, reps, block=3), self.DIGEST)
         stats = write_batch(
             streamed,
             lambda put: model.statistic_values(11, reps, 3, increments=put),
             self.DIGEST,
-            shape=(reps, 257),
+            (reps, 257),
         )
         assert streamed.read_bytes() == whole.read_bytes()
         assert stats.tobytes() == model.statistic_values(11, reps, 3).tobytes()
 
     @pytest.mark.parametrize(
-        "blocks",
+        "shape,blocks",
         [
-            [np.ones((4, 3)), np.ones((1, 3))],  # too few rows
-            [np.ones((4, 3)), np.ones((3, 3))],  # too many rows
-            [np.ones((4, 3)), np.ones((2, 4))],  # the wrong width
-            [np.ones(6)],  # not a row block
+            ((6, 3), [np.ones((4, 3)), np.ones((1, 3))]),  # too few rows
+            ((6, 3), [np.ones((4, 3)), np.ones((3, 3))]),  # too many rows
+            ((6, 3), [np.ones((4, 3)), np.ones((2, 4))]),  # the wrong width
+            ((6, 3), [np.ones(6)]),  # not a row block
+            ((6,), [np.ones(4), np.ones(1)]),  # too few values
+            ((6,), [np.ones(4), np.ones(3)]),  # too many values
+            ((6,), [np.ones((6, 1))]),  # a row block for a vector
         ],
-        ids=("short", "long", "wide", "flat"),
+        ids=("short", "long", "wide", "flat", "vector_short", "vector_long", "vector_rows"),
     )
-    def test_a_stream_of_the_wrong_size_leaves_no_batch(self, tmp_path, blocks):
+    def test_a_stream_of_the_wrong_size_leaves_no_batch(self, tmp_path, shape, blocks):
         path = tmp_path / "bad.bin"
-        write_batch(path, np.zeros((6, 3)), self.DIGEST)  # an older, complete batch
+        write_whole(path, np.zeros(shape), self.DIGEST)  # an older, complete batch
         with pytest.raises(DataFormatError, match="header"):
-            write_batch(path, lambda put: list(map(put, blocks)), self.DIGEST, shape=(6, 3))
+            write_batch(path, lambda put: list(map(put, blocks)), self.DIGEST, shape)
         assert not path.exists()
 
     def test_a_failing_stream_leaves_no_batch(self, tmp_path):
@@ -428,7 +439,7 @@ class TestStreamedBatch:
 
         path = tmp_path / "bad.bin"
         with pytest.raises(OSError, match="disk gone"):
-            write_batch(path, fill, self.DIGEST, shape=(6, 3))
+            write_batch(path, fill, self.DIGEST, (6, 3))
         assert not path.exists()
 
 
@@ -464,7 +475,8 @@ class TestDistanceCsvRoundTrip:
                 "--seed", "5", "--out", str(out)]
         assert run_cli(*argv) == EXIT_OK
         cfg = resolve_config(build_parser().parse_args(argv))
-        assert read_distance_csv(out / "distances.csv") == _measure(cfg, cfg.master_seed)
+        measured = _measure(cfg, _grid_models(cfg), cfg.master_seed)
+        assert read_distance_csv(out / "distances.csv") == measured
 
     def test_header_must_match_schema(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1217,6 +1229,30 @@ class TestCliCommands:
         assert rc == EXIT_CONFIG
         assert drawn == [] and not out.exists()
 
+    # family params of the wrong type or form: each family reads them in its
+    # constructor, where float() or int() raises TypeError or ValueError
+    MALFORMED_PARAMS = {
+        "gaussian_intercept": ("gaussian_iid", {"sigma": {"rule": "affine", "intercept": "abc"}}),
+        "chain_stay": ("rho_mixing_chain", {"transition": {"rule": "two_state", "stay": "high"}}),
+        "maps_multiplier": ("sequential_maps", {"multipliers": {"rule": "constant", "m": [2]}}),
+        "ma_theta": ("linear_statistic", {"base": {"kind": "ma", "theta": ["a"]}}),
+        "chain_matrix": ("rho_mixing_chain", {"transition": [[0.5, "x"], [0.5, 0.5]]}),
+    }
+
+    @pytest.mark.parametrize("command", ["distance", "simulate", "bounds"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PARAMS))
+    def test_malformed_params_exit_2_before_the_directory(self, tmp_path, capsys, command, name):
+        family, params = self.MALFORMED_PARAMS[name]
+        out = tmp_path / "out"
+        doc = config_doc(model={"family": family, "n": 32, "p": 3.0, "params": params},
+                         n_grid=[32, 64], outputs=str(out))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(command, "--config", str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and family in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,target", [("w1", -0.5), ("w1_normalized", 0.0)])
     def test_ratefit_default_target_of_each_w1_kind(self, tmp_path, kind, target):
         out = tmp_path / kind
@@ -1283,9 +1319,6 @@ class TestCliCommands:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().out == ""
         assert not out.exists() or not any(out.iterdir())
-        model = make_model(ModelSpec(family="rademacher_iid", n=16))
-        with pytest.raises(ConfigurationError, match="GiB cap"):
-            model.increment_matrix(0, 100)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_verify_ce_bad_seed_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys, seed):

@@ -37,6 +37,7 @@ from helpers import (
     chain_one_step_states,
     chain_spectral_gap_rho,
     chain_u_samples,
+    increment_matrix,
     linear_chunk_routes,
     linear_covariance_vn,
     sample_path,
@@ -251,7 +252,7 @@ class TestCELowerBound:
         # when summed naively; the exact-sum bookkeeping is what restores 0.
         m = CELowerBound(spec("ce_lowerbound", 100))
         vals = m.statistic_values(master_seed=3, replicates=600)
-        mat = m.increment_matrix(master_seed=3, replicates=600)
+        mat = increment_matrix(m, master_seed=3, replicates=600)
         zero_rows = np.flatnonzero(vals == 0.0)
         assert zero_rows.size > 0
         naive = mat[zero_rows].sum(axis=1)
@@ -266,7 +267,7 @@ class TestCELowerBound:
 
     def test_tail_moment_matches_monte_carlo(self):
         m = CELowerBound(spec("ce_lowerbound", 100))
-        mat = m.increment_matrix(master_seed=19, replicates=4000)
+        mat = increment_matrix(m, master_seed=19, replicates=4000)
         post = mat[:, m.params.m :].ravel()
         mc_vals = np.abs(post) ** 3.0
         mc = float(np.mean(mc_vals))
@@ -278,7 +279,7 @@ class TestCELowerBound:
 
     def test_psi_closed_form_matches_monte_carlo(self):
         m = CELowerBound(spec("ce_lowerbound", 100))
-        mat = m.increment_matrix(master_seed=23, replicates=20_000)
+        mat = increment_matrix(m, master_seed=23, replicates=20_000)
         col = mat[:, m.params.m]  # one post-split increment per path
         t = 1.0
         mc_vals = np.minimum(t * col * col, np.abs(col) ** 3)
@@ -767,7 +768,7 @@ class TestRhoMixingChain:
     def test_sampled_increments_are_law_values(self):
         for model in self.law_chains():
             values, _ = model._increment_laws()
-            xi = model.increment_matrix(master_seed=59, replicates=300)
+            xi = increment_matrix(model, master_seed=59, replicates=300)
             for k in range(model.spec.n):
                 assert np.isin(xi[:, k], values[k]).all(), (model.model_id, k + 1)
 
@@ -994,7 +995,7 @@ class TestBatchPlumbing:
         for s in ALL_FAMILIES:
             m = make_model(s)
             reps = m.chunk_size() + 3  # the last rows come from a second chunk
-            mat = m.increment_matrix(master_seed=89, replicates=reps, block=2)
+            mat = increment_matrix(m, master_seed=89, replicates=reps, block=2)
             assert mat.shape == (reps, s.n)
             for r in (0, reps - 4, reps - 3, reps - 1):
                 lin = SeedLineage(89, SeedLineage.stream_for(2, r))
@@ -1002,11 +1003,11 @@ class TestBatchPlumbing:
 
     def test_increment_matrix_from_an_offset(self):
         m = make_model(spec("ce_lowerbound", 33))
-        full = m.increment_matrix(master_seed=5, replicates=300, block=2)
-        part = m.increment_matrix(master_seed=5, replicates=40, block=2, start=250)
+        full = increment_matrix(m, master_seed=5, replicates=300, block=2)
+        part = increment_matrix(m, master_seed=5, replicates=40, block=2, start=250)
         assert part.tobytes() == full[250:290].tobytes()
         with pytest.raises(DomainError):
-            m.increment_matrix(master_seed=5, replicates=40, start=-1)
+            increment_matrix(m, master_seed=5, replicates=40, start=-1)
 
     def test_statistic_is_normalized_path_sum(self):
         for s in ALL_FAMILIES:
@@ -1095,7 +1096,7 @@ class TestReplicateStreams:
             assert m._draws(first, count).tobytes() == want
             outputs.add((
                 m.statistic_range(PINNED_SEED, start, count, block=5).tobytes(),
-                m.increment_matrix(PINNED_SEED, count, block=5, start=start).tobytes(),
+                increment_matrix(m, PINNED_SEED, count, block=5, start=start).tobytes(),
             ))
         assert len(outputs) == 1
 
@@ -1170,7 +1171,7 @@ class TestReplicateStreams:
         assert last.shape == (6,)
 
 
-# SHA-256 of increment_matrix(PINNED_SEED, 200, block=5) and of
+# SHA-256 of increment_matrix(m, PINNED_SEED, 200, block=5) and of
 # statistic_range(PINNED_SEED, 37, 200, block=5), recorded while every
 # replicate still built its own SeedLineage.generator().  They pin the stream
 # contract and each family's draw order and maps to the bit.  gaussian_iid
@@ -1227,7 +1228,7 @@ PINNED_DIGESTS = {
 )
 def test_pinned_increment_and_statistic_bits(s, name):
     m = make_model(s)
-    incs = m.increment_matrix(PINNED_SEED, 200, block=5)
+    incs = increment_matrix(m, PINNED_SEED, 200, block=5)
     stats = m.statistic_range(PINNED_SEED, 37, 200, block=5)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (incs, stats))
     assert got == PINNED_DIGESTS[name]
@@ -1239,6 +1240,7 @@ def test_pinned_increment_and_statistic_bits(s, name):
 PINNED_CHAIN_S3_SUMS = "d3f806c85e3b1e6725813a0a3395fe026809a0a92ccc4042735b34ccc3062904"
 
 
+@pytest.mark.pinned
 def test_pinned_chain_s3_raw_sums():
     m = make_model(PINNED_CHAIN_S3)
     sums = m._map_chunks(m._sums, np.empty(200), PINNED_SEED, 37, 5)
