@@ -151,6 +151,21 @@ def config_real(key: str, x: Any) -> float:
     raise ConfigurationError(f"{key} must be a finite real, got {x!r}")
 
 
+def config_int(key: str, x: Any) -> int:
+    """A config value as an int: a JSON integer or a whole float, not a bool or a string."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) or (
+        isinstance(x, float) and x.is_integer()
+    ):
+        return int(x)
+    raise ConfigurationError(f"{key} must be an integer, got {x!r}")
+
+
+def config_reals(key: str, xs: Any) -> np.ndarray:
+    """A list, or a list of lists, of config values as a float array, each read by config_real."""
+    arr = np.asarray(xs, dtype=object)
+    return np.array([config_real(key, x) for x in arr.ravel()], dtype=float).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of one path model.

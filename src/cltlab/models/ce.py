@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError
-from ..numerics import normal_abs_moment, normal_cdf, quadrature, scipy_special
+from ..numerics import normal_abs_moment, normal_cdf, normal_quantile, quadrature
 from .base import Model, ModelSpec, PathMoments
 from .iid import gaussian_min_profile
 
@@ -144,7 +144,7 @@ class CELowerBound(Model):
         xi = draws.copy()
         s = s_m[win, None]
         xi[win, cp.m :] = np.where(first[win], -s / cp.k, cp.k / s)
-        xi[~win, cp.m :] = scipy_special().ndtri(np.maximum(u[~win], _U_FLOOR))
+        xi[~win, cp.m :] = normal_quantile(np.maximum(u[~win], _U_FLOOR))
         return xi
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class CELowerBound(Model):
         s_m, u, win, first = self._split(draws)
         out = np.empty(s_m.size)
         off = ~win
-        out[off] = s_m[off] + scipy_special().ndtri(np.maximum(u[off], _U_FLOOR)).sum(axis=1)
+        out[off] = s_m[off] + normal_quantile(np.maximum(u[off], _U_FLOOR)).sum(axis=1)
         s, b = s_m[win], first[win].sum(axis=1)
         out[win] = np.where(b == k, 0.0, s * (1.0 - b / k) + (k - b) * (k / s))
         return out

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import DRAW_BUDGET, Model, ModelSpec, PathMoments
+from .base import DRAW_BUDGET, Model, ModelSpec, PathMoments, config_real, config_reals
 
 # The b-step state table holds at most this many entries (K^b S <= 2^12),
 # so it stays a few kB and in cache.
@@ -58,18 +58,19 @@ def _resolve_transition(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(raw, dict):
         if raw.get("rule") != "two_state":
             raise ConfigurationError(f"unknown transition shorthand {raw!r}")
-        stay = float(raw.get("stay", 0.75))
+        stay = config_real(f"{spec.family} stay", raw.get("stay", 0.75))
         if not (0.0 < stay < 1.0):
             raise ConfigurationError(f"two_state stay probability must be in (0,1), got {stay!r}")
         P = np.array([[stay, 1.0 - stay], [1.0 - stay, stay]])
     else:
-        P = np.asarray(raw, dtype=float)
+        P = config_reals(f"{spec.family} transition", raw)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
             raise ConfigurationError("transition must be a square stochastic matrix")
         if np.any(P < 0) or not np.allclose(P.sum(axis=1), 1.0, atol=1e-12):
             raise ConfigurationError("transition rows must be nonnegative and sum to 1")
-    f = np.asarray(spec.params.get("state_values", [1.0, -1.0][: P.shape[0]]), dtype=float)
-    if f.shape != (P.shape[0],) or not np.all(np.isfinite(f)):
+    f = config_reals(f"{spec.family} state_values",
+                     spec.params.get("state_values", [1.0, -1.0][: P.shape[0]]))
+    if f.shape != (P.shape[0],):
         raise ConfigurationError(f"state_values must give {P.shape[0]} finite reals")
     return P, f
 

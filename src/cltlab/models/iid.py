@@ -17,33 +17,33 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, normal_cdf, normal_pdf
-from .base import Model, ModelSpec, PathMoments
+from .base import Model, ModelSpec, PathMoments, config_real, config_reals
 
 
 def sigma_schedule(spec: ModelSpec) -> np.ndarray:
     """Resolve the sigma_k schedule from spec.params["sigma"]."""
     n = spec.n
+    key = f"{spec.family} sigma"
     raw = spec.params.get("sigma", 1.0)
-    if isinstance(raw, (int, float)):
-        if raw <= 0:
-            raise ConfigurationError("sigma must be positive")
-        return np.full(n, float(raw))
     if isinstance(raw, (list, tuple, np.ndarray)):
-        arr = np.asarray(raw, dtype=float)
-        if arr.shape != (n,) or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-            raise ConfigurationError(
-                f"explicit sigma schedule must be {n} positive finite reals"
-            )
+        arr = config_reals(key, raw)
+        if arr.shape != (n,) or np.any(arr <= 0):
+            raise ConfigurationError(f"explicit sigma schedule must be {n} positive finite reals")
         return arr
-    if isinstance(raw, dict) and raw.get("rule") == "affine":
-        intercept = float(raw.get("intercept", 1.0))
-        slope = float(raw.get("slope", 1.0))
+    if isinstance(raw, dict):
+        if raw.get("rule") != "affine":
+            raise ConfigurationError(f"unrecognized sigma schedule {raw!r}")
+        intercept = config_real(f"{key} intercept", raw.get("intercept", 1.0))
+        slope = config_real(f"{key} slope", raw.get("slope", 1.0))
         k = np.arange(1, n + 1, dtype=float)
         arr = intercept + slope * k / n
         if np.any(arr <= 0):
             raise ConfigurationError("affine sigma schedule must stay positive")
         return arr
-    raise ConfigurationError(f"unrecognized sigma schedule {raw!r}")
+    sigma = config_real(key, raw)
+    if sigma <= 0:
+        raise ConfigurationError("sigma must be positive")
+    return np.full(n, sigma)
 
 
 def gaussian_min_profile(u) -> np.ndarray:

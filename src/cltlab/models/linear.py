@@ -32,13 +32,14 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, quadrature
-from .base import Model, ModelSpec, PathMoments
+from .base import Model, ModelSpec, PathMoments, config_real, config_reals
 from .iid import gaussian_ladder_abs_sum, gaussian_ladder_psi, gaussian_ladder_sup_ratio
 
 
 def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
     """Resolve alpha_{k,n} from spec.params["coefficients"]."""
     n = spec.n
+    key = f"{spec.family} coefficients"
     raw = spec.params.get("coefficients", {"rule": "constant", "kappa": 1.0})
     if isinstance(raw, (list, tuple, np.ndarray)):
         raw = {"rule": "explicit", "values": list(raw)}
@@ -46,13 +47,13 @@ def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
         raise ConfigurationError(f"unrecognized coefficient schedule {raw!r}")
     rule = raw.get("rule")
     if rule == "constant":
-        kappa = float(raw.get("kappa", 1.0))
+        kappa = config_real(f"{key} kappa", raw.get("kappa", 1.0))
         if kappa == 0.0:
             raise ConfigurationError("constant coefficients must be nonzero")
         return np.full(n, kappa)
     if rule == "power":
-        kappa = float(raw.get("kappa", 1.0))
-        expo = float(raw.get("alpha", 0.0))
+        kappa = config_real(f"{key} kappa", raw.get("kappa", 1.0))
+        expo = config_real(f"{key} alpha", raw.get("alpha", 0.0))
         if expo <= -0.5:
             raise ConfigurationError("power rule needs exponent > -1/2")
         if kappa == 0.0:
@@ -60,8 +61,8 @@ def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
         k = np.arange(1, n + 1, dtype=float)
         return kappa * k**expo
     if rule == "explicit":
-        arr = np.asarray(raw.get("values"), dtype=float)
-        if arr.shape != (n,) or not np.all(np.isfinite(arr)):
+        arr = config_reals(f"{key} values", raw.get("values"))
+        if arr.shape != (n,):
             raise ConfigurationError(f"explicit coefficients must be {n} finite reals")
         if np.all(arr == 0.0):
             raise ConfigurationError("coefficients cannot be identically zero")
@@ -121,7 +122,7 @@ class LinearStatistic(Model):
             )
         kind = base.get("kind")
         if kind == "ar1":
-            phi = float(base.get("phi", 0.5))
+            phi = config_real(f"{spec.family} base phi", base.get("phi", 0.5))
             if not (-1.0 < phi < 1.0) or phi == 0.0:
                 raise ConfigurationError(f"ar1 base needs 0 < |phi| < 1, got {phi!r}")
             self.kind = "ar1"
@@ -129,8 +130,8 @@ class LinearStatistic(Model):
             self.theta = None
             self.gamma0 = 1.0 / (1.0 - phi * phi)
         elif kind == "ma":
-            theta = np.asarray(base.get("theta", [1.0, 0.5]), dtype=float)
-            if theta.ndim != 1 or theta.size < 1 or not np.all(np.isfinite(theta)):
+            theta = config_reals(f"{spec.family} base theta", base.get("theta", [1.0, 0.5]))
+            if theta.ndim != 1 or theta.size < 1:
                 raise ConfigurationError("ma base needs a 1-D list of finite theta weights")
             if theta[0] == 0.0:
                 raise ConfigurationError("ma base needs theta_0 != 0")

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Model, ModelSpec, PathMoments
+from .base import Model, ModelSpec, PathMoments, config_int
 
 OBSERVABLES = {
     # harmonic -> coefficient; no constant term, so means are exactly zero
@@ -42,14 +42,15 @@ OBSERVABLES = {
 def _slopes(spec: ModelSpec) -> np.ndarray:
     raw = spec.params.get("multipliers", {"rule": "constant", "m": 2})
     n = spec.n
+    key = f"{spec.family} multipliers"
     if isinstance(raw, (list, tuple, np.ndarray)):
-        arr = np.asarray(raw, dtype=np.int64)
+        arr = np.array([config_int(key, v) for v in raw], dtype=np.int64)
         if arr.shape != (n,):
             raise ConfigurationError(f"explicit multipliers must give {n} integers")
     elif isinstance(raw, dict) and raw.get("rule") == "constant":
-        arr = np.full(n, int(raw.get("m", 2)), dtype=np.int64)
+        arr = np.full(n, config_int(key, raw.get("m", 2)), dtype=np.int64)
     elif isinstance(raw, dict) and raw.get("rule") == "cycle":
-        vals = [int(v) for v in raw.get("values", [2, 3])]
+        vals = [config_int(key, v) for v in raw.get("values", [2, 3])]
         if not vals:
             raise ConfigurationError("cycle rule needs at least one multiplier")
         arr = np.array([vals[k % len(vals)] for k in range(n)], dtype=np.int64)

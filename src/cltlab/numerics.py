@@ -7,23 +7,28 @@ port of the Cephes routines that scipy.special runs: ndtr.c (ndtr through erf
 and erfc) and ndtri.c.  The port keeps Cephes' coefficient tables, branch
 thresholds and polevl/p1evl Horner order, so it returns scipy's bits, which
 are accurate to a few ulp.  Its + - * / and sqrt are IEEE-rounded in numpy
-and Python floats alike, as in scipy's C code.  Every exp and log comes from
-Python's math module, which calls the C library's libm as scipy does.
-np.exp and np.log are numpy's own implementations, which differ from libm in
-the last bit on up to a few percent of arguments, so in the port they would
-move artifact bytes.  (The density phi, alone and inside J, has always been
-np.exp and stays so.)  A scalar or 0-d argument runs a pure-Python route
-and an array a masked numpy route, sharing the tables and Horner helpers;
-each hands back the matching shape.  No package integrand calls Phi: a
-benchmarked command makes at most a few dozen scalar calls.  The thousands
-come from the test suite's quadrature oracles (criterion 09's W1 by
-quadrature), where the scalar route takes about 1 us a call and the array
-route on a 0-d input about 55 us, so the scalar route stays.
+and Python floats alike, as in scipy's C code.  Every exp and log takes the
+C library's (libm's) bits, as scipy's does.  The scalar route calls Python's
+math module; the array route goes through `_libm`, which runs numpy's plain
+per-element C loop over libm (5-10 ns an element).  Numpy's AVX-512 exp
+and log loops differ from libm in the last bit on a few percent of
+arguments, so in the port they would move artifact bytes: `_libm` hands the
+loop a reversed input, which those loops turn down, and once per process
+checks the loop against math on a probe of arguments that the AVX-512 loops
+get wrong, keeping math (85-150 ns an element) on any mismatch.  (The
+density phi, alone and inside J, has always been np.exp and stays so.)  A
+scalar or 0-d argument runs a pure-Python route and an array a masked numpy
+route, sharing the tables and Horner helpers; each hands back the matching
+shape.  No package integrand calls Phi: a benchmarked command makes at most
+a few dozen scalar calls.  The thousands come from the test suite's
+quadrature oracles (criterion 09's W1 by quadrature), where the scalar route
+takes about 1 us a call and the array route on a 0-d input about 55 us, so
+the scalar route stays.  ce_lowerbound's Gaussian draws take Phi^-1 of
+millions of uniforms through the array route.
 
 Every scipy call goes through `scipy_special`, which imports scipy.special
-(about 0.2-0.3 s and 20 MB) on its first call.  Only ce_lowerbound's Gaussian
-draws (ndtri over millions of uniforms, where the port is ten times slower)
-and ratefit's Student-t quantile still call it.
+(about 0.2-0.3 s and 20 MB) on its first call.  Only ratefit's Student-t
+quantile, for fit_seeds > 1, still calls it.
 
 `quadrature` is intentionally *not* backed by scipy: it is a self-contained
 adaptive Simpson scheme with interval bisection and a hard evaluation budget,
@@ -155,9 +160,55 @@ def _p1evl(x, coef):
     return ans
 
 
-def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """f (math.exp or math.log) of each element of x."""
-    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+_MATH = {np.exp: math.exp, np.log: math.log}
+
+# ufunc -> whether _libm_loop gave _libm_map's bits on the ufunc's probe
+_loop_agrees: dict = {}
+
+
+def _libm_map(f: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """f of each element of x through Python's math module, one call each."""
+    return np.fromiter(map(_MATH[f], x.tolist()), dtype=float, count=x.size)
+
+
+def _libm_loop(f: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """f of each element of x through numpy's plain per-element C loop.
+
+    That loop calls the C library's exp and log.  The AVX-512 loops, which
+    give other bits, turn down an input of negative stride, so the input
+    goes in reversed and the output comes back reversed.
+    """
+    out = np.empty(x.size)
+    f(np.ascontiguousarray(x)[::-1], out=out)
+    return out[::-1]
+
+
+def _libm_probe(f: np.ufunc) -> np.ndarray:
+    """Arguments on which numpy's AVX-512 loop for f gave other bits than
+    libm on an AVX-512 host, then a grid over each range the port takes f
+    on: erfc's -z^2 in [-MAXLOG, -1], ndtri's y in [1e-300, e^-2] and its
+    x in [2, 39]."""
+    if f is np.exp:
+        found = (-237.8866114848069, -93.3192464892768, -314.2954587225734, -10.553468293347805)
+        ranges = ((-_MAXLOG, -1.0),)
+    else:
+        found = (0.12182420364070991, 0.07370332733705777, 0.02447105769027753,
+                 14.668256001242954, 4.686043233262957, 24.245607139146227)
+        ranges = ((1e-300, _EXP_M2), (2.0, 39.0))
+    return np.concatenate([found, *(np.linspace(lo, hi, 257) for lo, hi in ranges)])
+
+
+def _libm(f: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """f (np.exp or np.log) of each element of the 1-D x, with libm's bits.
+
+    The first call for each f compares `_libm_loop` with `_libm_map` on
+    `_libm_probe(f)`; on any mismatch, every call takes `_libm_map`.
+    """
+    agrees = _loop_agrees.get(f)
+    if agrees is None:
+        probe = _libm_probe(f)
+        agrees = _loop_agrees[f] = _libm_loop(f, probe).tobytes() == _libm_map(f, probe).tobytes()
+    return _libm_loop(f, x) if agrees else _libm_map(f, x)
 
 
 def _ndtr(a: float) -> float:
@@ -194,7 +245,7 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     far = ~near & (zo * zo <= _MAXLOG)
     for rows, p, q in ((near, _NDTR_P, _NDTR_Q), (far, _NDTR_R, _NDTR_S)):
         zr = zo[rows]
-        half[rows] = 0.5 * (_libm(math.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
+        half[rows] = 0.5 * (_libm(np.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
     y[outer] = np.where(x[outer] > 0.0, 1.0 - half, half)
     return y
 
@@ -224,14 +275,14 @@ def _ndtri_array(u: np.ndarray) -> np.ndarray:
     c2 = c * c
     out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
     tail = ~centre
-    x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    x = np.sqrt(-2.0 * _libm(np.log, y[tail]))
     z = 1.0 / x
     x1 = np.empty_like(x)
     near = x < 8.0
     for rows, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
         zr = z[rows]
         x1[rows] = zr * _polevl(zr, p) / _p1evl(zr, q)
-    x = x - _libm(math.log, x) / x - x1
+    x = x - _libm(np.log, x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out
 

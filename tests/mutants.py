@@ -96,6 +96,18 @@ MUTANTS = (
         "    g = model.psi_closed_form(np.exp(u))",
         "theorem 1's psi term integrates psi(kappa x)/x with kappa = 6",
     ),
+    Mutant(
+        "numerics.py",
+        "    f(np.ascontiguousarray(x)[::-1], out=out)",
+        "    out = f(np.ascontiguousarray(x))[::-1]",
+        "a contiguous input takes numpy's AVX-512 exp and log loops, whose bits are not libm's",
+    ),
+    Mutant(
+        "models/ce.py",
+        "        first = u <= (cp.k * cp.k / (s_m * s_m + cp.k * cp.k))[:, None]",
+        "        first = u <= (s_m * s_m / (s_m * s_m + cp.k * cp.k))[:, None]",
+        "the branch X_j = -S_m/k has probability k^2/(S_m^2 + k^2); swapped, X_j loses its zero mean",
+    ),
 )
 
 TEST_DIRS = ("src", "tests", "benchmarks")

@@ -1253,6 +1253,40 @@ class TestCliCommands:
         assert "configuration error" in err and family in err
         assert not out.exists()
 
+    # family params that are numbers of the wrong kind: bools, strings, and
+    # fractions where an integer is read; none may be coerced
+    WRONG_KIND_PARAMS = {
+        "maps_constant_fraction": ("sequential_maps",
+                                   {"multipliers": {"rule": "constant", "m": 2.7}}),
+        "maps_list_fraction": ("sequential_maps", {"multipliers": [2] * 31 + [3.5]}),
+        "maps_cycle_fraction": ("sequential_maps",
+                                {"multipliers": {"rule": "cycle", "values": [2, 3.9]}}),
+        "gaussian_sigma_bool": ("gaussian_iid", {"sigma": True}),
+        "gaussian_intercept_bool": ("gaussian_iid",
+                                    {"sigma": {"rule": "affine", "intercept": True}}),
+        "gaussian_intercept_string": ("gaussian_iid",
+                                      {"sigma": {"rule": "affine", "intercept": "1.5"}}),
+        "rademacher_sigma_list_bool": ("rademacher_iid", {"sigma": [1.0] * 31 + [True]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRONG_KIND_PARAMS))
+    def test_wrong_kind_params_are_refused(self, tmp_path, name):
+        family, params = self.WRONG_KIND_PARAMS[name]
+        with pytest.raises(ConfigurationError, match=family):
+            make_model(ModelSpec(family, 32, 3.0, params))
+        out = tmp_path / "out"
+        doc = config_doc(model={"family": family, "n": 32, "p": 3.0, "params": params},
+                         n_grid=[32], outputs=str(out))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("distance", "--config", str(path)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_whole_float_multipliers_are_integers(self):
+        model = make_model(ModelSpec("sequential_maps", 4, 3.0,
+                                     {"multipliers": {"rule": "cycle", "values": [2.0, 3]}}))
+        assert model.m.tolist() == [2, 3, 2, 3]
+
     @pytest.mark.parametrize("kind,target", [("w1", -0.5), ("w1_normalized", 0.0)])
     def test_ratefit_default_target_of_each_w1_kind(self, tmp_path, kind, target):
         out = tmp_path / kind

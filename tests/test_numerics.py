@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cltlab import numerics
 from cltlab.errors import DomainError, QuadratureError
+from cltlab.models import ModelSpec, ce
 from cltlab.numerics import (
     BLOCK_STRIDE,
     SeedLineage,
@@ -199,6 +200,93 @@ class TestCephesPort:
         u = QUANTILE_BRANCHES["tail_below_8"][:12].reshape(3, 4)
         assert normal_quantile(u).shape == (3, 4)
         assert np.array_equal(normal_cdf(u), normal_cdf(u.ravel()).reshape(3, 4))
+
+
+# Arguments of exp and log in the ranges the port takes them: erfc's -z^2,
+# ndtri's y = min(u, 1 - u) on the tails (uniform and log-uniform halves)
+# and its x = sqrt(-2 log y); a million of each, drawn afresh per test.
+def _libm_args(name):
+    rng = np.random.default_rng(20_261_021)
+    if name == "exp_erfc":
+        return np.exp, rng.uniform(-numerics._MAXLOG, -1.0, 1_000_000)
+    if name == "log_ndtri_y":
+        return np.log, np.concatenate((
+            rng.uniform(1e-300, numerics._EXP_M2, 500_000),
+            np.exp(rng.uniform(math.log(1e-300), -2.0, 500_000)),
+        ))
+    return np.log, rng.uniform(2.0, 39.0, 1_000_000)
+
+
+LIBM_RANGES = ("exp_erfc", "log_ndtri_y", "log_ndtri_x")
+
+
+class TestLibmRoute:
+    """numpy's plain loop gives libm's exp and log bits, as math does, and
+    the guard falls back to math when it does not."""
+
+    @pytest.mark.parametrize("name", LIBM_RANGES)
+    def test_loop_matches_math(self, name):
+        f, x = _libm_args(name)
+        assert np.array_equal(_bits(numerics._libm_loop(f, x)), _bits(numerics._libm_map(f, x)))
+
+    @pytest.mark.parametrize("name", LIBM_RANGES)
+    def test_loop_matches_math_at_every_small_size(self, name):
+        f, x = _libm_args(name)
+        for size in range(34):
+            part = x[size * 40 : size * 41]  # fresh arguments at each size
+            got = numerics._libm_loop(f, part)
+            assert got.shape == (size,)
+            assert np.array_equal(_bits(got), _bits(numerics._libm_map(f, part)))
+
+    @pytest.mark.parametrize("f", [np.exp, np.log])
+    def test_probe_holds_what_the_simd_loop_gets_wrong(self, f):
+        # wherever numpy's contiguous loop differs from libm in the port's
+        # ranges, it differs on the guard's probe too
+        wrong = False
+        for name in LIBM_RANGES:
+            g, x = _libm_args(name)
+            wrong |= g is f and not np.array_equal(_bits(f(x)), _bits(numerics._libm_map(f, x)))
+        probe = numerics._libm_probe(f)
+        assert wrong == (not np.array_equal(_bits(f(probe)), _bits(numerics._libm_map(f, probe))))
+
+    def test_guard_takes_the_loop_that_matches(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_loop_agrees", {})
+        normal_quantile(QUANTILE_BRANCHES["tail_below_8"])
+        normal_cdf(PHI_BRANCHES["erfc_below_8"])
+        assert numerics._loop_agrees == {np.exp: True, np.log: True}
+
+    def test_guard_mismatch_falls_back_to_math(self, monkeypatch):
+        def off_by_one_ulp(f, x):
+            return np.nextafter(np.exp(x) if f is np.exp else np.log(x), np.inf)
+
+        monkeypatch.setattr(numerics, "_loop_agrees", {})
+        monkeypatch.setattr(numerics, "_libm_loop", off_by_one_ulp)
+        special = numerics.scipy_special()
+        for branch in ("erfc_below_8", "erfc_from_8"):
+            a = PHI_BRANCHES[branch]
+            assert np.array_equal(_bits(normal_cdf(a)), _bits(special.ndtr(a)))
+        for branch in ("tail_below_8", "tail_from_8"):
+            u = QUANTILE_BRANCHES[branch]
+            assert np.array_equal(_bits(normal_quantile(u)), _bits(special.ndtri(u)))
+        assert numerics._loop_agrees == {np.exp: False, np.log: False}
+
+    def test_ce_draws_match_scipy_ndtri(self, monkeypatch):
+        # three chunks of 1024 rows; off the window, the last k increments
+        # are Phi^-1 of uniforms
+        model = ce.CELowerBound(ModelSpec("ce_lowerbound", 256, 3.0))
+        assert model.chunk_size() < 2500
+
+        def run():
+            rows = []
+            sums = model.statistic_values(31, 2500, block=2, increments=rows.append)
+            return sums, np.concatenate(rows)
+
+        sums, rows = run()
+        monkeypatch.setattr(ce, "normal_quantile", numerics.scipy_special().ndtri)
+        ref_sums, ref_rows = run()
+        assert np.array_equal(_bits(sums), _bits(ref_sums))
+        assert np.array_equal(_bits(rows), _bits(ref_rows))
+        assert np.any(sums == 0.0)  # the window branch was reached too
 
 
 class TestQuadrature:

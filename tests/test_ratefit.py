@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import csv
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -357,26 +358,40 @@ CLI_THEN_SPECIAL = (
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about 0.3 s and 20 MB; only ce draws and the t
-    # quantile of fit_seeds > 1 load it
+    # scipy.special costs about 0.3 s and 20 MB; only the t quantile of
+    # fit_seeds > 1 loads it
     assert fresh_python("import sys, cltlab.cli; print('scipy.special' in sys.modules)") == "False"
 
 
-# Phi, J and Phi^-1 come from numerics' own port of Cephes, so measuring a
-# distance or fitting one seed loads scipy.special only when ce draws
+# a config whose rate fit pools two seeds, so it takes a Student-t quantile
+FIT_SEEDS_2 = {
+    "schema_version": 1, "model": {"family": "gaussian_iid", "n": 16, "p": 3.0, "params": {}},
+    "n_grid": [16, 32], "replicates": 200, "master_seed": 7, "outputs": "out",
+    "bound_requests": [], "fit_seeds": 2,
+}
+
+
+# Phi, J and Phi^-1 come from numerics' own port of Cephes, ce's Gaussian
+# draws included, so only a rate fit over several seeds loads scipy.special
 @pytest.mark.parametrize(
     "args, loaded",
     [(("bounds", "--model", "rho_mixing_chain", "--n-grid", "16,32", "--a", "auto"), "False"),
-     (("simulate", "--model", "ce_lowerbound", "--n-grid", "32", "--reps", "100"), "True"),
+     (("simulate", "--model", "ce_lowerbound", "--n-grid", "32", "--reps", "100"), "False"),
+     (("distance", "--model", "ce_lowerbound", "--n-grid", "64,256", "--reps", "200"), "False"),
+     (("verify-ce", "--n-grid", "64", "--reps", "200"), "False"),
      (("distance", "--model", "gaussian_iid", "--n-grid", "16,32", "--reps", "200"), "False"),
      (("distance", "--model", "rho_mixing_chain", "--n-grid", "16,32", "--reps", "200"), "False"),
      (("ratefit", "--model", "linear_ar1", "--n-grid", "16,32", "--reps", "200"), "False"),
+     (("ratefit", "--config", "FIT_SEEDS_2"), "True"),
      (("bounds", "--model", "ce_lowerbound", "--n-grid", "64,256"), "False")],
-    ids=("chain_bounds", "ce_simulate", "gaussian_distance", "chain_distance",
-         "ar1_ratefit", "ce_bounds"),
+    ids=("chain_bounds", "ce_simulate", "ce_distance", "verify_ce", "gaussian_distance",
+         "chain_distance", "ar1_ratefit", "ratefit_two_seeds", "ce_bounds"),
 )
 def test_scipy_special_loads_only_where_phi_is_evaluated(tmp_path, args, loaded):
-    assert fresh_python(CLI_THEN_SPECIAL, *args, "--out", str(tmp_path)) == f"0 {loaded}"
+    config = tmp_path / "fit_seeds_2.json"
+    config.write_text(json.dumps(FIT_SEEDS_2), encoding="utf-8")
+    args = [str(config) if a == "FIT_SEEDS_2" else a for a in args]
+    assert fresh_python(CLI_THEN_SPECIAL, *args, "--out", str(tmp_path / "out")) == f"0 {loaded}"
 
 
 def test_no_module_imports_scipy_at_module_level():
