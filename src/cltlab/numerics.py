@@ -7,28 +7,24 @@ port of the Cephes routines that scipy.special runs: ndtr.c (ndtr through erf
 and erfc) and ndtri.c.  The port keeps Cephes' coefficient tables, branch
 thresholds and polevl/p1evl Horner order, so it returns scipy's bits, which
 are accurate to a few ulp.  Its + - * / and sqrt are IEEE-rounded in numpy
-and Python floats alike, as in scipy's C code.  Every exp and log takes the
-C library's (libm's) bits, as scipy's does.  The scalar route calls Python's
-math module; the array route goes through `_libm`, which runs numpy's plain
+as in scipy's C code.  Every exp and log takes the C library's (libm's)
+bits, as scipy's does, through `_libm`, which runs numpy's plain
 per-element C loop over libm (5-10 ns an element).  Numpy's AVX-512 exp
 and log loops differ from libm in the last bit on a few percent of
 arguments, so in the port they would move artifact bytes: `_libm` hands the
 loop a reversed input, which those loops turn down, and once per process
 checks the loop against math on a probe of arguments that the AVX-512 loops
 get wrong, keeping math (85-150 ns an element) on any mismatch.  (The
-density phi, alone and inside J, has always been np.exp and stays so.)  A
-scalar or 0-d argument runs a pure-Python route and an array a masked numpy
-route, sharing the tables and Horner helpers; each hands back the matching
-shape.  No package integrand calls Phi: a benchmarked command makes at most
-a few dozen scalar calls.  The thousands come from the test suite's
-quadrature oracles (criterion 09's W1 by quadrature), where the scalar route
-takes about 1 us a call and the array route on a 0-d input about 55 us, so
-the scalar route stays.  ce_lowerbound's Gaussian draws take Phi^-1 of
-millions of uniforms through the array route.
+density phi, alone and inside J, has always been np.exp and stays so.)
 
-Every scipy call goes through `scipy_special`, which imports scipy.special
-(about 0.2-0.3 s and 20 MB) on its first call.  Only ratefit's Student-t
-quantile, for fit_seeds > 1, still calls it.
+There is one route, over numpy arrays: a scalar or 0-d argument runs as a
+one-element array and comes back a Python float, and each kernel skips the
+branches its input has no element in.  A scalar call costs 25-45 us (1-2 us
+on the pure-Python route this replaced), and no package integrand calls
+Phi: the four benchmark workloads make 188 scalar calls a pass, under 10 ms
+(22 per two-point `distance` run, 44 in the long-paths rate fit, 12 in ce's
+bounds).  The test suite's quadrature oracles integrate libm's erfc, not the
+port they check.
 
 `quadrature` is intentionally *not* backed by scipy: it is a self-contained
 adaptive Simpson scheme with interval bisection and a hard evaluation budget,
@@ -66,12 +62,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
-
-def scipy_special():
-    """The scipy.special module, imported on the first call."""
-    import scipy.special
-    return scipy.special
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +201,19 @@ def _libm(f: np.ufunc, x: np.ndarray) -> np.ndarray:
     return _libm_loop(f, x) if agrees else _libm_map(f, x)
 
 
-def _ndtr(a: float) -> float:
-    """Cephes ndtr of one float."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    # Cephes takes 0.5 + 0.5 erf(x) below z = 1/sqrt(2) and 0.5 erfc(z) =
-    # 0.5 (1 - erf(z)) from there to z = 1.  Both give the same bits, since
-    # 1 - erf(z) is exact there (Sterbenz), so the erf branch serves z < 1.
-    if z < 1.0:
-        z2 = x * x
-        return 0.5 + 0.5 * (x * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
-    if z * z > _MAXLOG:  # erfc underflows
-        half = 0.0
-    else:
-        p, q = (_NDTR_P, _NDTR_Q) if z < 8.0 else (_NDTR_R, _NDTR_S)
-        half = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _p1evl(z, q))
-    return 1.0 - half if x > 0.0 else half
-
-
 def _ndtr_array(a: np.ndarray) -> np.ndarray:
-    """_ndtr of each element, exp taken only where erfc needs it."""
+    """Cephes ndtr of each element of a 1-D array, exp taken only where erfc needs it."""
     x = a * _SQRT1_2
     z = np.abs(x)
     y = np.empty_like(x)
+    # Cephes takes 0.5 + 0.5 erf(x) below z = 1/sqrt(2) and 0.5 erfc(z) =
+    # 0.5 (1 - erf(z)) from there to z = 1.  Both give the same bits, since
+    # 1 - erf(z) is exact there (Sterbenz), so the erf branch serves z < 1.
     inner = z < 1.0
     xi = x[inner]
-    z2 = xi * xi
-    y[inner] = 0.5 + 0.5 * (xi * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
+    if xi.size:  # a branch with no element is skipped: a scalar call takes one branch
+        z2 = xi * xi
+        y[inner] = 0.5 + 0.5 * (xi * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
     outer = ~inner
     zo = z[outer]
     half = np.zeros_like(zo)  # stays 0 where erfc underflows
@@ -245,35 +221,22 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     far = ~near & (zo * zo <= _MAXLOG)
     for rows, p, q in ((near, _NDTR_P, _NDTR_Q), (far, _NDTR_R, _NDTR_S)):
         zr = zo[rows]
-        half[rows] = 0.5 * (_libm(np.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
+        if zr.size:
+            half[rows] = 0.5 * (_libm(np.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
     y[outer] = np.where(x[outer] > 0.0, 1.0 - half, half)
     return y
 
 
-def _ndtri(u: float) -> float:
-    """Cephes ndtri of one float in (0, 1)."""
-    upper = u > 1.0 - _EXP_M2
-    y = 1.0 - u if upper else u
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x - math.log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
-    return x if upper else -x
-
-
 def _ndtri_array(u: np.ndarray) -> np.ndarray:
-    """_ndtri of each element, log taken only on the tails."""
+    """Cephes ndtri of each element of a 1-D array in (0, 1), log taken only on the tails."""
     upper = u > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - u, u)
     out = np.empty_like(y)
     centre = y > _EXP_M2
     c = y[centre] - 0.5
-    c2 = c * c
-    out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
+    if c.size:
+        c2 = c * c
+        out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
     tail = ~centre
     x = np.sqrt(-2.0 * _libm(np.log, y[tail]))
     z = 1.0 / x
@@ -281,38 +244,36 @@ def _ndtri_array(u: np.ndarray) -> np.ndarray:
     near = x < 8.0
     for rows, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
         zr = z[rows]
-        x1[rows] = zr * _polevl(zr, p) / _p1evl(zr, q)
+        if zr.size:
+            x1[rows] = zr * _polevl(zr, p) / _p1evl(zr, q)
     x = x - _libm(np.log, x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out
 
 
-def _float_or_array(x: ArrayLike) -> Union[float, np.ndarray]:
-    """A scalar or 0-d x as a Python float, anything else as a float array."""
-    if isinstance(x, (float, int)):
-        return float(x)
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
+def _each(kernel: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> ArrayLike:
+    """kernel of each element of v in v's shape; a Python float for a 0-d v."""
+    y = kernel(v.ravel()).reshape(v.shape)
+    return float(y) if v.ndim == 0 else y
 
 
-def _as_checked(x: ArrayLike, name: str) -> Union[float, np.ndarray]:
-    v = _float_or_array(x)
-    if not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
+def _as_checked(x: ArrayLike, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(v)):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return v
 
 
 def normal_cdf(x: ArrayLike) -> ArrayLike:
     """Standard Gaussian cdf, vectorized, absolute error under 1e-15."""
-    v = _as_checked(x, "x")
-    return _ndtr(v) if isinstance(v, float) else _ndtr_array(v)
+    return _each(_ndtr_array, _as_checked(x, "x"))
 
 
 def normal_pdf(x: ArrayLike) -> ArrayLike:
     """Standard Gaussian density."""
     v = _as_checked(x, "x")
     d = np.exp(-0.5 * v * v) / _SQRT_2PI
-    return float(d) if isinstance(v, float) else d
+    return float(d) if v.ndim == 0 else d
 
 
 def normal_quantile(u: ArrayLike) -> ArrayLike:
@@ -322,11 +283,10 @@ def normal_quantile(u: ArrayLike) -> ArrayLike:
     Round-trip error |normal_cdf(normal_quantile(u)) - u| stays below 1e-12
     away from the extreme tails (where the cdf itself saturates).
     """
-    v = _float_or_array(u)
-    scalar = isinstance(v, float)
-    if not (0.0 < v < 1.0 if scalar else np.all((v > 0.0) & (v < 1.0))):
+    v = np.asarray(u, dtype=float)
+    if not np.all((v > 0.0) & (v < 1.0)):
         raise DomainError(f"u must lie strictly inside (0, 1), got {u!r}")
-    return _ndtri(v) if scalar else _ndtri_array(v)
+    return _each(_ndtri_array, v)
 
 
 def normal_abs_moment(p: float) -> float:
@@ -352,9 +312,8 @@ def integral_of_phi(x: ArrayLike) -> ArrayLike:
     v = _as_checked(x, "x")
     # The subtraction inside x*Phi(x) + phi(x) can round to a tiny negative
     # number in the far left tail; the true value is nonnegative.
-    if isinstance(v, float):
-        return max(v * _ndtr(v) + normal_pdf(v), 0.0)
-    return np.maximum(v * _ndtr_array(v) + normal_pdf(v), 0.0)
+    j = np.maximum(v * normal_cdf(v) + normal_pdf(v), 0.0)
+    return float(j) if v.ndim == 0 else j
 
 
 # The integrand evaluations one quadrature call may spend.

@@ -1,8 +1,9 @@
 """Independent oracles and Monte Carlo cross-checks shared across the test suite.
 
-The oracles reuse none of the package's closed forms beyond the Gaussian cdf
-and the adaptive quadrature routine (which is itself oracle-grade and has its
-own golden tests).  The W1 oracle integrates |F_hat - Phi| piece by piece; the
+The oracles reuse none of the package's closed forms beyond the adaptive
+quadrature routine (which is itself oracle-grade and has its own golden
+tests).  The W1 oracle integrates |F_hat - Phi| piece by piece, with Phi
+taken from libm's erfc, not from the package's Cephes port.  The
 finite-chain oracles work purely by exhaustive path enumeration, so they are
 algorithmically independent of the matrix-power machinery they check.
 ``linear_chunk_routes`` replays the chunking an older release used, so a
@@ -33,7 +34,9 @@ from cltlab.bounds import U_REPLICATES, BoundBreakdown, BoundTerm
 from cltlab.errors import ConfigurationError, DomainError
 from cltlab.models import ModelSpec, make_model
 from cltlab.models.base import DEFAULT_CHUNK, check_table_size
-from cltlab.numerics import SeedLineage, normal_cdf, quadrature
+from cltlab.numerics import SeedLineage, quadrature
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1e-12) -> float:
@@ -51,7 +54,7 @@ def w1_by_quadrature(values, lo: float = -12.0, hi: float = 12.0, tol: float = 1
         if b <= a:
             continue
         c = i / r  # empirical cdf level between knots i and i+1
-        total += quadrature(lambda t, c=c: abs(c - normal_cdf(t)), a, b, tol=tol)
+        total += quadrature(lambda t, c=c: abs(c - 0.5 * math.erfc(-t / _SQRT2)), a, b, tol=tol)
     return total
 
 

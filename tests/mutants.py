@@ -108,6 +108,48 @@ MUTANTS = (
         "        first = u <= (s_m * s_m / (s_m * s_m + cp.k * cp.k))[:, None]",
         "the branch X_j = -S_m/k has probability k^2/(S_m^2 + k^2); swapped, X_j loses its zero mean",
     ),
+    Mutant(
+        "cli.py",
+        "    return float(means[k_star]), float(np.std(column, ddof=1) / math.sqrt(replicates))",
+        "    return float(means[k_star]), float(np.std(column, ddof=0) / math.sqrt(replicates))",
+        "the standard error of a mean takes the sample SD (ddof = 1)",
+    ),
+    Mutant(
+        "cli.py",
+        "        atom_ok = atom >= atom_thr - 3.0 * atom_se",
+        "        atom_ok = atom >= atom_thr + 3.0 * atom_se",
+        "the atom check forgives three SE below its floor, not demands three SE above it",
+    ),
+    Mutant(
+        "models/iid.py",
+        "        return float(np.max(self.sigma ** (p - 2.0)))",
+        "        return float(np.max(self.sigma ** p))",
+        "the ratio divides E|xi_k|^p = sigma_k^p by sigma_k^2",
+    ),
+    Mutant(
+        "models/linear.py",
+        "            w[0] = c[0] * math.sqrt(self.gamma0)  # stationary start absorbs the past",
+        "            w[0] = c[0] * self.gamma0  # stationary start absorbs the past",
+        "the stationary start X_0 has standard deviation sqrt(gamma0), not variance",
+    ),
+    Mutant(
+        "models/seqdyn.py",
+        "                            total += 2.0 * (c1 * c2 / 2.0)",
+        "                            total += c1 * c2 / 2.0",
+        "each cross covariance enters V_n twice, once for each order of the pair",
+    ),
+    Mutant(
+        "io.py",
+        "        if self.master_seed + self.fit_seeds - 1 >= 2**64:",
+        "        if self.master_seed + self.fit_seeds >= 2**64:",
+        "the last master seed is master_seed + fit_seeds - 1, which may be 2^64 - 1",
+    ),
+    Mutant(
+        "models/base.py",
+        "        return np.cumsum(self.sigma2[::-1])[::-1]",
+        "        return np.cumsum(self.sigma2)[::-1]",
+        "a tail sum from ell adds sigma_k^2 over k >= ell, not the reversed prefix sums",
+    ),
 )
 
 TEST_DIRS = ("src", "tests", "benchmarks")

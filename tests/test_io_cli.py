@@ -58,6 +58,7 @@ from cltlab.io import (
 )
 from cltlab.models import KNOWN_FAMILIES, ModelSpec, make_model
 from cltlab.models import base as models_base
+from cltlab.models.ce import CELowerBound, CEParams
 from cltlab.numerics import SeedLineage
 from helpers import increment_matrix
 
@@ -1167,6 +1168,57 @@ class TestCliCommands:
             "max_moment", "max_moment_se", "moment_cap", "moment_pass",
         )
         assert len(row) == len(header) and row[0] == "64"
+
+    def test_verify_ce_moment_columns_match_the_increment_table(self, tmp_path):
+        # second route: max_k mean |xi_k|^p and its SE from the whole
+        # (replicates, n) table, which verify-ce never holds
+        seed, reps, grid = 5, 150, (64, 96)
+        out = tmp_path / "ce"
+        rc = run_cli("verify-ce", "--n-grid", ",".join(map(str, grid)), "--reps", str(reps),
+                     "--seed", str(seed), "--out", str(out))
+        assert rc in (EXIT_OK, EXIT_CHECK)
+        rows = list(csv.DictReader((out / "verify_ce.csv").read_text().splitlines()))
+        assert [int(r["n"]) for r in rows] == list(grid)
+        for i, (n, row) in enumerate(zip(grid, rows)):
+            model = make_model(ModelSpec("ce_lowerbound", n, 3.0))
+            powers = np.abs(increment_matrix(model, seed, reps, block=1000 + i)) ** 3.0
+            col = powers[:, int(np.argmax(powers.mean(axis=0)))]
+            moment, se = float(row["max_moment"]), float(row["max_moment_se"])
+            assert moment == pytest.approx(col.mean(), rel=1e-12, abs=0.0)
+            assert se == pytest.approx(np.std(col, ddof=1) / math.sqrt(reps), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("check", ["atom", "kolmogorov", "moment"])
+    def test_verify_ce_checks_allow_three_standard_errors(self, tmp_path, monkeypatch, check):
+        # each threshold placed 2 SE past the measured value passes, 4 SE fails
+        def run(name):
+            argv = ("verify-ce", "--n-grid", "64", "--reps", "400", "--seed", "2")
+            rc = run_cli(*argv, "--out", str(tmp_path / name))
+            (row,) = csv.DictReader((tmp_path / name / "verify_ce.csv").read_text().splitlines())
+            return rc, row
+
+        rc, row = run("measured")
+        assert rc in (EXIT_OK, EXIT_CHECK)
+        value = {c: float(v) for c, v in row.items() if v not in ("true", "false")}
+
+        def place(atom_k, dist_k, moment_k):
+            atom = value["atom"] + atom_k * value["atom_se"]
+            dist = value["kolmogorov"] + dist_k * value["kolmogorov_se"]
+            cap = value["max_moment"] - moment_k * value["max_moment_se"]
+            monkeypatch.setattr(CEParams, "atom_lower_bound", lambda self: atom)
+            monkeypatch.setattr(CEParams, "kolmogorov_lower_bound", lambda self: dist)
+            monkeypatch.setattr(CELowerBound, "moment_cap", lambda self, p: cap)
+            return atom, dist, cap
+
+        checks = ("atom", "kolmogorov", "moment")
+        inside = place(2.0, 2.0, 2.0)
+        rc, row = run("inside")
+        assert rc == EXIT_OK
+        thresholds = ("atom_threshold", "kolmogorov_threshold", "moment_cap")
+        assert tuple(float(row[c]) for c in thresholds) == inside
+        place(*(4.0 if c == check else 2.0 for c in checks))
+        rc, row = run("beyond")
+        assert rc == EXIT_CHECK
+        assert [c for c in checks if row[f"{c}_pass"] == "false"] == [check]
 
     def test_verify_ce_config_writes_the_bytes_of_its_flags(self, tmp_path):
         flags = ("--n-grid", "64,128", "--reps", "500", "--seed", "4")

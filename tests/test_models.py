@@ -146,6 +146,15 @@ class TestIIDFamilies:
         assert m.sum_abs_moments(2.5) == 10.0
         assert m.psi_closed_form(np.array([0.3, 7.0])).tolist() == [0.3, 1.0]
 
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_rademacher_moments_match_sampled_increments(self, p):
+        # |xi_k| = sigma_k on every row, so the sampled moments are exact
+        sigma = np.array([0.5, 1.5, 2.0, 0.8, 1.2])
+        m = RademacherIID(spec("rademacher_iid", 5, sigma=sigma.tolist()))
+        moments = np.mean(np.abs(increment_matrix(m, master_seed=3, replicates=200)) ** p, axis=0)
+        assert m.sup_moment_ratio(p) == pytest.approx(np.max(moments / sigma**2), rel=1e-12)
+        assert m.sum_abs_moments(p) == pytest.approx(np.sum(moments), rel=1e-12)
+
     def test_rademacher_statistic_support(self):
         m = RademacherIID(spec("rademacher_iid", 1))
         vals = m.statistic_values(master_seed=5, replicates=64)

@@ -395,9 +395,9 @@ def test_scipy_special_loads_only_where_phi_is_evaluated(tmp_path, args, loaded)
 
 
 def test_no_module_imports_scipy_at_module_level():
-    # every scipy name goes through numerics.scipy_special, imported on first
-    # call; only statements that run at import time are checked, not the
-    # bodies of functions
+    # scipy is imported only inside the function that calls it (ratefit's
+    # multi-seed t quantile); only statements that run at import time are
+    # checked, not the bodies of functions
     def import_time_nodes(body):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
