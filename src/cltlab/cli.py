@@ -24,7 +24,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -310,15 +310,17 @@ def _default_target(cfg: ExperimentConfig) -> float:
     return -0.5 if cfg.distance_kind == "w1" else 0.0
 
 
-def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefit.RateSeries:
-    """The (n, V_n, distance, se) series of cfg.distance_kind.
+def _series(
+    cfg: ExperimentConfig, models: Mapping[int, Model], reports: Sequence[DistanceReport]
+) -> _ratefit.RateSeries:
+    """The (n, V_n, distance, se) series of cfg.distance_kind, read with models[n].
 
     A report whose model id or p differs from the config's model at its n was
     measured for another experiment: DataFormatError.
     """
     pts = []
     for rep in sorted(reports, key=lambda r: r.n):
-        model = make_model(cfg.spec_for(rep.n))
+        model = models[rep.n]
         if rep.model_id != model.model_id or rep.p != model.spec.p:
             raise DataFormatError(
                 f"distance row for {rep.model_id} at p={rep.p:g} does not match the "
@@ -341,6 +343,7 @@ def _series(cfg: ExperimentConfig, reports: Sequence[DistanceReport]) -> _ratefi
 def cmd_ratefit(cfg: ExperimentConfig) -> int:
     check_p(cfg.model.p)
     models = _grid_models(cfg)
+    by_n = {n: model for _, n, model in models}
     out = _ensure_out(cfg)
     target = cfg.target_exponent if cfg.target_exponent is not None else _default_target(cfg)
     files = ["ratefit.csv", "distances.csv"]  # a refit's manifest attests the table it read
@@ -380,7 +383,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
                 f"{csv_path}: holds n = {table_grid}, but n_grid = {list(cfg.n_grid)}; "
                 "remove the file to measure them"
             )
-        series = [_series(cfg, reports)]
+        series = [_series(cfg, by_n, reports)]
         print(f"fitting {len(reports)} rows from {csv_path}")
     else:
         series = []
@@ -388,7 +391,7 @@ def cmd_ratefit(cfg: ExperimentConfig) -> int:
             reports = _measure(cfg, models, cfg.master_seed + j)
             if j == 0:
                 write_text(csv_path, reports_to_csv(reports))
-            series.append(_series(cfg, reports))
+            series.append(_series(cfg, by_n, reports))
             print(f"seed {cfg.master_seed + j}: measured {len(series[-1].points)} grid points")
     result = _ratefit.fit(series, target, tolerance=cfg.tolerance)
 

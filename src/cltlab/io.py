@@ -414,7 +414,7 @@ def read_distance_csv(path: Path) -> list[DistanceReport]:
     """Parse a distance table back into the reports that wrote it.
 
     The header must match the documented schema exactly; numeric fields are
-    parsed as float/int and the upper-bound flag as a boolean.  The
+    parsed as float/int and the upper-bound flag must read true or false.  The
     be_transfer column is derived from wr_value and p, so it is only checked
     to be a number.  model_id is written bare and is the only column that can
     hold a comma (the chain's and ce_lowerbound's ids do), so a row's leading
@@ -440,6 +440,8 @@ def read_distance_csv(path: Path) -> list[DistanceReport]:
         rec = [",".join(rec[: surplus + 1]), *rec[surplus + 1 :]]
         try:
             float(rec[11])
+            if rec[10] not in ("true", "false"):
+                raise ValueError(f"wr_is_upper_bound must be true or false, got {rec[10]!r}")
             reports.append(
                 DistanceReport(
                     model_id=rec[0],

@@ -10,7 +10,8 @@ Each family implements one draw kernel and the maps over it:
 * ``_draw_row(g, row)`` spends one replicate's generator in the family's
                          documented draw order, writing its draws into
                          ``row`` (width ``_draw_width()``) in place; it may
-                         run on any thread,
+                         run on any thread (a ladder family's is its
+                         ``iid.InnovationLaw``'s fill),
 * ``_increments(D)``    (chunk, n) martingale increments from the stacked
                          (chunk, width) draw matrix D,
 * ``_sums(D)``          (chunk,) raw path sums from D, with the family's own
@@ -48,11 +49,13 @@ Each oracle the bound evaluators use (``psi_closed_form``, the moment sums
 index at once, ``bracket_samples`` over ``prefix_states_chunk``,
 ``projection_norms``, and the mixing display's ``k_n`` and ``c_n``) is
 defined once on ``Model`` and raises CapabilityError there; a family
-declares a capability by overriding it.  ψ (array of t in, array out), the
-two moment sums and ``c_n`` (plain floats) and ``u_exact`` (an array over
-ell) are exact; the chain reads ``c_n``'s window variances off its
-``moments()`` ladder.  ``bracket_samples`` returns per-path samples that
-heyde_brown averages into a value and its standard error.
+declares a capability by overriding it (the ladder families by subclassing
+``iid.InnovationLadder``, which reads ψ and the moment sums off their law).
+ψ (array of t in, array out), the two moment sums and ``c_n`` (plain
+floats) and ``u_exact`` (an array over ell) are exact; the chain reads
+``c_n``'s window variances off its ``moments()`` ladder.
+``bracket_samples`` returns per-path samples that heyde_brown averages into
+a value and its standard error.
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 Both take a deterministic scale schedule sigma_k (k = 1..n) given as a
 constant, an explicit list, or the affine rule sigma_k = intercept +
-slope * k / n.  Increments are xi_k = sigma_k * Z_k with Z_k standard
-Gaussian, or sigma_k * eps_k with eps_k a fair sign.
-
-Everything about these families is closed form: the variance ladder, the
-truncated-third-moment profile used by the smoothing integral, and the
-absolute moments.  They are the calibration targets of the laboratory —
-their distance decay is the classical independent-case rate.
+slope * k / n.  Increments are xi_k = sigma_k * eps_k, with eps_k i.i.d.
+standard Gaussian or fair signs.  Each law's draw order, E|eps|^p and psi
+profile are written once, in its ``InnovationLaw`` (``GAUSSIAN``,
+``RADEMACHER``); ``InnovationLadder`` turns a law and the ladder of
+``moments()`` into the draw row, psi and the moment sums for these families
+and ``linear_statistic``.  They are the calibration targets of the
+laboratory — their distance decay is the classical independent-case rate.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,25 +60,59 @@ def gaussian_min_profile(u) -> np.ndarray:
     return np.maximum(res, 0.0)
 
 
-# The capabilities of independent increments xi_k ~ N(0, sig_k^2), shared by
-# the Gaussian families; each returns what the Model oracle of its name does.
+def _rademacher_fill(g: np.random.Generator, row: np.ndarray) -> None:
+    # The signs integers(0, 2, n) would give, read from the raw Philox
+    # words: it takes one uint32 per sign, the low half of each 64-bit word
+    # first, and keeps the top bit.  Decoded per row, while it is in cache.
+    n = row.size
+    words = g.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
+    np.multiply(words.view("<u4")[:n] >> 31, 2.0, out=row)
+    row -= 1.0
 
 
-def gaussian_ladder_psi(sig: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sigma -> sigma * profile(t delta / sigma) is increasing, so the sup over
-    # k of sig_k * E min((t delta / sig_k) Z^2, |Z|^3) sits at sig_k = delta_n
-    return float(np.max(sig)) * gaussian_min_profile(t)
+@dataclass(frozen=True)
+class InnovationLaw:
+    """A unit-variance law of eps: fill(g, row) writes i.i.d. draws into row in
+    the law's documented draw order, abs_moment(p) is E|eps|^p, and
+    min_profile(u) is E min(u eps^2, |eps|^3), array of u >= 0 in, array out."""
+
+    fill: Callable[[np.random.Generator, np.ndarray], None]
+    abs_moment: Callable[[float], float]
+    min_profile: Callable[[np.ndarray], np.ndarray]
 
 
-def gaussian_ladder_sup_ratio(sig: np.ndarray, p: float) -> float:
-    return float(np.max(sig ** (p - 2.0))) * normal_abs_moment(p)
+GAUSSIAN = InnovationLaw(
+    lambda g, row: g.standard_normal(out=row), normal_abs_moment, gaussian_min_profile
+)
+# |eps| = 1, so E|eps|^p = 1 and E min(u eps^2, |eps|^3) = min(u, 1)
+RADEMACHER = InnovationLaw(_rademacher_fill, lambda p: 1.0, lambda u: np.minimum(u, 1.0))
 
 
-def gaussian_ladder_abs_sum(sig: np.ndarray, p: float) -> float:
-    return float(np.sum(sig**p)) * normal_abs_moment(p)
+class InnovationLadder(Model):
+    """xi_k = sigma_k eps_k, eps_k i.i.d. of the class's ``law``, sigma_k^2 from moments().
+
+    In binary64 sqrt(fl(sigma^2)) = sigma, so the closed forms keep sigma_k's bits."""
+
+    law: InnovationLaw
+
+    def __init__(self, spec: ModelSpec) -> None:
+        super().__init__(spec)
+        # the fill itself, not a method that calls it: a row costs one Python call
+        self._draw_row = self.law.fill
+
+    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
+        # E min(t delta xi_k^2, |xi_k|^3) / sigma_k^2 = sigma_k profile(t delta / sigma_k)
+        # is increasing in sigma_k, so the sup over k sits at sigma_k = delta_n
+        return self.moments().delta_n * self.law.min_profile(t)
+
+    def sup_moment_ratio(self, p: float) -> float:
+        return float(np.max(np.sqrt(self.moments().sigma2) ** (p - 2.0))) * self.law.abs_moment(p)
+
+    def sum_abs_moments(self, p: float) -> float:
+        return float(np.sum(np.sqrt(self.moments().sigma2) ** p)) * self.law.abs_moment(p)
 
 
-class _IIDBase(Model):
+class _IIDBase(InnovationLadder):
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
         self.sigma = sigma_schedule(spec)
@@ -83,8 +120,6 @@ class _IIDBase(Model):
 
     def moments(self) -> PathMoments:
         return PathMoments(sigma2=self.sigma**2, v_n=self._v_n, conditional_variance_constant=True)
-
-    # Draw rows hold the unit variables Z_k or eps_k.
 
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         return self.sigma * draws
@@ -97,42 +132,14 @@ class _IIDBase(Model):
 class GaussianIID(_IIDBase):
     """xi_k = sigma_k Z_k; the normalized sum is exactly standard Gaussian."""
 
-    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        g.standard_normal(out=row)
-
-    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
-        return gaussian_ladder_psi(self.sigma, t)
-
-    def sup_moment_ratio(self, p: float) -> float:
-        return gaussian_ladder_sup_ratio(self.sigma, p)
-
-    def sum_abs_moments(self, p: float) -> float:
-        return gaussian_ladder_abs_sum(self.sigma, p)
+    law = GAUSSIAN
 
 
 class RademacherIID(_IIDBase):
     """xi_k = sigma_k eps_k with fair signs; the canonical lattice example."""
 
+    law = RADEMACHER
+
     # A row is a few raw Philox words, too short to pay for a thread handoff:
     # split rows drew 1.8-3.4x slower at n = 2048 and 4096, so rows never split.
     parallel_draw_width = float("inf")
-
-    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        # The signs integers(0, 2, n) would give, read from the raw Philox
-        # words: it takes one uint32 per sign, the low half of each 64-bit word
-        # first, and keeps the top bit.  Decoded per row, while it is in cache.
-        n = self.spec.n
-        words = g.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
-        np.multiply(words.view("<u4")[:n] >> 31, 2.0, out=row)
-        row -= 1.0
-
-    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
-        # E min(t delta sigma_k^2, sigma_k^3) / sigma_k^2 = min(t delta, sigma_k),
-        # increasing in sigma_k, so the sup is min(t, 1) * delta.
-        return self.moments().delta_n * np.minimum(t, 1.0)
-
-    def sup_moment_ratio(self, p: float) -> float:
-        return float(np.max(self.sigma ** (p - 2.0)))
-
-    def sum_abs_moments(self, p: float) -> float:
-        return float(np.sum(self.sigma**p))

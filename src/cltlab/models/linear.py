@@ -13,14 +13,17 @@ Because the base is Gaussian and linear, everything is exact:
   and the per-increment martingale ladder is the squared weights themselves;
 * conditional variances given the past are deterministic (the ladder is
   constant), so the conditional-variance fluctuation statistics vanish;
+* each martingale increment is N(0, sigma_k^2): an ``InnovationLadder`` over
+  the ``GAUSSIAN`` law gives the draw row, psi and the moment sums;
 * the projection norms feeding the dependent-sum bound — the decay of
   ||E(Y_i | past)||_p and the conditional second-order terms — have
   geometric (AR) or finite (MA) closed forms, reduced to one- or
   two-dimensional Gaussian integrals.
 
-Draw order per replicate (documented for bit-exact reproduction): AR(1)
-draws the stationary start then n-1 innovations in time order; MA draws the
-n+q innovations eps_{1-q}, ..., eps_n in time order.
+Draw order per replicate (documented for bit-exact reproduction): the
+GAUSSIAN law's fill, standard normals in time order.  AR(1) draws the
+stationary start then n-1 innovations; MA draws the n+q innovations
+eps_{1-q}, ..., eps_n.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..numerics import normal_abs_moment, quadrature
-from .base import Model, ModelSpec, PathMoments, config_real, config_reals
-from .iid import gaussian_ladder_abs_sum, gaussian_ladder_psi, gaussian_ladder_sup_ratio
+from .base import ModelSpec, PathMoments, config_real, config_reals
+from .iid import GAUSSIAN, InnovationLadder
 
 
 def coefficient_schedule(spec: ModelSpec) -> np.ndarray:
@@ -110,8 +113,10 @@ def _gaussian_product_norm(s1: float, s2: float, cov: float, q: float, center: f
     return val ** (1.0 / q)
 
 
-class LinearStatistic(Model):
+class LinearStatistic(InnovationLadder):
     """Normalized weighted sum of a stationary Gaussian AR(1) or MA base."""
+
+    law = GAUSSIAN
 
     def __init__(self, spec: ModelSpec) -> None:
         super().__init__(spec)
@@ -206,9 +211,6 @@ class LinearStatistic(Model):
     def _draw_width(self) -> int:
         return self._weights.size
 
-    def _draw_row(self, g: np.random.Generator, row: np.ndarray) -> None:
-        g.standard_normal(out=row)
-
     def _increments(self, draws: np.ndarray) -> np.ndarray:
         """Martingale increments of the innovation ladder.
 
@@ -228,17 +230,6 @@ class LinearStatistic(Model):
 
     def _sums(self, draws: np.ndarray) -> np.ndarray:
         return draws @ self._weights
-
-    # -- moment capabilities: the increments are N(0, sigma_k^2) -------------
-
-    def sup_moment_ratio(self, p: float) -> float:
-        return gaussian_ladder_sup_ratio(np.sqrt(self.moments().sigma2), p)
-
-    def sum_abs_moments(self, p: float) -> float:
-        return gaussian_ladder_abs_sum(np.sqrt(self.moments().sigma2), p)
-
-    def psi_closed_form(self, t: np.ndarray) -> np.ndarray:
-        return gaussian_ladder_psi(np.sqrt(self.moments().sigma2), t)
 
     # -- projection-norm sequences for the dependent-sum bound ----------------
 

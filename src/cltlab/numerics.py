@@ -3,16 +3,17 @@ quadrature oracle, deterministic stream seeding, and the one writer of
 every CSV artifact.
 
 The Gaussian helpers evaluate Phi, its antiderivative J and Phi^-1 with a
-port of the Cephes routines that scipy.special runs: ndtr.c (ndtr through erf
-and erfc) and ndtri.c.  The port keeps Cephes' coefficient tables, branch
-thresholds and polevl/p1evl Horner order, so it returns scipy's bits, which
-are accurate to a few ulp.  Its + - * / and sqrt are IEEE-rounded in numpy
-as in scipy's C code.  Every exp and log takes the C library's (libm's)
-bits, as scipy's does, through `_libm`, which runs numpy's plain
-per-element C loop over libm (5-10 ns an element).  Numpy's AVX-512 exp
-and log loops differ from libm in the last bit on a few percent of
-arguments, so in the port they would move artifact bytes: `_libm` hands the
-loop a reversed input, which those loops turn down, and once per process
+port of the Cephes routines that scipy.special runs: ndtr.c (ndtr through
+erf and erfc) and ndtri.c.  The port keeps Cephes' coefficient tables,
+branch thresholds and Horner order (a denominator is Cephes' p1evl table
+with its leading 1.0 written out, as 1.0 x is exact), so it returns scipy's
+bits, which are accurate to a few ulp.  Its + - * / and sqrt are
+IEEE-rounded in numpy as in scipy's C code.  Every exp and log takes the C
+library's (libm's) bits, as scipy's does, through `_libm`, which runs
+numpy's plain per-element C loop over libm (5-10 ns an element).  Numpy's
+AVX-512 exp and log loops differ from libm in the last bit on a few percent
+of arguments, so in the port they would move artifact bytes: `_libm` hands
+the loop a reversed input, which those loops turn down, and once per process
 checks the loop against math on a probe of arguments that the AVX-512 loops
 get wrong, keeping math (85-150 ns an element) on any mismatch.  (The
 density phi, alone and inside J, has always been np.exp and stays so.)
@@ -77,7 +78,7 @@ _NDTR_P = (
     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
 )
 _NDTR_Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2,
 )
@@ -86,7 +87,7 @@ _NDTR_R = (
     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
 )
 _NDTR_S = (
-    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
 )
 # erf(x) = x T(x^2) / U(x^2) on |x| < 1
@@ -95,7 +96,7 @@ _NDTR_T = (
     7.00332514112805075473e3, 5.55923013010394962768e4,
 )
 _NDTR_U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
 )
 
@@ -107,7 +108,7 @@ _NDTRI_P0 = (
     1.39312609387279679503e1, -1.23916583867381258016e0,
 )
 _NDTRI_Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
     1.59056225126211695515e1, -1.18331621121330003142e0,
 )
@@ -118,7 +119,7 @@ _NDTRI_P1 = (
     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
 )
 _NDTRI_Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
     -3.80806407691578277194e-2, -9.33259480895457427372e-4,
 )
@@ -128,7 +129,7 @@ _NDTRI_P2 = (
     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
 )
 _NDTRI_Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
@@ -137,14 +138,6 @@ _NDTRI_Q2 = (
 def _polevl(x, coef):
     """coef[0] x^N + ... + coef[N], Horner as Cephes' polevl; float or array."""
     ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    """x^N + coef[0] x^(N-1) + ... + coef[N-1], Horner as Cephes' p1evl."""
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -213,7 +206,7 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     xi = x[inner]
     if xi.size:  # a branch with no element is skipped: a scalar call takes one branch
         z2 = xi * xi
-        y[inner] = 0.5 + 0.5 * (xi * _polevl(z2, _NDTR_T) / _p1evl(z2, _NDTR_U))
+        y[inner] = 0.5 + 0.5 * (xi * _polevl(z2, _NDTR_T) / _polevl(z2, _NDTR_U))
     outer = ~inner
     zo = z[outer]
     half = np.zeros_like(zo)  # stays 0 where erfc underflows
@@ -222,7 +215,7 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     for rows, p, q in ((near, _NDTR_P, _NDTR_Q), (far, _NDTR_R, _NDTR_S)):
         zr = zo[rows]
         if zr.size:
-            half[rows] = 0.5 * (_libm(np.exp, -zr * zr) * _polevl(zr, p) / _p1evl(zr, q))
+            half[rows] = 0.5 * (_libm(np.exp, -zr * zr) * _polevl(zr, p) / _polevl(zr, q))
     y[outer] = np.where(x[outer] > 0.0, 1.0 - half, half)
     return y
 
@@ -236,7 +229,7 @@ def _ndtri_array(u: np.ndarray) -> np.ndarray:
     c = y[centre] - 0.5
     if c.size:
         c2 = c * c
-        out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _S2PI
+        out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _S2PI
     tail = ~centre
     x = np.sqrt(-2.0 * _libm(np.log, y[tail]))
     z = 1.0 / x
@@ -245,7 +238,7 @@ def _ndtri_array(u: np.ndarray) -> np.ndarray:
     for rows, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
         zr = z[rows]
         if zr.size:
-            x1[rows] = zr * _polevl(zr, p) / _p1evl(zr, q)
+            x1[rows] = zr * _polevl(zr, p) / _polevl(zr, q)
     x = x - _libm(np.log, x) / x - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out

@@ -122,9 +122,9 @@ MUTANTS = (
     ),
     Mutant(
         "models/iid.py",
-        "        return float(np.max(self.sigma ** (p - 2.0)))",
-        "        return float(np.max(self.sigma ** p))",
-        "the ratio divides E|xi_k|^p = sigma_k^p by sigma_k^2",
+        "        return float(np.max(np.sqrt(self.moments().sigma2) ** (p - 2.0))) * self.law.abs_moment(p)",
+        "        return float(np.max(np.sqrt(self.moments().sigma2) ** p)) * self.law.abs_moment(p)",
+        "the ratio divides E|xi_k|^p = sigma_k^p E|eps|^p by sigma_k^2",
     ),
     Mutant(
         "models/linear.py",
@@ -149,6 +149,12 @@ MUTANTS = (
         "        return np.cumsum(self.sigma2[::-1])[::-1]",
         "        return np.cumsum(self.sigma2)[::-1]",
         "a tail sum from ell adds sigma_k^2 over k >= ell, not the reversed prefix sums",
+    ),
+    Mutant(
+        "models/iid.py",
+        "RADEMACHER = InnovationLaw(_rademacher_fill, lambda p: 1.0, lambda u: np.minimum(u, 1.0))",
+        "RADEMACHER = InnovationLaw(_rademacher_fill, lambda p: 1.0, lambda u: np.minimum(u, 2.0))",
+        "a sign has |eps|^3 = 1, so min(u eps^2, |eps|^3) caps at 1, not 2",
     ),
 )
 

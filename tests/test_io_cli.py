@@ -497,6 +497,14 @@ class TestDistanceCsvRoundTrip:
         with pytest.raises(DataFormatError, match=":2:"):
             read_distance_csv(path)
 
+    @pytest.mark.parametrize("flag", ["maybe", "True", "1", ""], ids=["maybe", "True", "1", "empty"])
+    def test_upper_bound_flag_must_read_true_or_false(self, tmp_path, flag):
+        fields = ["m", "8", "3.0", "100"] + ["0.1"] * 6 + [flag, "0.2"]
+        path = tmp_path / "flag.csv"
+        path.write_text(",".join(DISTANCE_CSV_COLUMNS) + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(DataFormatError, match=":2: wr_is_upper_bound must be true or false"):
+            read_distance_csv(path)
+
     def test_non_numeric_field_rejected(self, tmp_path):
         fields = ["m", "x", "3.0", "100"] + ["0.1"] * 6 + ["false", "0.2"]
         path = tmp_path / "ill.csv"
@@ -1001,7 +1009,7 @@ class TestCliCommands:
         cfg_path.write_text(json.dumps(config_doc(**overrides)), encoding="utf-8")
         assert run_cli("bounds", "--config", str(cfg_path)) == EXIT_CONFIG
 
-    def prepared_ratefit_dir(self, tmp_path, distances):
+    def prepared_ratefit_dir(self, tmp_path, distances, upper_bound_flag="false"):
         out = tmp_path / "fit"
         out.mkdir()
         lines = [",".join(DISTANCE_CSV_COLUMNS)]
@@ -1011,7 +1019,7 @@ class TestCliCommands:
                     (
                         f"rademacher_iid(n={n})", str(n), "3.0", "100",
                         repr(d), repr(0.001), repr(d), repr(0.001),
-                        "3.0", repr(d), "false", repr(2.0 * d),
+                        "3.0", repr(d), upper_bound_flag, repr(2.0 * d),
                     )
                 )
             )
@@ -1043,6 +1051,32 @@ class TestCliCommands:
         assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_OK
         text = (out / "ratefit.csv").read_text()
         assert ",consistent," in text
+
+    def test_ratefit_refuses_an_upper_bound_flag_that_is_not_true_or_false(self, tmp_path, capsys):
+        # no manifest: the table's own bytes are all the refit reads
+        grid = (10, 100, 1000, 10000)
+        out, cfg_path = self.prepared_ratefit_dir(
+            tmp_path, [(n, 0.5 * n**-0.25) for n in grid], upper_bound_flag="maybe"
+        )
+        assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_IO
+        assert not (out / "ratefit.csv").exists()
+        assert "wr_is_upper_bound must be true or false, got 'maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fit_seeds", [1, 2])
+    def test_ratefit_builds_each_grid_model_once(self, tmp_path, monkeypatch, fit_seeds):
+        built = []
+        real = make_model
+        monkeypatch.setattr("cltlab.cli.make_model", lambda s: built.append(s.n) or real(s))
+        out = tmp_path / "once"
+        doc = config_doc(n_grid=[8, 16, 32], fit_seeds=fit_seeds, outputs=str(out))
+        cfg_path = tmp_path / "fit.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_OK
+        assert built == [8, 16, 32]
+        if fit_seeds == 1:  # a refit reads the table it wrote
+            built.clear()
+            assert run_cli("ratefit", "--config", str(cfg_path)) == EXIT_OK
+            assert built == [8, 16, 32]
 
     def test_ratefit_measures_when_no_csv_exists(self, tmp_path):
         out = tmp_path / "measured"

@@ -25,7 +25,14 @@ from cltlab.models.base import (
 )
 from cltlab.models.ce import CEParams, CELowerBound, atom_fraction, branch_abs_moment
 from cltlab.models.chain import RhoMixingChain
-from cltlab.models.iid import GaussianIID, RademacherIID, gaussian_min_profile
+from cltlab.models import iid
+from cltlab.models.iid import (
+    GaussianIID,
+    InnovationLadder,
+    InnovationLaw,
+    RademacherIID,
+    gaussian_min_profile,
+)
 from cltlab.models.linear import LinearStatistic
 from cltlab.models.seqdyn import SequentialMaps
 from cltlab.numerics import BLOCK_STRIDE, SeedLineage, normal_abs_moment, normal_cdf, quadrature
@@ -40,6 +47,7 @@ from helpers import (
     increment_matrix,
     linear_chunk_routes,
     linear_covariance_vn,
+    psi_mc_profile,
     sample_path,
 )
 
@@ -173,6 +181,74 @@ class TestIIDFamilies:
         m = GaussianIID(spec("gaussian_iid", 3, sigma=[0.5, 2.0, 1.0]))
         psi = m.psi_closed_form(np.array([1.0]))[0]
         assert abs(psi - 2.0 * float(gaussian_min_profile(1.0))) <= 1e-12
+
+
+# A third law, defined only here: eps uniform on [-a, a] with a = sqrt(3), so
+# Var eps = a^2 / 3 = 1 and E|eps|^p = a^p / (p + 1).
+ROOT3 = math.sqrt(3.0)
+
+
+def uniform_fill(g, row):
+    g.random(out=row)
+    row *= 2.0 * ROOT3
+    row -= ROOT3
+
+
+def uniform_min_profile(u):
+    # |eps| is uniform on [0, a] and min(u x^2, x^3) is x^3 below x = u, so
+    # E min(u eps^2, |eps|^3) = (v a^3 / 3 - v^4 / 12) / a with v = min(u, a)
+    v = np.minimum(np.asarray(u, dtype=float), ROOT3)
+    return (v * ROOT3**3 / 3.0 - v**4 / 12.0) / ROOT3
+
+
+UNIFORM = InnovationLaw(uniform_fill, lambda p: ROOT3**p / (p + 1.0), uniform_min_profile)
+
+
+class UniformIID(iid._IIDBase):
+    law = UNIFORM
+
+
+class TestInnovationLaws:
+    SIGMA = [0.5, 1.5, 2.0, 0.8, 1.2]
+    REPLICATES = 20_000
+
+    def uniform_model(self):
+        return UniformIID(spec("gaussian_iid", 5, sigma=self.SIGMA))
+
+    def test_each_ladder_capability_is_written_once(self):
+        for name in ("psi_closed_form", "sup_moment_ratio", "sum_abs_moments"):
+            for cls in (GaussianIID, RademacherIID, LinearStatistic, UniformIID):
+                assert getattr(cls, name) is getattr(InnovationLadder, name)
+        for cls, law in ((GaussianIID, iid.GAUSSIAN), (RademacherIID, iid.RADEMACHER),
+                         (LinearStatistic, iid.GAUSSIAN)):
+            assert cls.law is law
+        model = make_model(spec("rademacher_iid", 4))
+        assert model._draw_row is iid.RADEMACHER.fill
+
+    def test_laws_have_unit_variance(self):
+        for law in (iid.GAUSSIAN, iid.RADEMACHER, UNIFORM):
+            assert law.abs_moment(2.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_third_law_psi_matches_monte_carlo(self):
+        # t runs across the profile's kink at u = sqrt(3)
+        m = self.uniform_model()
+        t = np.array([0.1, 0.5, 1.0, 1.7, 2.5, 6.0])
+        value, se = psi_mc_profile(m, self.REPLICATES, master_seed=7)(t)
+        assert np.all(np.abs(m.psi_closed_form(t) - value) <= 4.0 * se)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_third_law_moments_match_sampled_increments(self, p):
+        m = self.uniform_model()
+        sigma = np.array(self.SIGMA)
+        xi_p = np.abs(increment_matrix(m, master_seed=3, replicates=self.REPLICATES)) ** p
+        root_r = math.sqrt(self.REPLICATES)
+        sums = xi_p.sum(axis=1)
+        assert abs(m.sum_abs_moments(p) - sums.mean()) <= 4.0 * sums.std(ddof=1) / root_r
+        ratios = xi_p / sigma**2
+        k = int(np.argmax(ratios.mean(axis=0)))
+        assert k == int(np.argmax(sigma))
+        sup = m.sup_moment_ratio(p)
+        assert abs(sup - ratios[:, k].mean()) <= 4.0 * ratios[:, k].std(ddof=1) / root_r
 
 
 class TestCELowerBound:
